@@ -1092,7 +1092,8 @@ impl<'p> Core<'p> {
             if u.uid != uid || u.state != UopState::Waiting || !self.srcs_ready(u) {
                 continue;
             }
-            self.sched.enqueue_ready(u.critical, (seq, uid));
+            self.sched
+                .enqueue_ready(u.critical, Self::op_port(u.uop.op), (seq, uid));
         }
         self.wake_buf = buf;
         self.prof_sub(crate::prof::Subsystem::SchedWake, t);
@@ -1140,43 +1141,37 @@ impl<'p> Core<'p> {
         if !self.event_sched {
             return self.schedule_execute_scan(ports);
         }
-        // Event-driven select: drain the critical ready queue, then the
-        // regular one, each oldest-first — the same visit order as the
-        // reference scan's (!critical, seq) sort restricted to ready uops.
-        // Entries that cannot issue this cycle (port taken, or an execute
-        // attempt that must retry: MSHR rejection, store-forward stall,
-        // memory-dependence wait) are deferred and requeued for next cycle,
-        // exactly matching the scan's retry-every-cycle behaviour.
+        // Event-driven select: pop the oldest ready token, critical first,
+        // among the queues whose port class still has a free port — the
+        // reference scan's (!critical, seq) order restricted to the uops it
+        // can issue. A queue whose class is spent is not touched; the scan
+        // would have skipped its uops with no side effect. Entries whose
+        // execute attempt must retry (MSHR rejection, store-forward stall,
+        // memory-dependence wait) keep the port they took and are deferred
+        // and requeued for next cycle, matching the scan's retry-every-cycle
+        // behaviour.
         let t = self.prof_begin();
-        'select: for crit in [true, false] {
-            while let Some((seq, uid)) = self.sched.pop_ready(crit) {
-                let Some(u) = self.pool.get(seq) else {
-                    continue; // flushed: stale token
-                };
-                if u.uid != uid || u.state != UopState::Waiting {
-                    continue; // reused seq, or already issued
-                }
-                if !self.srcs_ready(u) {
-                    self.sched.defer(crit, (seq, uid));
-                    continue;
-                }
-                if ports.exhausted() {
-                    self.sched.defer(crit, (seq, uid));
-                    break 'select;
-                }
-                if !ports.take(Self::op_port(u.uop.op)) {
-                    self.sched.defer(crit, (seq, uid));
-                    continue;
-                }
-                self.execute_one(Seq(seq));
-                let still_waiting = self
-                    .pool
-                    .get(seq)
-                    .map(|u| u.state == UopState::Waiting)
-                    .unwrap_or(false);
-                if still_waiting {
-                    self.sched.defer(crit, (seq, uid));
-                }
+        while let Some((q, (seq, uid))) = self.sched.pop_ready(ports.free_mask()) {
+            let Some(u) = self.pool.get(seq) else {
+                continue; // flushed: stale token
+            };
+            if u.uid != uid || u.state != UopState::Waiting {
+                continue; // reused seq, or already issued
+            }
+            if !self.srcs_ready(u) {
+                self.sched.defer(q, (seq, uid));
+                continue;
+            }
+            let took = ports.take(Self::op_port(u.uop.op));
+            debug_assert!(took, "select pops only classes with a free port");
+            self.execute_one(Seq(seq));
+            let still_waiting = self
+                .pool
+                .get(seq)
+                .map(|u| u.state == UopState::Waiting)
+                .unwrap_or(false);
+            if still_waiting {
+                self.sched.defer(q, (seq, uid));
             }
         }
         self.sched.requeue_deferred();
@@ -1730,7 +1725,8 @@ impl<'p> Core<'p> {
                 pending = true;
             }
             if !pending {
-                self.sched.enqueue_ready(critical, token);
+                self.sched
+                    .enqueue_ready(critical, Self::op_port(uop.op), token);
             }
         }
         match uop.op {

@@ -41,7 +41,7 @@ pub struct CoreOutcome {
 }
 
 /// End-of-run snapshot of the shared resources.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SharedStatsReport {
     /// Shared totals across all cores (folds the per-core slices).
     pub mem: MemStats,

@@ -49,13 +49,7 @@ impl ReservationStations {
 
     /// Removes all entries younger than `target` (flush).
     pub fn flush_after(&mut self, target: Seq) {
-        self.entries.retain(|&(s, critical)| {
-            let keep = s <= target;
-            if !keep && critical {
-                // crit_count fixed up below; retain closures can't borrow self.
-            }
-            keep
-        });
+        self.entries.retain(|&(s, _)| s <= target);
         self.crit_count = self.entries.iter().filter(|&&(_, c)| c).count();
     }
 
@@ -111,10 +105,14 @@ impl PortBudget {
         }
     }
 
-    /// Whether every port class is spent — select can stop early, since no
-    /// remaining candidate of any class could issue this cycle.
-    pub fn exhausted(&self) -> bool {
-        self.int == 0 && self.fp == 0 && self.load == 0 && self.store == 0
+    /// One bit ([`PortClass::bit`]) per class that still has a free port;
+    /// zero once every class is spent.
+    pub fn free_mask(&self) -> u8 {
+        let free = |n: u32, c: PortClass| if n > 0 { c.bit() } else { 0 };
+        free(self.int, PortClass::Int)
+            | free(self.fp, PortClass::Fp)
+            | free(self.load, PortClass::Load)
+            | free(self.store, PortClass::Store)
     }
 }
 
@@ -125,6 +123,16 @@ pub(crate) enum PortClass {
     Fp,
     Load,
     Store,
+}
+
+impl PortClass {
+    /// Number of port classes.
+    pub const COUNT: usize = 4;
+
+    /// This class's bit in a port-class mask ([`PortBudget::free_mask`]).
+    pub fn bit(self) -> u8 {
+        1 << self as u8
+    }
 }
 
 #[cfg(test)]
@@ -185,8 +193,8 @@ mod tests {
         assert!(!p.take(PortClass::Int));
         assert!(p.take(PortClass::Fp));
         assert!(!p.take(PortClass::Store));
-        assert!(!p.exhausted(), "a load port remains");
+        assert_eq!(p.free_mask(), PortClass::Load.bit(), "a load port remains");
         assert!(p.take(PortClass::Load));
-        assert!(p.exhausted());
+        assert_eq!(p.free_mask(), 0);
     }
 }

@@ -11,6 +11,7 @@
 //!
 //! [`CoreStats`]: cdf_core::CoreStats
 
+use cdf_core::ExecPorts;
 use cdf_sim::{run_equivalence, workload_equivalence, EquivConfig, EvalConfig, Mechanism};
 
 #[test]
@@ -30,18 +31,44 @@ fn bounded_fuzz_equivalence_all_mechanisms() {
 /// Full warmup+measure windows compared [`cdf_sim::Measurement`]-for-
 /// measurement: DRAM line traffic and energy are folded in, so a scheduler
 /// that reordered memory-system events would fail here even with a clean
-/// retirement stream.
+/// retirement stream. The second case is port-starved — one port per class
+/// and four L1D MSHRs — so int, fp, load and store ports run out in
+/// different orders within a cycle, and select must skip spent classes
+/// while younger uops of other classes still issue.
 #[test]
 fn workload_windows_bit_identical_across_schedulers() {
     let mut cfg = EvalConfig::quick();
     cfg.warmup_instructions = 5_000;
     cfg.measure_instructions = 10_000;
-    let mismatches = workload_equivalence(
-        &["astar_like", "mcf_like", "libq_like", "sphinx_like"],
-        &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
-        &cfg,
-    );
-    assert!(mismatches.is_empty(), "windows diverged: {mismatches:#?}");
+    let mut starved = cfg.clone();
+    starved.core.ports = ExecPorts {
+        int: 1,
+        fp: 1,
+        load: 1,
+        store: 1,
+    };
+    starved.core.mem.l1d_mshrs = 4;
+    let cases: [(&[&str], EvalConfig); 2] = [
+        (&["astar_like", "mcf_like", "libq_like", "sphinx_like"], cfg),
+        (
+            &[
+                "astar_like",
+                "mcf_like",
+                "bzip_like",
+                "lbm_like",
+                "libq_like",
+            ],
+            starved,
+        ),
+    ];
+    for (workloads, cfg) in &cases {
+        let mismatches = workload_equivalence(
+            workloads,
+            &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
+            cfg,
+        );
+        assert!(mismatches.is_empty(), "windows diverged: {mismatches:#?}");
+    }
 }
 
 /// The full acceptance campaign: 500 seeds × all seven mechanisms, each

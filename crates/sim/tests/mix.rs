@@ -1,13 +1,14 @@
 //! Multi-core mix test battery: metamorphic contention properties,
-//! shared-MSHR conservation invariants over fuzz programs, and the
-//! (core, chain) namespacing regression for shared-LLC diagnostics.
+//! shared-MSHR conservation invariants over fuzz programs, the
+//! (core, chain) namespacing regression for shared-LLC diagnostics, and
+//! scheduler equivalence through the shared memory system.
 //!
 //! The metamorphic properties pin what contention **may** and **may not**
 //! change: co-runners may slow a core down (timing), but never alter its
 //! architectural execution (retired uops, branch outcomes), and bandwidth
 //! pressure must hurt monotonically.
 
-use cdf_core::{CoreConfig, MultiCore};
+use cdf_core::{CoreConfig, MultiCore, SchedulerKind};
 use cdf_sim::{run_mix, Measurement, Mechanism, MixConfig};
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::registry;
@@ -219,10 +220,7 @@ proptest! {
     }
 }
 
-/// A mix whose deterministic metrics also hold under `--mem-model` /
-/// scheduler defaults swapped per core is out of scope here (cores share
-/// one geometry); but mixed *mechanisms* on one mix must run and stay
-/// deterministic.
+/// Mixed *mechanisms* on one mix must run and stay deterministic.
 #[test]
 fn mixed_mechanisms_run_deterministically() {
     let cfg = MixConfig::new(
@@ -235,6 +233,44 @@ fn mixed_mechanisms_run_deterministically() {
     assert_eq!(a.cores, b.cores);
     assert_eq!(a.shared.cycles, b.shared.cycles);
     assert_eq!(a.channel_utilization, b.channel_utilization);
+}
+
+/// Scheduler equivalence through the shared memory system: each mix runs
+/// under the event-driven and the reference scan scheduler, and every
+/// per-core and shared counter must agree. The first mix is the
+/// benchmark's default-sizing 4-core base mix, where load ports are the
+/// class select runs out of most often.
+#[test]
+fn mixes_bit_identical_across_schedulers() {
+    let four = ["mcf_like", "astar_like", "lbm_like", "stream_hog"];
+    let mixes = [
+        MixConfig::new(
+            four.iter().map(|s| s.to_string()).collect(),
+            vec![Mechanism::Baseline],
+        ),
+        quick_mix(&four, Mechanism::Cdf),
+        quick_mix(&["mcf_like", "stream_hog"], Mechanism::Pre),
+    ];
+    for cfg in mixes {
+        let run_with = |scheduler| {
+            let mut cfg = cfg.clone();
+            cfg.eval.core.scheduler = scheduler;
+            run_mix(&cfg).unwrap_or_else(|e| panic!("mix {:?} failed: {e}", cfg.workloads))
+        };
+        let event = run_with(SchedulerKind::EventDriven);
+        let scan = run_with(SchedulerKind::ReferenceScan);
+        for (a, b) in event.cores.iter().zip(&scan.cores) {
+            let what = format!("{:?} core {} ({})", cfg.workloads, a.core, a.workload);
+            assert_eq!(a.measurement, b.measurement, "{what}: measurement");
+            assert_eq!(a.share, b.share, "{what}: shared-resource attribution");
+            assert_eq!(a.llc_occupancy, b.llc_occupancy, "{what}: LLC occupancy");
+        }
+        assert_eq!(
+            event.shared, scan.shared,
+            "{:?}: shared totals",
+            cfg.workloads
+        );
+    }
 }
 
 #[test]
