@@ -39,7 +39,9 @@ impl History {
     }
 
     /// Folds the youngest `len` bits of global history into `bits` bits by
-    /// xor-ing `bits`-wide chunks together.
+    /// xor-ing `bits`-wide chunks together. This is the definition a
+    /// [`Folded`] register tracks; predictors recompute it only after a
+    /// checkpoint restore.
     pub fn fold(&self, len: u32, bits: u32) -> u64 {
         debug_assert!(len <= 128 && bits > 0 && bits <= 30);
         if len == 0 {
@@ -63,6 +65,63 @@ impl History {
     pub fn fold_path(&self, bits: u32) -> u64 {
         let p = self.path as u64;
         (p ^ (p >> bits) ^ (p >> (2 * bits))) & ((1u64 << bits) - 1)
+    }
+}
+
+/// A folded-history register: [`History::fold`]`(len, bits)` kept up to date
+/// one push at a time, so a prediction reads it instead of refolding.
+///
+/// Seznec's circular-shift update: pushing outcome `taken` moves history bit
+/// `i` to `i + 1`, which in the fold is a one-bit rotate within `bits`; the
+/// new bit enters at position 0, and the bit leaving the window (old bit
+/// `len - 1`, now at `len`) is cancelled at position `len % bits`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Folded {
+    value: u64,
+    len: u32,
+    bits: u32,
+    /// `len % bits`: where the outgoing bit lands after the rotate.
+    out_pos: u32,
+}
+
+impl Folded {
+    /// A register for the youngest `len` bits folded into `bits`, equal to
+    /// the fold of an all-zero history.
+    pub fn new(len: u32, bits: u32) -> Folded {
+        assert!(
+            len <= 128 && bits > 0 && bits <= 30,
+            "fold {len} into {bits}"
+        );
+        Folded {
+            value: 0,
+            len,
+            bits,
+            out_pos: len % bits,
+        }
+    }
+
+    /// The folded history.
+    #[inline]
+    pub fn value(&self) -> u64 {
+        self.value
+    }
+
+    /// Advances the register for `taken` about to be pushed onto `before`.
+    #[inline]
+    pub fn push(&mut self, before: &History, taken: bool) {
+        if self.len == 0 {
+            return;
+        }
+        let outgoing = (before.ghr >> (self.len - 1)) as u64 & 1;
+        let c = self.value;
+        let rotated = (c << 1) | (c >> (self.bits - 1));
+        self.value =
+            (rotated ^ taken as u64 ^ (outgoing << self.out_pos)) & ((1u64 << self.bits) - 1);
+    }
+
+    /// Recomputes the register from `hist` (after a checkpoint restore).
+    pub fn refold(&mut self, hist: &History) {
+        self.value = hist.fold(self.len, self.bits);
     }
 }
 

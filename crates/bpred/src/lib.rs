@@ -41,7 +41,6 @@
 
 mod bimodal;
 mod btb;
-mod gshare;
 mod history;
 mod loop_pred;
 mod sc;
@@ -49,7 +48,6 @@ mod tage;
 
 pub use bimodal::Bimodal;
 pub use btb::{Btb, BtbConfig, BtbEntry};
-pub use gshare::{Gshare, Tournament};
 pub use history::HistoryCheckpoint;
 pub use tage::{Prediction, Provider, TageConfig, TageScL};
 

@@ -7,7 +7,7 @@
 //! workloads is what matters for CDF (hard-to-predict branches get marked
 //! critical), not bit-exact CBP behaviour.
 
-use crate::history::{History, HistoryCheckpoint};
+use crate::history::{Folded, History, HistoryCheckpoint};
 use crate::loop_pred::LoopPredictor;
 use crate::sc::StatisticalCorrector;
 use crate::DirectionPredictor;
@@ -120,6 +120,18 @@ impl Prediction {
     }
 }
 
+/// The folded histories one tagged table hashes with, each tracking
+/// `History::fold(len, width)` of the table's history length.
+#[derive(Clone, Copy, Debug)]
+struct TableFolds {
+    /// `table_bits` wide, for the index.
+    index: Folded,
+    /// `tag_bits` wide, for the tag.
+    tag: Folded,
+    /// `tag_bits - 1` wide, shifted into the tag.
+    tag_narrow: Folded,
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct TaggedEntry {
     tag: u16,
@@ -137,6 +149,8 @@ pub struct TageScL {
     base: Vec<i8>,
     tables: Vec<Vec<TaggedEntry>>,
     hist: History,
+    /// One entry per tagged table, advanced with every push to `hist`.
+    folds: Vec<TableFolds>,
     loop_pred: LoopPredictor,
     sc: StatisticalCorrector,
     /// 4-bit counter choosing alt prediction for weak newly-allocated entries.
@@ -157,7 +171,8 @@ impl TageScL {
     /// # Panics
     ///
     /// Panics if the configuration has no history lengths, more than
-    /// `MAX_TABLES`, or any history length over 128.
+    /// `MAX_TABLES`, any history length over 128, or a `table_bits` or
+    /// `tag_bits - 1` outside `1..=30`.
     pub fn new(cfg: TageConfig) -> TageScL {
         assert!(
             !cfg.hist_lengths.is_empty() && cfg.hist_lengths.len() <= MAX_TABLES,
@@ -172,10 +187,20 @@ impl TageScL {
             .iter()
             .map(|_| vec![TaggedEntry::default(); 1 << cfg.table_bits])
             .collect();
+        let folds = cfg
+            .hist_lengths
+            .iter()
+            .map(|&len| TableFolds {
+                index: Folded::new(len, cfg.table_bits),
+                tag: Folded::new(len, cfg.tag_bits),
+                tag_narrow: Folded::new(len, cfg.tag_bits - 1),
+            })
+            .collect();
         TageScL {
             base: vec![0; 1 << cfg.base_bits],
             tables,
             hist: History::default(),
+            folds,
             loop_pred: LoopPredictor::new(6),
             sc: StatisticalCorrector::new(10),
             use_alt_on_na: 0,
@@ -195,19 +220,39 @@ impl TageScL {
     }
 
     fn table_index(&self, pc: u64, t: usize) -> u32 {
-        let len = self.cfg.hist_lengths[t];
         let bits = self.cfg.table_bits;
-        let h = self.hist.fold(len, bits);
+        let h = self.folds[t].index.value();
         let p = self.hist.fold_path(bits.min(16));
         (((pc >> 2) ^ (pc >> (bits as u64 + 2)) ^ h ^ (p << 1)) & ((1 << bits) as u64 - 1)) as u32
     }
 
     fn table_tag(&self, pc: u64, t: usize) -> u16 {
-        let len = self.cfg.hist_lengths[t];
         let bits = self.cfg.tag_bits;
-        let h1 = self.hist.fold(len, bits);
-        let h2 = self.hist.fold(len, bits - 1) << 1;
+        let h1 = self.folds[t].tag.value();
+        let h2 = self.folds[t].tag_narrow.value() << 1;
         (((pc >> 2) ^ h1 ^ h2) & ((1 << bits) as u64 - 1)) as u16
+    }
+
+    /// Speculatively shifts an outcome into the history, advancing every
+    /// folded register with it.
+    fn push_history(&mut self, pc: u64, taken: bool) {
+        for f in &mut self.folds {
+            f.index.push(&self.hist, taken);
+            f.tag.push(&self.hist, taken);
+            f.tag_narrow.push(&self.hist, taken);
+        }
+        self.sc.push_history(&self.hist, taken);
+        self.hist.push(pc, taken);
+    }
+
+    /// Recomputes every folded register after `hist` was restored.
+    fn refold(&mut self) {
+        for f in &mut self.folds {
+            f.index.refold(&self.hist);
+            f.tag.refold(&self.hist);
+            f.tag_narrow.refold(&self.hist);
+        }
+        self.sc.refold(&self.hist);
     }
 
     fn rand(&mut self) -> u32 {
@@ -292,7 +337,7 @@ impl DirectionPredictor for TageScL {
 
         // Statistical corrector.
         let (sc_sum, sc_indices) = if self.cfg.use_sc {
-            self.sc.sum(pc, &self.hist, tage_taken)
+            self.sc.sum(pc, tage_taken)
         } else {
             (0, [0; 4])
         };
@@ -305,7 +350,7 @@ impl DirectionPredictor for TageScL {
         }
 
         let checkpoint = self.hist.checkpoint();
-        self.hist.push(pc, taken);
+        self.push_history(pc, taken);
 
         Prediction {
             taken,
@@ -440,10 +485,12 @@ impl DirectionPredictor for TageScL {
     fn recover(&mut self, pred: &Prediction, actual_taken: bool) {
         self.hist.restore(&pred.checkpoint);
         self.hist.push(pred.pc, actual_taken);
+        self.refold();
     }
 
     fn rewind(&mut self, pred: &Prediction) {
         self.hist.restore(&pred.checkpoint);
+        self.refold();
     }
 
     fn peek(&self, pc: u64) -> bool {
@@ -464,6 +511,7 @@ impl DirectionPredictor for TageScL {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn train<P: DirectionPredictor>(p: &mut P, seq: &[(u64, bool)], reps: usize) -> (u64, u64) {
         let (mut correct, mut total) = (0, 0);
@@ -537,17 +585,69 @@ mod tests {
         assert!(correct * 10 >= total * 9, "{correct}/{total}");
     }
 
+    /// Whether every folded register equals `History::fold` of the current
+    /// speculative history.
+    fn folds_match(p: &TageScL) -> bool {
+        let (h, cfg) = (&p.hist, &p.cfg);
+        cfg.hist_lengths.iter().zip(&p.folds).all(|(&len, f)| {
+            f.index.value() == h.fold(len, cfg.table_bits)
+                && f.tag.value() == h.fold(len, cfg.tag_bits)
+                && f.tag_narrow.value() == h.fold(len, cfg.tag_bits - 1)
+        }) && p.sc.folds_match(h)
+    }
+
     #[test]
     fn recover_rewinds_history() {
         let mut p = TageScL::default();
+        for i in 0..200u64 {
+            let pred = p.predict(0x40 + (i % 5) * 4);
+            p.update(pred.pc, i % 3 == 0, &pred);
+        }
         let before = p.hist;
         let pred = p.predict(0x500);
         assert_ne!(p.hist, before);
         p.recover(&pred, !pred.taken);
-        // History = checkpoint + actual outcome.
+        // History = checkpoint + actual outcome, and the registers follow.
         let mut expect = before;
         expect.push(0x500, !pred.taken);
         assert_eq!(p.hist, expect);
+        assert!(folds_match(&p));
+        p.rewind(&pred);
+        assert_eq!(p.hist, before);
+        assert!(folds_match(&p));
+    }
+
+    proptest! {
+        /// The folded registers equal `History::fold` after every predict,
+        /// update, recover and rewind, for any interleaving the core can
+        /// produce: repairs target an in-flight branch and squash the
+        /// younger ones, updates retire the oldest.
+        #[test]
+        fn folded_histories_track_fold(
+            ops in prop::collection::vec((0u64..64, any::<bool>(), 0u8..6), 1..400)
+        ) {
+            let mut p = TageScL::default();
+            let mut inflight: Vec<Prediction> = Vec::new();
+            for (pc, taken, action) in ops {
+                let k = pc as usize % inflight.len().max(1);
+                match action {
+                    0 if k < inflight.len() => {
+                        p.recover(&inflight[k].clone(), taken);
+                        inflight.truncate(k + 1);
+                    }
+                    1 if k < inflight.len() => {
+                        p.rewind(&inflight[k].clone());
+                        inflight.truncate(k);
+                    }
+                    2 if !inflight.is_empty() => {
+                        let pred = inflight.remove(0);
+                        p.update(pred.pc, taken, &pred);
+                    }
+                    _ => inflight.push(p.predict(pc * 4)),
+                }
+                prop_assert!(folds_match(&p));
+            }
+        }
     }
 
     #[test]

@@ -212,7 +212,7 @@ impl CdfEngine {
                         mask
                     };
                     let trace = Trace::from_mask(block, len, merged).with_chain(chain);
-                    let crit = trace.crit_offsets.len() as u32;
+                    let crit = trace.crit_count();
                     if self.traces.insert(trace) {
                         self.traces_installed += 1;
                         self.activity.uop_cache_ops += 1;

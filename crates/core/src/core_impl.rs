@@ -365,7 +365,7 @@ impl<'p> Core<'p> {
             let merged = cdf.masks.merge(block, mask);
             let chain = cdf.alloc_chain();
             let trace = crate::uop_cache::Trace::from_mask(block, len, merged).with_chain(chain);
-            let crit = trace.crit_offsets.len() as u32;
+            let crit = trace.crit_count();
             if cdf.traces.insert(trace) {
                 if let Some(d) = self.diag.as_mut() {
                     d.note_install(chain, block, len, crit, 0);
@@ -760,7 +760,8 @@ impl<'p> Core<'p> {
                     // corrupt — fail loudly at the first occurrence.
                     assert!(
                         self.reg_renamed_upto < next.0 || self.pool.contains_key(next.0),
-                        "commit head {next} lost: heads {c:?}/{n:?}, reg_renamed_upto {},                          crit_renamed_upto {}, cmq head {:?}, decode front {:?}, cycle {}",
+                        "commit head {next} lost: heads {c:?}/{n:?}, reg_renamed_upto {}, \
+                         crit_renamed_upto {}, cmq head {:?}, decode front {:?}, cycle {}",
                         self.reg_renamed_upto,
                         self.crit_renamed_upto,
                         self.cdf.as_ref().and_then(|x| x.cmq.front().map(|e| e.seq)),
@@ -872,11 +873,11 @@ impl<'p> Core<'p> {
             // at retire time? Read the CUC before `on_retire`, whose walk
             // may tear traces down this same cycle.
             if let Some(d) = self.diag.as_mut() {
-                let off = (uop.pc.index() - bb.start.index()).min(255) as u8;
+                let off = (uop.pc.index() - bb.start.index()) as u32;
                 let covers = cdf
                     .traces
                     .peek(bb.start)
-                    .is_some_and(|t| t.crit_offsets.contains(&off));
+                    .is_some_and(|t| t.is_critical(off));
                 if op.is_load() {
                     d.note_load_retired(uop.llc_miss, covers);
                 } else if op.is_cond_branch() && mispredicted && seed {
@@ -1496,16 +1497,6 @@ impl<'p> Core<'p> {
                 // Poison check: a replayed critical uop reading a poisoned
                 // register executed incorrectly (Fig. 11).
                 if front_srcs.iter().any(|r| self.rat.poisoned(r)) {
-                    if std::env::var_os("CDF_DEBUG_POISON").is_some() {
-                        let regs: Vec<_> = front_srcs
-                            .iter()
-                            .filter(|r| self.rat.poisoned(*r))
-                            .collect();
-                        eprintln!(
-                            "poison violation at {} (pc {:?}): regs {:?}",
-                            seq, front_pc, regs
-                        );
-                    }
                     self.stats.dependence_violations += 1;
                     self.raise_flush(Flush {
                         target: Seq(seq.0 - 1),
@@ -1552,9 +1543,6 @@ impl<'p> Core<'p> {
             if head.seq < seq {
                 // Desync (trace changed between the two streams): recover
                 // conservatively as a dependence violation at the CMQ head.
-                if std::env::var_os("CDF_DEBUG_POISON").is_some() {
-                    eprintln!("desync violation: cmq head {} vs regular {}", head.seq, seq);
-                }
                 self.stats.dependence_violations += 1;
                 let redirect = self.pool.get(head.seq.0).map(|u| u.pc).unwrap_or(front_pc);
                 self.raise_flush(Flush {
@@ -1688,7 +1676,8 @@ impl<'p> Core<'p> {
 
         assert!(
             !self.pool.contains_key(seq.0),
-            "double dispatch of {seq}: existing {:?} vs new (critical={critical}, pc={:?},              reg_renamed_upto {}, crit_renamed_upto {}, crit_cursor {}, cdf_entry {}, end {:?})",
+            "double dispatch of {seq}: existing {:?} vs new (critical={critical}, pc={:?}, \
+             reg_renamed_upto {}, crit_renamed_upto {}, crit_cursor {}, cdf_entry {}, end {:?})",
             self.pool.get(seq.0).map(|u| (u.pc, u.critical)),
             fu.pc,
             self.reg_renamed_upto,
@@ -1849,7 +1838,7 @@ impl<'p> Core<'p> {
                 let trace = {
                     let cdf = self.cdf.as_mut().expect("engine");
                     cdf.activity.uop_cache_ops += 1;
-                    cdf.traces.lookup(self.crit_fetch_pc).cloned()
+                    cdf.traces.lookup(self.crit_fetch_pc).copied()
                 };
                 self.energy.record(Activity::CriticalUopCacheOp, 1);
                 let Some(trace) = trace else {
@@ -1862,11 +1851,11 @@ impl<'p> Core<'p> {
                     break;
                 };
                 if let Some(d) = self.diag.as_mut() {
-                    d.note_cuc_hit(trace.chain, trace.crit_offsets.len() as u64, self.now);
+                    d.note_cuc_hit(trace.chain, trace.crit_count() as u64, self.now);
                 }
                 let base = self.crit_seq_cursor;
                 let bstart = trace.block_start;
-                for &off in &trace.crit_offsets {
+                for off in trace.crit_offsets() {
                     let upc = Pc::new((bstart.index() + off as usize) as u32);
                     self.crit_pending.push_back(FetchedUop {
                         seq: Seq(base + off as u64),
@@ -1896,7 +1885,7 @@ impl<'p> Core<'p> {
                         } else {
                             last_pc.next()
                         };
-                        if trace.crit_offsets.contains(&((trace.block_len - 1) as u8)) {
+                        if trace.is_critical(trace.block_len - 1) {
                             if let Some(p) =
                                 self.crit_pending.iter_mut().find(|f| f.seq == last_seq)
                             {
@@ -2000,7 +1989,7 @@ impl<'p> Core<'p> {
                     // timestamps through non-critical blocks.
                     cdf.traces
                         .lookup(pc)
-                        .map(|t| !t.crit_offsets.is_empty())
+                        .map(|t| t.crit_mask != 0)
                         .unwrap_or(false)
                 };
                 self.energy.record(Activity::CriticalUopCacheOp, 1);
@@ -2047,8 +2036,8 @@ impl<'p> Core<'p> {
                 if let Some(cdf) = &self.cdf {
                     let bb = self.program.block(self.program.block_of(pc));
                     if let Some(trace) = cdf.traces.peek(bb.start) {
-                        let off = (pc.index() - bb.start.index()) as u8;
-                        fu.critical_dup = trace.crit_offsets.contains(&off);
+                        let off = (pc.index() - bb.start.index()) as u32;
+                        fu.critical_dup = trace.is_critical(off);
                     }
                 }
             }
@@ -2162,17 +2151,17 @@ impl<'p> Core<'p> {
                 }
             }
         };
-        for seq in self.rob.flush_after(target) {
+        self.rob.flush_after(target, |seq| {
             if let Some(u) = self.pool.remove(seq.0) {
                 note(u.seq, &u.pred, &mut oldest_pred);
             }
-        }
+        });
         self.rs.flush_after(target);
-        self.lsq.lq.flush_after(target);
-        self.lsq.sq.flush_after(target);
-        for fu in self.decode.flush_after(target) {
+        self.lsq.lq.flush_after(target, drop);
+        self.lsq.sq.flush_after(target, drop);
+        self.decode.flush_after(target, |fu| {
             note(fu.seq, &fu.pred, &mut oldest_pred);
-        }
+        });
         for fu in &self.crit_pending {
             if fu.seq > target {
                 note(fu.seq, &fu.pred, &mut oldest_pred);
@@ -2239,7 +2228,7 @@ impl<'p> Core<'p> {
         }
 
         // Unwind the rename log (both RATs + free list).
-        for e in self.rlog.unwind(target) {
+        self.rlog.unwind(target, |e| {
             let rat = match e.kind {
                 RatKind::Regular => &mut self.rat,
                 RatKind::Critical => &mut self.crat,
@@ -2251,7 +2240,7 @@ impl<'p> Core<'p> {
             if let Some((p, _)) = e.allocated {
                 self.prf.dealloc(p);
             }
-        }
+        });
 
         // Predictor history repair.
         match &f.kind {
@@ -2565,7 +2554,7 @@ impl<'p> Core<'p> {
                 let trace = {
                     let cdf = self.cdf.as_mut().expect("PRE has an engine");
                     cdf.activity.uop_cache_ops += 1;
-                    cdf.traces.lookup(bpc).cloned()
+                    cdf.traces.lookup(bpc).copied()
                 };
                 self.energy.record(Activity::CriticalUopCacheOp, 1);
                 // A trace fetch consumes a runahead slot whether or not the
@@ -2586,9 +2575,9 @@ impl<'p> Core<'p> {
                 // consumed) — provenance accounting shows that as accuracy 0,
                 // which is exactly the contrast with CDF's replay.
                 if let Some(d) = self.diag.as_mut() {
-                    d.note_cuc_hit(trace.chain, trace.crit_offsets.len() as u64, self.now);
+                    d.note_cuc_hit(trace.chain, trace.crit_count() as u64, self.now);
                 }
-                for &off in &trace.crit_offsets {
+                for off in trace.crit_offsets() {
                     self.runahead
                         .queue
                         .push_back(Pc::new((trace.block_start.index() + off as usize) as u32));

@@ -76,19 +76,17 @@ impl DecodePipe {
         self.entries.pop_front().map(|(_, u)| u)
     }
 
-    /// Drops and returns all uops younger than `target` (flush). The caller
-    /// uses the removed branches' predictor checkpoints for history repair.
-    pub fn flush_after(&mut self, target: Seq) -> Vec<FetchedUop> {
-        let mut removed = Vec::new();
+    /// Drops all uops younger than `target` (flush), showing each to
+    /// `removed` first. The caller uses the removed branches' predictor
+    /// checkpoints for history repair.
+    pub fn flush_after(&mut self, target: Seq, mut removed: impl FnMut(&FetchedUop)) {
         self.entries.retain(|(_, u)| {
-            if u.seq <= target {
-                true
-            } else {
-                removed.push(u.clone());
-                false
+            let keep = u.seq <= target;
+            if !keep {
+                removed(u);
             }
+            keep
         });
-        removed
     }
 
     /// Drops everything.
@@ -158,7 +156,9 @@ mod tests {
         for i in 1..=4 {
             p.push(0, uop(i));
         }
-        p.flush_after(Seq(2));
+        let mut removed = Vec::new();
+        p.flush_after(Seq(2), |u| removed.push(u.seq));
+        assert_eq!(removed, vec![Seq(3), Seq(4)]);
         assert_eq!(p.len(), 2);
         p.clear();
         assert_eq!(p.len(), 0);

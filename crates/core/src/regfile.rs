@@ -204,26 +204,19 @@ impl RenameLog {
         self.entries.push_back(e);
     }
 
-    /// Removes and returns (reverse insertion order) all entries with
-    /// `seq > target`. The caller applies the undo to the RATs and the free
+    /// Removes all entries with `seq > target`, passing each to `undo` in
+    /// reverse rename order; `undo` applies it to the RATs and the free
     /// list.
     ///
     /// The log is in *rename* order, not sequence order — the critical
     /// stream renames young uops before the regular stream renames older
     /// ones — so the whole log is scanned: young critical entries can be
     /// buried beneath later-pushed old regular entries.
-    pub fn unwind(&mut self, target: Seq) -> Vec<RenameLogEntry> {
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        while let Some(e) = self.entries.pop_back() {
-            if e.seq > target {
-                out.push(e);
-            } else {
-                kept.push_front(e);
-            }
+    pub fn unwind(&mut self, target: Seq, mut undo: impl FnMut(RenameLogEntry)) {
+        for e in self.entries.iter().rev().filter(|e| e.seq > target) {
+            undo(*e);
         }
-        self.entries = kept;
-        out
+        self.entries.retain(|e| e.seq <= target);
     }
 
     /// Drops entries for uops at or before `retired` (their mappings are
@@ -342,7 +335,8 @@ mod tests {
                 allocated: None,
             });
         }
-        let undone = log.unwind(Seq(3));
+        let mut undone = Vec::new();
+        log.unwind(Seq(3), |e| undone.push(e));
         assert_eq!(undone.len(), 2);
         assert_eq!(undone[0].seq, Seq(5), "youngest first");
         assert_eq!(undone[1].seq, Seq(4));
@@ -365,7 +359,8 @@ mod tests {
         };
         log.push(entry(100, RatKind::Critical));
         log.push(entry(50, RatKind::Regular));
-        let undone = log.unwind(Seq(60));
+        let mut undone = Vec::new();
+        log.unwind(Seq(60), |e| undone.push(e));
         assert_eq!(undone.len(), 1, "buried critical entry must be found");
         assert_eq!(undone[0].seq, Seq(100));
         assert_eq!(log.len(), 1);
@@ -393,14 +388,14 @@ mod tests {
                 allocated: Some((p, false)),
             });
         }
-        for e in log.unwind(Seq(0)) {
+        log.unwind(Seq(0), |e| {
             let r = e.areg.unwrap();
             rat.set(r, e.prev_preg);
             rat.set_poison(r, e.prev_poison);
             if let Some((p, _)) = e.allocated {
                 rf.dealloc(p);
             }
-        }
+        });
         assert_eq!(rat, snapshot);
         assert_eq!(rf.free_count(), 64 - NUM_ARCH_REGS);
     }

@@ -107,19 +107,14 @@ impl<T: HasSeq> PartitionedQueue<T> {
         }
     }
 
-    /// Removes every entry with `seq > target` (flush), returning them.
-    pub fn flush_after(&mut self, target: Seq) -> Vec<T> {
-        let mut out = Vec::new();
+    /// Removes every entry with `seq > target` (flush), passing each to
+    /// `removed`: the critical section first, each youngest first.
+    pub fn flush_after(&mut self, target: Seq, mut removed: impl FnMut(T)) {
         for q in [&mut self.crit, &mut self.noncrit] {
-            while let Some(back) = q.back() {
-                if back.seq() > target {
-                    out.push(q.pop_back().expect("just peeked"));
-                } else {
-                    break;
-                }
+            while q.back().is_some_and(|back| back.seq() > target) {
+                removed(q.pop_back().expect("just peeked"));
             }
         }
-        out
     }
 
     /// Iterates over all entries (critical section first; not globally
@@ -209,10 +204,9 @@ mod tests {
         q.push(Seq(2), false);
         q.push(Seq(3), true);
         q.push(Seq(4), false);
-        let flushed = q.flush_after(Seq(2));
-        let mut seqs: Vec<_> = flushed.iter().map(|s| s.0).collect();
-        seqs.sort();
-        assert_eq!(seqs, vec![3, 4]);
+        let mut seqs = Vec::new();
+        q.flush_after(Seq(2), |s| seqs.push(s.0));
+        assert_eq!(seqs, vec![3, 4], "critical section first");
         assert_eq!(q.len(), 2);
     }
 

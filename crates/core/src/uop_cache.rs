@@ -2,23 +2,24 @@
 //!
 //! Stores **decoded critical-uop traces**, one per basic block, tagged with
 //! the block's first instruction. A trace records which uops of the block
-//! are critical (their offsets), the block length (so the critical fetch
-//! logic can skip timestamp values for the non-critical uops), and whether
-//! the block ends in a branch (the "ends in a branch" bit). Blocks with more
-//! than 8 critical uops consume multiple 8-uop lines, as in the paper.
+//! are critical (a bit mask of their offsets), the block length (so the
+//! critical fetch logic can skip timestamp values for the non-critical
+//! uops), and whether the block ends in a branch (the "ends in a branch"
+//! bit). Blocks with more than 8 critical uops consume multiple 8-uop lines,
+//! as in the paper.
 
 use cdf_isa::Pc;
 
 /// A critical-uop trace for one basic block.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Trace {
     /// First instruction of the basic block (the tag).
     pub block_start: Pc,
     /// Total uops in the block — critical fetch advances its timestamp
     /// cursor by this amount per block.
     pub block_len: u32,
-    /// Ascending offsets (within the block) of the critical uops.
-    pub crit_offsets: Vec<u8>,
+    /// Bit `i` is set when the uop at offset `i` of the block is critical.
+    pub crit_mask: u64,
     /// Provenance: id of the reconstruction walk that produced this trace
     /// (0 for traces installed outside the walk pipeline). Stable across the
     /// trace's CUC lifetime, so diagnostics can attribute every downstream
@@ -36,15 +37,14 @@ impl Trace {
     /// caller).
     pub fn from_mask(block_start: Pc, block_len: u32, mask: u64) -> Trace {
         assert!(block_len > 0);
-        let crit_offsets: Vec<u8> = (0..64u8).filter(|&i| mask & (1 << i) != 0).collect();
         assert!(
-            crit_offsets.iter().all(|&o| (o as u32) < block_len),
+            block_len >= 64 || mask >> block_len == 0,
             "mask bit beyond block length"
         );
         Trace {
             block_start,
             block_len,
-            crit_offsets,
+            crit_mask: mask,
             chain: 0,
         }
     }
@@ -56,9 +56,31 @@ impl Trace {
         self
     }
 
+    /// Number of critical uops in the block.
+    pub fn crit_count(&self) -> u32 {
+        self.crit_mask.count_ones()
+    }
+
+    /// Whether the uop at `offset` within the block is critical.
+    pub fn is_critical(&self, offset: u32) -> bool {
+        offset < 64 && (self.crit_mask >> offset) & 1 == 1
+    }
+
+    /// Offsets (within the block) of the critical uops, ascending.
+    pub fn crit_offsets(&self) -> impl Iterator<Item = u32> {
+        let mut rest = self.crit_mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let off = rest.trailing_zeros();
+                rest &= rest - 1;
+                off
+            })
+        })
+    }
+
     /// Number of 8-uop cache lines this trace occupies.
     pub fn lines(&self) -> usize {
-        self.crit_offsets.len().div_ceil(8).max(1)
+        (self.crit_count() as usize).div_ceil(8).max(1)
     }
 }
 
@@ -79,7 +101,7 @@ struct Slot {
 /// let mut c = CriticalUopCache::new(64, 4);
 /// c.insert(Trace::from_mask(Pc::new(16), 10, 0b1001));
 /// let t = c.lookup(Pc::new(16)).unwrap();
-/// assert_eq!(t.crit_offsets, vec![0, 3]);
+/// assert_eq!(t.crit_offsets().collect::<Vec<_>>(), vec![0, 3]);
 /// assert!(c.lookup(Pc::new(17)).is_none());
 /// ```
 #[derive(Clone, Debug)]
@@ -121,13 +143,7 @@ impl CriticalUopCache {
             Some(s) => {
                 s.lru = clock;
                 self.hits += 1;
-                Some(
-                    &slots
-                        .iter()
-                        .find(|s| s.trace.block_start == pc)
-                        .expect("just found")
-                        .trace,
-                )
+                Some(&s.trace)
             }
             None => {
                 self.misses += 1;
@@ -208,8 +224,13 @@ mod tests {
     #[test]
     fn from_mask_decodes_offsets() {
         let t = Trace::from_mask(Pc::new(0), 12, 0b1010_0000_0001);
-        assert_eq!(t.crit_offsets, vec![0, 9, 11]);
+        assert_eq!(t.crit_offsets().collect::<Vec<_>>(), vec![0, 9, 11]);
+        assert_eq!(t.crit_count(), 3);
+        assert!(t.is_critical(9) && !t.is_critical(10) && !t.is_critical(64));
         assert_eq!(t.lines(), 1);
+        let full = Trace::from_mask(Pc::new(0), 64, u64::MAX);
+        assert_eq!(full.crit_offsets().last(), Some(63));
+        assert!(full.is_critical(63));
     }
 
     #[test]
@@ -242,7 +263,7 @@ mod tests {
         let mut c = CriticalUopCache::new(8, 4);
         c.insert(Trace::from_mask(Pc::new(3), 5, 0b001));
         c.insert(Trace::from_mask(Pc::new(3), 5, 0b111));
-        assert_eq!(c.lookup(Pc::new(3)).unwrap().crit_offsets, vec![0, 1, 2]);
+        assert_eq!(c.lookup(Pc::new(3)).unwrap().crit_mask, 0b111);
         assert_eq!(c.len(), 1);
     }
 

@@ -58,7 +58,7 @@ fn main() {
                 "block @ {} (len {}, {} critical uops in trace)",
                 block.start,
                 block.len,
-                t.crit_offsets.len()
+                t.crit_count()
             ),
             (None, Some(_)) => format!("block @ {} (len {}, mask only)", block.start, block.len),
             (None, None) => format!("block @ {} (len {}, never marked)", block.start, block.len),
@@ -66,9 +66,7 @@ fn main() {
         println!("-- {header}");
         for off in 0..block.len {
             let pc = Pc::new(block.start.index() as u32 + off);
-            let in_trace = trace
-                .map(|t| t.crit_offsets.contains(&(off as u8)))
-                .unwrap_or(false);
+            let in_trace = trace.is_some_and(|t| t.is_critical(off));
             let marker = if in_trace { "C" } else { " " };
             println!("   {marker} {pc:>6}  {}", w.program.uop(pc));
         }
