@@ -153,6 +153,9 @@ pub struct Core<'p> {
     /// default — costs one null check per stage per cycle; enabling it only
     /// reads the monotonic clock, never simulated state.
     prof: Option<Box<crate::prof::HostProf>>,
+    /// The cycle and retired-uop count at [`enable_prof`](Self::enable_prof),
+    /// which a finished profile counts from.
+    prof_origin: (u64, u64),
     /// Optional lockstep retirement observer (see [`crate::observer`]).
     /// `None` — the default — keeps the retire path free of observer work
     /// and of the structural invariant sweep entirely.
@@ -280,6 +283,7 @@ impl<'p> Core<'p> {
             telemetry: None,
             diag: None,
             prof: None,
+            prof_origin: (0, 0),
             observer: None,
             dispatched_this_cycle: false,
             flush_recovery_until: 0,
@@ -450,8 +454,8 @@ impl<'p> Core<'p> {
 
     /// Enables host-side self-profiling (see [`crate::prof`]): per-stage
     /// wall-clock attribution, per-subsystem heap/port timers in the memory
-    /// system, and per-stage allocation deltas. Call before
-    /// [`run`](Self::run).
+    /// system, and per-stage allocation deltas. The profile counts cycles
+    /// and retired uops from this call on, so it may follow a warmup.
     ///
     /// Profiling observes only the host — the monotonic clock and the
     /// process allocation counters — and never reads or writes simulated
@@ -460,6 +464,7 @@ impl<'p> Core<'p> {
     /// stage per cycle.
     pub fn enable_prof(&mut self) {
         self.prof = Some(Box::new(crate::prof::HostProf::new()));
+        self.prof_origin = (self.now, self.stats.retired);
         self.memsys.enable_prof();
     }
 
@@ -476,12 +481,13 @@ impl<'p> Core<'p> {
     }
 
     /// Detaches the profiler and finalizes it into a [`crate::prof::HostProfile`]
-    /// against `total_wall_ns`, the harness-measured wall time of the run —
-    /// the profile's totality invariant (stages + untracked == total) is
-    /// established here.
+    /// against `total_wall_ns`, the harness-measured wall time since
+    /// [`enable_prof`](Self::enable_prof) — the profile's totality invariant
+    /// (stages + untracked == total) is established here.
     pub fn take_profile(&mut self, total_wall_ns: u64) -> Option<crate::prof::HostProfile> {
-        let cycles = self.now;
-        let retired = self.stats.retired;
+        let (cycles0, retired0) = self.prof_origin;
+        let cycles = self.now - cycles0;
+        let retired = self.stats.retired - retired0;
         self.take_prof()
             .map(|p| p.into_profile(cycles, retired, total_wall_ns))
     }
@@ -672,7 +678,8 @@ impl<'p> Core<'p> {
         use crate::prof::Stage;
         self.now += 1;
         let retired_before = self.stats.retired;
-        let t = self.prof_begin();
+        let now = self.now;
+        let t = self.prof.as_mut().map(|p| p.begin_cycle(now));
         self.retire();
         let t = self.prof_stage(Stage::Retire, t);
         self.complete();
@@ -695,14 +702,8 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Starts a profiling scope: one null check when profiling is off.
-    #[inline]
-    fn prof_begin(&self) -> Option<crate::prof::ProfToken> {
-        self.prof.as_ref().map(|_| crate::prof::HostProf::begin())
-    }
-
     /// Closes a stage scope and opens the next one — stages within a cycle
-    /// are contiguous, so the end token of one is the start of the next.
+    /// are contiguous, so the end of one is the start of the next.
     #[inline]
     fn prof_stage(
         &mut self,
@@ -710,24 +711,30 @@ impl<'p> Core<'p> {
         t: Option<crate::prof::ProfToken>,
     ) -> Option<crate::prof::ProfToken> {
         match (self.prof.as_mut(), t) {
-            (Some(p), Some(t)) => {
-                p.end_stage(stage, t);
-                Some(crate::prof::HostProf::begin())
-            }
+            (Some(p), Some(t)) => Some(p.end_stage(stage, t)),
             _ => None,
         }
     }
 
-    /// Closes a subsystem scope opened with [`prof_begin`](Self::prof_begin).
+    /// Starts a subsystem scope: the start time when profiling is on and
+    /// this cycle is one of `sub`'s timed cycles, `None` otherwise.
     #[inline]
-    fn prof_sub(&mut self, sub: crate::prof::Subsystem, t: Option<crate::prof::ProfToken>) {
-        if let (Some(p), Some(t)) = (self.prof.as_mut(), t) {
-            p.end_sub(sub, t);
+    fn prof_sub_start(&self, sub: crate::prof::Subsystem) -> Option<std::time::Instant> {
+        cdf_mem::prof::HeapProf::start(self.prof.is_some(), sub.timer(), self.now)
+    }
+
+    /// Counts a subsystem operation opened with
+    /// [`prof_sub_start`](Self::prof_sub_start) when profiling is on.
+    #[inline]
+    fn prof_sub(&mut self, sub: crate::prof::Subsystem, t0: Option<std::time::Instant>) {
+        if let Some(p) = self.prof.as_mut() {
+            p.end_sub(sub, t0);
         }
     }
 
-    /// Memory-port envelope: times the synchronous [`MemSide::access`] call
-    /// under [`crate::prof::Subsystem::MemPort`] when profiling is on.
+    /// Memory-port envelope: counts (and on sampled cycles times) the
+    /// synchronous [`MemSide::access`] call under
+    /// [`crate::prof::Subsystem::MemPort`] when profiling is on.
     #[inline]
     fn mem_access(
         &mut self,
@@ -737,7 +744,7 @@ impl<'p> Core<'p> {
         wrong_path: bool,
         chain: u64,
     ) -> AccessResult {
-        let t = self.prof_begin();
+        let t = self.prof_sub_start(crate::prof::Subsystem::MemPort);
         let r = self.memsys.access(addr, kind, now, wrong_path, chain);
         self.prof_sub(crate::prof::Subsystem::MemPort, t);
         r
@@ -1083,7 +1090,7 @@ impl<'p> Core<'p> {
     /// `complete` — so the ready queues always hold exactly the uops the
     /// reference scan would find ready.
     fn wake_reg(&mut self, p: PhysReg) {
-        let t = self.prof_begin();
+        let t = self.prof_sub_start(crate::prof::Subsystem::SchedWake);
         let mut buf = std::mem::take(&mut self.wake_buf);
         self.sched.drain_waiters(p, &mut buf);
         for &(seq, uid) in &buf {
@@ -1151,7 +1158,7 @@ impl<'p> Core<'p> {
         // memory-dependence wait) keep the port they took and are deferred
         // and requeued for next cycle, matching the scan's retry-every-cycle
         // behaviour.
-        let t = self.prof_begin();
+        let t = self.prof_sub_start(crate::prof::Subsystem::SchedSelect);
         while let Some((q, (seq, uid))) = self.sched.pop_ready(ports.free_mask()) {
             let Some(u) = self.pool.get(seq) else {
                 continue; // flushed: stale token
@@ -2447,7 +2454,7 @@ impl<'p> Core<'p> {
         }
 
         // MLP sampling (Fig. 14).
-        let t = self.prof_begin();
+        let t = self.prof_sub_start(crate::prof::Subsystem::MemPort);
         let out = self.memsys.outstanding_demand_misses(self.now) as u64;
         self.prof_sub(crate::prof::Subsystem::MemPort, t);
         if out > 0 {
@@ -2609,10 +2616,11 @@ impl<'p> Core<'p> {
                     // Runahead loads prefetch into the LLC without occupying
                     // the demand L1D MSHRs: the prefetch benefit plus the
                     // extra DRAM traffic the paper charges PRE.
-                    let t = prof.as_ref().map(|_| crate::prof::HostProf::begin());
+                    let sub = crate::prof::Subsystem::MemPort;
+                    let t0 = cdf_mem::prof::HeapProf::start(prof.is_some(), sub.timer(), now);
                     memsys.runahead_prefetch(addr, now);
-                    if let (Some(p), Some(t)) = (prof.as_mut(), t) {
-                        p.end_sub(crate::prof::Subsystem::MemPort, t);
+                    if let Some(p) = prof.as_mut() {
+                        p.end_sub(sub, t0);
                     }
                     Some(img.load(addr))
                 });

@@ -5,12 +5,32 @@
 //! discipline to the instrument itself. A [`HostProf`] is an optional
 //! sidecar on [`Core`](crate::Core) — the exact pattern of
 //! [`Telemetry`](crate::telemetry::Telemetry) and
-//! [`CdfDiagnostics`](crate::diag::CdfDiagnostics) — that wraps each
-//! pipeline stage of the per-cycle loop in a monotonic timer and counts
-//! heap churn per stage through [`CountingAlloc`]. Subsystem boundaries
-//! (scheduler wakeup/select, the MSHR/MLP completion heaps, the memport
-//! envelope, the shared LLC) get their own timers, nested *inside* the
-//! stage timers, so the stage rows alone answer the totality question.
+//! [`CdfDiagnostics`](crate::diag::CdfDiagnostics) — that splits each cycle
+//! of the per-cycle loop into its pipeline stages and counts heap churn per
+//! stage through [`CountingAlloc`]. Subsystem boundaries (scheduler
+//! wakeup/select, the MSHR/MLP completion heaps, the memport envelope, the
+//! shared LLC) get their own timers, placed *inside* the stages; the stage
+//! rows alone answer the totality question.
+//!
+//! # Sampling
+//!
+//! A clock read costs about as much as the smaller operations it would
+//! time, so the timers sample: each timer kind reads the clock on one
+//! simulated cycle in [`SAMPLE_PERIOD`](cdf_mem::prof::SAMPLE_PERIOD), on
+//! its own residue, by the rule in [`cdf_mem::prof`]. On a stage-timed
+//! cycle the read that ends one stage also starts the next, so seven reads
+//! tile the cycle. Counts stay exhaustive: every stage boundary snapshots
+//! the allocation counters and counts a call, and every subsystem
+//! operation counts, timed or not; only nanoseconds are sampled.
+//!
+//! [`HostProf::into_profile`] turns the samples into estimates anchored to
+//! the wall the harness measured around the run. With n cycles, k of them
+//! stage-timed with summed span S, the untimed cycles averaged
+//! u = (wall − S)/(n − k) each; every cycle is costed at min(u, S/k) and
+//! split among the stages in the timed cycles' proportions. What the timed
+//! cycles ran over u — the cost of the timer's own reads — is
+//! `untracked_ns`. A subsystem reports its timed nanoseconds scaled by
+//! `ops / timed`; each timed operation still includes one clock-read gap.
 //!
 //! # Overhead guarantee
 //!
@@ -23,13 +43,12 @@
 //!
 //! # Totality invariant
 //!
-//! Stage timers cover disjoint sub-intervals of the run loop, so their sum
-//! is ≤ the wall time measured around the whole run; the remainder is
-//! reported explicitly as `untracked_ns` (harness overhead, snapshotting,
-//! the timers themselves) and is ≥ 0 by construction
-//! ([`HostProf::into_profile`] uses saturating subtraction and a proptest
-//! fuzzes the invariant over generated programs).
+//! The estimated stages sum to at most the measured wall, and the
+//! remainder is reported explicitly as `untracked_ns`, so
+//! `Σ stages + untracked == total` holds for every finished profile (a
+//! proptest fuzzes the invariant over generated programs).
 
+use cdf_mem::prof::{is_timed, HeapProf, TimerKind};
 use cdf_mem::MemProfReport;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,6 +105,8 @@ impl Stage {
 
 /// A subsystem boundary timed *inside* the stages (never added to the
 /// stage totality sum — subsystem time is a refinement, not a partition).
+/// Each is sampled on cycles of its own, so a subsystem's estimate can read
+/// above the stage that encloses it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Subsystem {
     /// Event-driven scheduler wakeup (waiter drain + ready enqueue).
@@ -123,6 +144,18 @@ impl Subsystem {
             Subsystem::MshrHeap => "mshr_heap",
             Subsystem::MlpHeap => "mlp_heap",
             Subsystem::SharedLlc => "shared_llc",
+        }
+    }
+
+    /// The timer kind whose cycles this subsystem is timed on.
+    pub fn timer(self) -> TimerKind {
+        match self {
+            Subsystem::SchedWake => TimerKind::SchedWake,
+            Subsystem::SchedSelect => TimerKind::SchedSelect,
+            Subsystem::MemPort => TimerKind::MemPort,
+            Subsystem::MshrHeap => TimerKind::MshrHeap,
+            Subsystem::MlpHeap => TimerKind::MlpHeap,
+            Subsystem::SharedLlc => TimerKind::SharedLlc,
         }
     }
 }
@@ -183,42 +216,32 @@ pub fn alloc_counts() -> (u64, u64) {
 // Collection.
 // ---------------------------------------------------------------------
 
-/// A stage/subsystem timer started by [`HostProf::begin`] (monotonic clock
-/// plus an allocation-counter snapshot).
+/// An open stage interval: the allocation counters at its start and, on a
+/// stage-timed cycle, the clock reading that started it.
 #[derive(Debug)]
 pub struct ProfToken {
-    at: Instant,
+    at: Option<Instant>,
     allocs: u64,
     alloc_bytes: u64,
-}
-
-impl ProfToken {
-    /// Starts a timer now.
-    pub fn now() -> ProfToken {
-        let (allocs, alloc_bytes) = alloc_counts();
-        ProfToken {
-            at: Instant::now(),
-            allocs,
-            alloc_bytes,
-        }
-    }
 }
 
 const STAGES: usize = Stage::ALL.len();
 const SUBS: usize = Subsystem::ALL.len();
 
-/// The live collector: per-stage wall-clock, call counts and heap churn,
-/// plus per-subsystem wall-clock and operation counts. Attached to a core
-/// via [`Core::enable_prof`](crate::Core::enable_prof) and drained by
-/// [`Core::take_profile`](crate::Core::take_profile).
+/// The live collector: per-stage call counts, heap churn and sampled
+/// wall-clock, plus per-subsystem operation counts and sampled wall-clock.
+/// Attached to a core via [`Core::enable_prof`](crate::Core::enable_prof)
+/// and drained by [`Core::take_profile`](crate::Core::take_profile).
 #[derive(Clone, Debug, Default)]
 pub struct HostProf {
+    /// Stage nanoseconds, summed over the stage-timed cycles only.
     stage_ns: [u64; STAGES],
     stage_calls: [u64; STAGES],
     stage_allocs: [u64; STAGES],
     stage_alloc_bytes: [u64; STAGES],
-    sub_ns: [u64; SUBS],
-    sub_ops: [u64; SUBS],
+    /// Cycles whose stages were timed.
+    timed_cycles: u64,
+    subs: [HeapProf; SUBS],
 }
 
 impl HostProf {
@@ -227,38 +250,52 @@ impl HostProf {
         HostProf::default()
     }
 
-    /// Starts a timer (alias for [`ProfToken::now`], reads nicely at call
-    /// sites).
-    pub fn begin() -> ProfToken {
-        ProfToken::now()
+    /// Opens the first stage interval of simulated cycle `now`, reading the
+    /// clock only if `now` is a stage-timed cycle.
+    pub fn begin_cycle(&mut self, now: u64) -> ProfToken {
+        let (allocs, alloc_bytes) = alloc_counts();
+        let at = is_timed(TimerKind::Stages, now).then(Instant::now);
+        self.timed_cycles += u64::from(at.is_some());
+        ProfToken {
+            at,
+            allocs,
+            alloc_bytes,
+        }
     }
 
-    /// Closes a stage interval opened with [`begin`](Self::begin).
-    pub fn end_stage(&mut self, stage: Stage, t: ProfToken) {
+    /// Closes `stage`'s interval and opens the next stage's at the same
+    /// instant: on a timed cycle one clock read ends one stage and starts
+    /// the next.
+    pub fn end_stage(&mut self, stage: Stage, t: ProfToken) -> ProfToken {
         let i = stage as usize;
-        self.stage_ns[i] += t.at.elapsed().as_nanos() as u64;
+        let (allocs, alloc_bytes) = alloc_counts();
         self.stage_calls[i] += 1;
-        let (allocs, bytes) = alloc_counts();
         self.stage_allocs[i] += allocs - t.allocs;
-        self.stage_alloc_bytes[i] += bytes - t.alloc_bytes;
+        self.stage_alloc_bytes[i] += alloc_bytes - t.alloc_bytes;
+        let at = t.at.map(|t0| {
+            let t1 = Instant::now();
+            self.stage_ns[i] += (t1 - t0).as_nanos() as u64;
+            t1
+        });
+        ProfToken {
+            at,
+            allocs,
+            alloc_bytes,
+        }
     }
 
-    /// Closes a subsystem interval opened with [`begin`](Self::begin).
-    pub fn end_sub(&mut self, sub: Subsystem, t: ProfToken) {
-        let i = sub as usize;
-        self.sub_ns[i] += t.at.elapsed().as_nanos() as u64;
-        self.sub_ops[i] += 1;
+    /// Counts one subsystem operation, with its time if it was timed (`t0`
+    /// from [`HeapProf::start`] with [`Subsystem::timer`]).
+    pub fn end_sub(&mut self, sub: Subsystem, t0: Option<Instant>) {
+        self.subs[sub as usize].finish(t0);
     }
 
     /// Folds externally-timed subsystem counters in (the `cdf-mem` heap
     /// timers report through [`MemProfReport`]).
     pub fn fold_mem(&mut self, mem: &MemProfReport) {
-        self.sub_ns[Subsystem::MshrHeap as usize] += mem.mshr_ns;
-        self.sub_ops[Subsystem::MshrHeap as usize] += mem.mshr_ops;
-        self.sub_ns[Subsystem::MlpHeap as usize] += mem.mlp_ns;
-        self.sub_ops[Subsystem::MlpHeap as usize] += mem.mlp_ops;
-        self.sub_ns[Subsystem::SharedLlc as usize] += mem.shared_llc_ns;
-        self.sub_ops[Subsystem::SharedLlc as usize] += mem.shared_llc_ops;
+        self.subs[Subsystem::MshrHeap as usize].merge(&mem.mshr);
+        self.subs[Subsystem::MlpHeap as usize].merge(&mem.mlp);
+        self.subs[Subsystem::SharedLlc as usize].merge(&mem.shared_llc);
     }
 
     /// Merges another collector's counters into this one (the multi-core
@@ -271,24 +308,28 @@ impl HostProf {
             self.stage_allocs[i] += other.stage_allocs[i];
             self.stage_alloc_bytes[i] += other.stage_alloc_bytes[i];
         }
-        for i in 0..SUBS {
-            self.sub_ns[i] += other.sub_ns[i];
-            self.sub_ops[i] += other.sub_ops[i];
+        self.timed_cycles += other.timed_cycles;
+        for (a, b) in self.subs.iter_mut().zip(&other.subs) {
+            a.merge(b);
         }
     }
 
     /// Finalizes into a [`HostProfile`]. `total_wall_ns` is the wall time
-    /// the harness measured around the whole run; the untracked remainder
-    /// is `total - Σ stages`, saturating so the totality invariant
-    /// (`untracked ≥ 0`, `Σ stages ≤ total`) holds by construction.
+    /// the harness measured around the whole run; the stage estimates (see
+    /// `scale_stages`) sum to at most it, and the remainder is
+    /// `untracked_ns`. Only a wall shorter than the timed spans themselves
+    /// (such as 0) can break that bound; the total then clamps up to the
+    /// stage sum, so the totality invariant holds by construction.
     pub fn into_profile(self, cycles: u64, retired: u64, total_wall_ns: u64) -> HostProfile {
+        let n = self.stage_calls[Stage::Retire as usize];
+        let stage_ns = scale_stages(&self.stage_ns, n, self.timed_cycles, total_wall_ns);
         let stages: Vec<StageSample> = Stage::ALL
             .iter()
             .map(|&s| {
                 let i = s as usize;
                 StageSample {
                     name: s.label().to_string(),
-                    ns: self.stage_ns[i],
+                    ns: stage_ns[i],
                     calls: self.stage_calls[i],
                     allocs: self.stage_allocs[i],
                     alloc_bytes: self.stage_alloc_bytes[i],
@@ -298,15 +339,15 @@ impl HostProf {
         let subsystems: Vec<SubsystemSample> = Subsystem::ALL
             .iter()
             .map(|&s| {
-                let i = s as usize;
+                let sub = &self.subs[s as usize];
                 SubsystemSample {
                     name: s.label().to_string(),
-                    ns: self.sub_ns[i],
-                    ops: self.sub_ops[i],
+                    ns: sub.estimated_ns(),
+                    ops: sub.ops,
                 }
             })
             .collect();
-        let tracked: u64 = stages.iter().map(|s| s.ns).sum();
+        let tracked: u64 = stage_ns.iter().sum();
         HostProfile {
             cycles,
             retired,
@@ -318,6 +359,30 @@ impl HostProf {
     }
 }
 
+/// Estimates every stage's nanoseconds over all `n` cycles from the spans
+/// `raw` it took in the `k` stage-timed cycles, anchored to the measured
+/// `wall`. With S = Σ `raw`, the untimed cycles took
+/// u = (wall − S)/(n − k) each on average; every cycle is costed at
+/// min(u, S/k) and split in the timed cycles' proportions, so stage `i`
+/// gets `raw[i] · n · min(u, S/k) / S` and the stages sum to at most the
+/// wall whenever the wall holds S. No cycle timed gives all zeros.
+fn scale_stages(raw: &[u64; STAGES], n: u64, k: u64, wall: u64) -> [u64; STAGES] {
+    let span: u64 = raw.iter().sum();
+    if k == 0 || span == 0 {
+        return [0; STAGES];
+    }
+    let (s, n, k) = (u128::from(span), u128::from(n), u128::from(k));
+    let untimed = u128::from(wall.saturating_sub(span));
+    // The cycle cost as a fraction num/den: u when the untimed cycles ran
+    // no slower than the timed ones, S/k otherwise.
+    let (num, den) = if n > k && untimed * k <= s * (n - k) {
+        (untimed, n - k)
+    } else {
+        (s, k)
+    };
+    raw.map(|r| (u128::from(r) * n * num / (s * den)) as u64)
+}
+
 // ---------------------------------------------------------------------
 // The finished profile.
 // ---------------------------------------------------------------------
@@ -327,7 +392,9 @@ impl HostProf {
 pub struct StageSample {
     /// Stable stage label ([`Stage::label`]).
     pub name: String,
-    /// Wall-clock nanoseconds spent inside the stage.
+    /// Estimated wall-clock nanoseconds spent inside the stage: its
+    /// sampled spans scaled to every call and anchored to the measured
+    /// wall (see [`HostProf::into_profile`]).
     pub ns: u64,
     /// Times the stage ran (= cycles simulated while profiling).
     pub calls: u64,
@@ -343,9 +410,11 @@ pub struct StageSample {
 pub struct SubsystemSample {
     /// Stable subsystem label ([`Subsystem::label`]).
     pub name: String,
-    /// Wall-clock nanoseconds spent inside the subsystem.
+    /// Estimated wall-clock nanoseconds spent inside the subsystem: its
+    /// sampled operations' time scaled to every operation, one clock-read
+    /// gap per operation included.
     pub ns: u64,
-    /// Operations timed.
+    /// Operations, every one counted whether or not it was timed.
     pub ops: u64,
 }
 
@@ -360,13 +429,14 @@ pub struct HostProfile {
     pub retired: u64,
     /// Total wall-clock nanoseconds measured around the run (≥ Σ stages).
     pub total_wall_ns: u64,
-    /// Wall time not attributed to any stage (harness overhead, the timers
-    /// themselves). `total_wall_ns - Σ stages`, ≥ 0 by construction.
+    /// Wall time not attributed to any stage: what the stage-timed cycles
+    /// ran over the untimed mean, i.e. the cost of the sampled clock reads.
+    /// `total_wall_ns - Σ stages`, ≥ 0 by construction.
     pub untracked_ns: u64,
     /// Per-stage attribution, in per-cycle execution order.
     pub stages: Vec<StageSample>,
-    /// Per-subsystem refinement (nested inside stages; not part of the
-    /// totality sum).
+    /// Per-subsystem refinement (nested inside stages but sampled on cycles
+    /// of their own; not part of the totality sum).
     pub subsystems: Vec<SubsystemSample>,
 }
 
@@ -436,20 +506,30 @@ mod tests {
         }
     }
 
+    /// One stage-timed cycle: every stage closes once, and Retire through
+    /// Rename, Fetch and PostCycle take measurable time.
+    fn timed_cycle(p: &mut HostProf) {
+        let mut t = p.begin_cycle(0);
+        for s in Stage::ALL {
+            if s != Stage::Flush {
+                std::hint::black_box(0u64);
+                t = p.end_stage(s, t);
+            }
+        }
+    }
+
     #[test]
     fn totality_holds_by_construction() {
         let mut p = HostProf::new();
-        let t = HostProf::begin();
-        std::hint::black_box(0u64);
-        p.end_stage(Stage::Retire, t);
-        let t = HostProf::begin();
-        p.end_sub(Subsystem::SchedWake, t);
-        // A wall shorter than the tracked sum must clamp, never underflow.
+        timed_cycle(&mut p);
+        p.end_sub(Subsystem::SchedWake, Some(Instant::now()));
+        // A wall shorter than the timed spans must clamp, never underflow.
         let tight = p.clone().into_profile(10, 5, 0);
         assert_eq!(tight.untracked_ns, 0);
         assert!(tight.total_wall_ns >= tight.tracked_ns());
         // A generous wall leaves the remainder as untracked.
         let wide = p.into_profile(10, 5, u64::MAX / 2);
+        assert_eq!(wide.total_wall_ns, u64::MAX / 2, "the wall is kept");
         assert_eq!(
             wide.tracked_ns() + wide.untracked_ns,
             wide.total_wall_ns,
@@ -458,10 +538,68 @@ mod tests {
     }
 
     #[test]
+    fn only_sampled_cycles_read_the_clock_but_every_cycle_counts() {
+        let mut p = HostProf::new();
+        for now in 1..=3 * cdf_mem::prof::SAMPLE_PERIOD {
+            let t = p.begin_cycle(now);
+            assert_eq!(t.at.is_some(), is_timed(TimerKind::Stages, now));
+            let t = p.end_stage(Stage::Retire, t);
+            p.end_stage(Stage::PostCycle, t);
+        }
+        assert_eq!(p.timed_cycles, 3);
+        assert_eq!(p.stage_calls[Stage::Retire as usize], 183);
+        assert_eq!(p.stage_calls[Stage::PostCycle as usize], 183);
+    }
+
+    /// Known spans: `k` timed cycles of `timed_ns` each, split 1:3 between
+    /// retire and fetch, among `n` cycles whose untimed ones took
+    /// `untimed_ns` each.
+    fn known(n: u64, k: u64, timed_ns: u64, untimed_ns: u64) -> HostProfile {
+        let mut p = HostProf::new();
+        p.stage_calls = [n; STAGES];
+        p.timed_cycles = k;
+        p.stage_ns[Stage::Retire as usize] = k * timed_ns / 4;
+        p.stage_ns[Stage::Fetch as usize] = k * timed_ns * 3 / 4;
+        p.into_profile(n, n, k * timed_ns + (n - k) * untimed_ns)
+    }
+
+    #[test]
+    fn equal_cost_cycles_scale_by_n_over_k() {
+        let p = known(610, 10, 100, 100);
+        assert_eq!(p.stages[Stage::Retire as usize].ns, 250 * 61);
+        assert_eq!(p.stages[Stage::Fetch as usize].ns, 750 * 61);
+        assert_eq!(p.untracked_ns, 0);
+        assert_eq!(p.total_wall_ns, 61_000);
+    }
+
+    #[test]
+    fn slower_timed_cycles_scale_to_the_untimed_mean() {
+        // Timed cycles took 150 ns, untimed 100: each cycle is costed 100,
+        // and the 10 × 50 ns the timed reads added land in untracked.
+        let p = known(610, 10, 150, 100);
+        assert_eq!(p.stages[Stage::Retire as usize].ns, 610 * 25);
+        assert_eq!(p.stages[Stage::Fetch as usize].ns, 610 * 75);
+        assert_eq!(p.untracked_ns, 10 * 150 - 10 * 100);
+        assert_eq!(p.tracked_ns() + p.untracked_ns, p.total_wall_ns);
+        // Faster timed cycles are costed at their own mean instead, and
+        // the untimed cycles' excess is untracked.
+        let p = known(610, 10, 100, 150);
+        assert_eq!(p.tracked_ns(), 61_000);
+        assert_eq!(p.untracked_ns, 600 * 50);
+    }
+
+    #[test]
+    fn no_timed_cycle_leaves_the_whole_wall_untracked() {
+        let p = known(40, 0, 0, 100);
+        assert!(p.stages.iter().all(|s| s.ns == 0));
+        assert_eq!(p.untracked_ns, p.total_wall_ns);
+        assert_eq!(p.total_wall_ns, 4_000);
+    }
+
+    #[test]
     fn fold_sums_fields() {
         let mut a = HostProf::new();
-        let t = HostProf::begin();
-        a.end_stage(Stage::Fetch, t);
+        timed_cycle(&mut a);
         let mut p1 = a.clone().into_profile(100, 50, 1_000_000);
         let p2 = a.into_profile(200, 70, 2_000_000);
         p1.fold(&p2);
@@ -474,13 +612,11 @@ mod tests {
     #[test]
     fn mem_report_folds_into_subsystems() {
         let mut p = HostProf::new();
+        let timer = |ns, ops, timed| HeapProf { ns, ops, timed };
         p.fold_mem(&MemProfReport {
-            mshr_ns: 7,
-            mshr_ops: 3,
-            mlp_ns: 5,
-            mlp_ops: 2,
-            shared_llc_ns: 11,
-            shared_llc_ops: 1,
+            mshr: timer(7, 3, 1),
+            mlp: timer(5, 2, 2),
+            shared_llc: timer(11, 1, 1),
         });
         let prof = p.into_profile(1, 1, 100);
         let get = |n: &str| {
@@ -490,7 +626,8 @@ mod tests {
                 .expect("present")
                 .clone()
         };
-        assert_eq!(get("mshr_heap").ns, 7);
+        assert_eq!(get("mshr_heap").ns, 21);
+        assert_eq!(get("mshr_heap").ops, 3);
         assert_eq!(get("mlp_heap").ops, 2);
         assert_eq!(get("shared_llc").ns, 11);
     }

@@ -6,7 +6,7 @@ use crate::event::{EventMshr, EventOutstanding};
 use crate::line_addr;
 use crate::mshr::{Mshr, MshrOutcome};
 use crate::prefetch::{PrefetcherConfig, StreamPrefetcher};
-use crate::prof::{HeapProf, MemProfReport};
+use crate::prof::{HeapProf, MemProfReport, TimerKind};
 
 /// Configuration of the whole hierarchy (defaults mirror Table 1).
 #[derive(Clone, PartialEq, Debug)]
@@ -85,9 +85,10 @@ impl MemModelKind {
 
 /// An MSHR file, dispatching to the lazy or event-driven implementation.
 /// All methods take `&mut self` because the event model advances its
-/// expiry heap on every query. Every operation is bracketed by an optional
-/// host timer ([`HeapProf`]) so profiled runs can attribute wall time to
-/// MSHR bookkeeping; an unprofiled file pays one null check per call.
+/// expiry heap on every query. Every operation is counted by an optional
+/// host timer ([`HeapProf`]), which times it on sampled cycles, so profiled
+/// runs can attribute wall time to MSHR bookkeeping; an unprofiled file
+/// pays one null check per call.
 #[derive(Clone, Debug)]
 struct MshrFile {
     imp: MshrImpl,
@@ -119,7 +120,7 @@ impl MshrFile {
     }
 
     fn try_alloc(&mut self, line: u64, now: u64, completes_at: u64) -> MshrOutcome {
-        let t0 = HeapProf::start(self.prof.is_some());
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
         let r = match &mut self.imp {
             MshrImpl::Lazy(m) => m.try_alloc(line, now, completes_at),
             MshrImpl::Event(m) => m.try_alloc(line, now, completes_at),
@@ -129,7 +130,7 @@ impl MshrFile {
     }
 
     fn outstanding(&mut self, line: u64, now: u64) -> Option<u64> {
-        let t0 = HeapProf::start(self.prof.is_some());
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
         let r = match &mut self.imp {
             MshrImpl::Lazy(m) => m.outstanding(line, now),
             MshrImpl::Event(m) => m.outstanding(line, now),
@@ -139,7 +140,7 @@ impl MshrFile {
     }
 
     fn len(&mut self, now: u64) -> usize {
-        let t0 = HeapProf::start(self.prof.is_some());
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
         let r = match &mut self.imp {
             MshrImpl::Lazy(m) => m.len(now),
             MshrImpl::Event(m) => m.len(now),
@@ -156,7 +157,7 @@ impl MshrFile {
     }
 
     fn earliest_release(&mut self, now: u64) -> Option<u64> {
-        let t0 = HeapProf::start(self.prof.is_some());
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
         let r = match &mut self.imp {
             MshrImpl::Lazy(m) => m.earliest_release(now),
             MshrImpl::Event(m) => m.earliest_release(now),
@@ -202,7 +203,7 @@ impl MlpTracker {
     }
 
     fn note(&mut self, done: u64, now: u64) {
-        let t0 = HeapProf::start(self.prof.is_some());
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
         match &mut self.imp {
             MlpImpl::Lazy(v) => {
                 v.retain(|&d| d > now);
@@ -214,7 +215,7 @@ impl MlpTracker {
     }
 
     fn outstanding(&mut self, now: u64) -> usize {
-        let t0 = HeapProf::start(self.prof.is_some());
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
         let r = match &mut self.imp {
             MlpImpl::Lazy(v) => v.iter().filter(|&&d| d > now).count(),
             MlpImpl::Event(h) => h.outstanding(now),
@@ -677,12 +678,10 @@ impl MemoryHierarchy {
         }
         let mut r = MemProfReport::default();
         for p in [l1d, llc].into_iter().flatten() {
-            r.mshr_ns += p.ns;
-            r.mshr_ops += p.ops;
+            r.mshr.merge(&p);
         }
         if let Some(p) = mlp {
-            r.mlp_ns = p.ns;
-            r.mlp_ops = p.ops;
+            r.mlp = *p;
         }
         Some(r)
     }

@@ -132,8 +132,9 @@ pub struct MultiCoreMemory {
     chain_reads: BTreeMap<(u32, u64), u64>,
     /// Total fairness steals across all cores.
     total_steals: u64,
-    /// Optional host timer over shared-LLC accesses (see [`crate::prof`]);
-    /// `None` — the default — costs one null check per access.
+    /// Optional host timer over shared-LLC accesses (see [`crate::prof`]):
+    /// counts every access and times the sampled ones. `None` — the
+    /// default — costs one null check per access.
     prof: Option<Box<crate::prof::HeapProf>>,
 }
 
@@ -186,8 +187,7 @@ impl MultiCoreMemory {
     /// (`None` when profiling was never enabled).
     pub fn take_prof(&mut self) -> Option<crate::prof::MemProfReport> {
         self.prof.take().map(|p| crate::prof::MemProfReport {
-            shared_llc_ns: p.ns,
-            shared_llc_ops: p.ops,
+            shared_llc: *p,
             ..Default::default()
         })
     }
@@ -256,7 +256,11 @@ impl MultiCoreMemory {
         wrong_path: bool,
         chain: u64,
     ) -> AccessResult {
-        let t0 = crate::prof::HeapProf::start(self.prof.is_some());
+        let t0 = crate::prof::HeapProf::start(
+            self.prof.is_some(),
+            crate::prof::TimerKind::SharedLlc,
+            now,
+        );
         let r = self.access_inner(core, addr, kind, now, wrong_path, chain);
         if let Some(p) = self.prof.as_mut() {
             p.finish(t0);
@@ -437,7 +441,11 @@ impl MultiCoreMemory {
     /// only, bypassing the core's L1D MSHRs). Returns whether a DRAM read
     /// was actually issued.
     pub fn runahead_prefetch(&mut self, core: usize, addr: u64, now: u64) -> bool {
-        let t0 = crate::prof::HeapProf::start(self.prof.is_some());
+        let t0 = crate::prof::HeapProf::start(
+            self.prof.is_some(),
+            crate::prof::TimerKind::SharedLlc,
+            now,
+        );
         let r = self.issue_prefetch(core, line_addr(Self::phys(core, addr)), now, true);
         if let Some(p) = self.prof.as_mut() {
             p.finish(t0);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cdf-sim list
-//! cdf-sim table1
+//! cdf-sim table1 [sizing flags]
 //! cdf-sim run <workload> [--mech base|cdf|pre|classify|...] [--rob N]
 //!             [--warmup N] [--measure N] [--scale F] [--seed N] [--fast]
 //! cdf-sim report <workload> [--mech M] [sizing flags]
@@ -56,7 +56,7 @@ static ALLOC: cdf_core::CountingAlloc = cdf_core::CountingAlloc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  cdf-sim list\n  cdf-sim table1\n  cdf-sim run <workload> [options]\n  \
+        "usage:\n  cdf-sim list\n  cdf-sim table1 [options]\n  cdf-sim run <workload> [options]\n  \
          cdf-sim report <workload> [options]\n  cdf-sim explain [options]\n  \
          cdf-sim telemetry <workload> [options]\n  \
          cdf-sim profile <workload> [options]\n  \
@@ -150,7 +150,20 @@ fn usage() -> ! {
     exit(2)
 }
 
+const FUZZ_FLAGS: &[(&str, bool)] = &[
+    ("--seeds", true),
+    ("--start", true),
+    ("--budget", true),
+    ("--mechs", true),
+    ("--minimize", false),
+    ("--shrink-budget", true),
+    ("--threads", true),
+    ("--out", true),
+    ("--report", true),
+];
+
 fn run_fuzz_command(args: &[String]) {
+    reject_unknown_flags(args, FUZZ_FLAGS);
     let mut cfg = cdf_sim::FuzzConfig::default();
     if let Some(v) = flag_value(args, "--seeds") {
         cfg.seeds = v.parse().unwrap_or_else(|_| usage());
@@ -208,7 +221,18 @@ fn run_fuzz_command(args: &[String]) {
     }
 }
 
+const EQUIV_FLAGS: &[(&str, bool)] = &[
+    ("--seeds", true),
+    ("--start", true),
+    ("--mechs", true),
+    ("--threads", true),
+    ("--mem", false),
+    ("--boundary", false),
+    ("--report", true),
+];
+
 fn run_equiv_command(args: &[String]) {
+    reject_unknown_flags(args, EQUIV_FLAGS);
     let mut cfg = cdf_sim::EquivConfig::default();
     if args.iter().any(|a| a == "--mem") {
         cfg.axis = cdf_sim::EquivAxis::MemModel;
@@ -333,6 +357,13 @@ fn reject_unknown_flags(args: &[String], allowed: &[(&str, bool)]) {
     }
 }
 
+/// [`reject_unknown_flags`] for a subcommand that takes the
+/// [`SIZING_FLAGS`] besides its own `extra` flags.
+fn reject_unknown_sizing_flags(args: &[String], extra: &[(&str, bool)]) {
+    let allowed: Vec<(&str, bool)> = SIZING_FLAGS.iter().chain(extra).copied().collect();
+    reject_unknown_flags(args, &allowed);
+}
+
 /// Parses the mechanism flag shared by `run`, `report`, and `telemetry`.
 fn parse_mech(args: &[String]) -> Mechanism {
     match flag_value(args, "--mech") {
@@ -366,12 +397,7 @@ fn measure_with_telemetry(
 
 fn run_report_command(args: &[String]) {
     let name = args.first().cloned().unwrap_or_else(|| usage());
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([("--mech", true)])
-        .collect();
-    reject_unknown_flags(&args[1..], &allowed);
+    reject_unknown_sizing_flags(&args[1..], &[("--mech", true)]);
     let mech = parse_mech(args);
     let mut cfg = parse_eval(&args[1..]);
     cfg.telemetry = Some(TelemetryConfig::default());
@@ -383,6 +409,15 @@ fn run_report_command(args: &[String]) {
 
 fn run_telemetry_command(args: &[String]) {
     let name = args.first().cloned().unwrap_or_else(|| usage());
+    reject_unknown_sizing_flags(
+        &args[1..],
+        &[
+            ("--mech", true),
+            ("--interval", true),
+            ("--out", true),
+            ("--trace-out", true),
+        ],
+    );
     let mech = parse_mech(args);
     let mut cfg = parse_eval(&args[1..]);
     let mut tcfg = TelemetryConfig::default();
@@ -431,12 +466,10 @@ fn run_telemetry_command(args: &[String]) {
 /// attached and report where the simulator's own wall-clock time went.
 fn run_profile_command(args: &[String]) {
     let name = args.first().cloned().unwrap_or_else(|| usage());
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([("--mech", true), ("--out", true), ("--trace-out", true)])
-        .collect();
-    reject_unknown_flags(&args[1..], &allowed);
+    reject_unknown_sizing_flags(
+        &args[1..],
+        &[("--mech", true), ("--out", true), ("--trace-out", true)],
+    );
     let mech = parse_mech(args);
     let cfg = parse_eval(&args[1..]);
     let w = registry::lookup(&name, &cfg.gen).unwrap_or_else(|e| {
@@ -470,10 +503,9 @@ fn run_profile_command(args: &[String]) {
 }
 
 fn run_explain_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
+    reject_unknown_sizing_flags(
+        args,
+        &[
             ("--workloads", true),
             ("--mechs", true),
             ("--threads", true),
@@ -482,9 +514,8 @@ fn run_explain_command(args: &[String]) {
             ("--trace-out", true),
             ("--record", false),
             ("--store", true),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
+        ],
+    );
     let eval = parse_eval(args);
     let mut cfg = ExplainConfig::full_grid(eval);
     if let Some(list) = flag_value(args, "--workloads") {
@@ -552,6 +583,20 @@ fn run_explain_command(args: &[String]) {
 }
 
 fn run_sweep_command(args: &[String]) {
+    reject_unknown_sizing_flags(
+        args,
+        &[
+            ("--workloads", true),
+            ("--mechs", true),
+            ("--threads", true),
+            ("--telemetry", true),
+            ("--explain", false),
+            ("--profile", false),
+            ("--record", false),
+            ("--store", true),
+            ("--out", true),
+        ],
+    );
     let mut eval = parse_eval(args);
     if let Some(i) = flag_value(args, "--telemetry") {
         eval.telemetry = Some(TelemetryConfig {
@@ -610,10 +655,9 @@ fn run_sweep_command(args: &[String]) {
 }
 
 fn run_mix_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
+    reject_unknown_sizing_flags(
+        args,
+        &[
             ("--workloads", true),
             ("--mechs", true),
             ("--telemetry", true),
@@ -621,9 +665,8 @@ fn run_mix_command(args: &[String]) {
             ("--out", true),
             ("--record", false),
             ("--store", true),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
+        ],
+    );
     let mut eval = parse_eval(args);
     if let Some(i) = flag_value(args, "--telemetry") {
         eval.telemetry = Some(TelemetryConfig {
@@ -743,10 +786,9 @@ fn store_path(args: &[String]) -> std::path::PathBuf {
 }
 
 fn run_record_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
+    reject_unknown_sizing_flags(
+        args,
+        &[
             ("--workloads", true),
             ("--mechs", true),
             ("--threads", true),
@@ -755,9 +797,8 @@ fn run_record_command(args: &[String]) {
             ("--telemetry", true),
             ("--explain", false),
             ("--profile", false),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
+        ],
+    );
     let mut eval = parse_eval(args);
     if let Some(i) = flag_value(args, "--telemetry") {
         eval.telemetry = Some(TelemetryConfig {
@@ -842,6 +883,7 @@ fn run_compare_command(args: &[String]) {
 
 /// Legacy form: base/cdf/pre mechanism table for one workload.
 fn run_compare_workload(name: &str, args: &[String]) {
+    reject_unknown_flags(args, SIZING_FLAGS);
     let cfg = parse_eval(args);
     let base = cdf_sim::try_simulate(name, Mechanism::Baseline, &cfg).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -1133,10 +1175,12 @@ fn main() {
             }
         }
         Some("table1") => {
+            reject_unknown_flags(&args[1..], SIZING_FLAGS);
             print!("{}", table1_text(&parse_eval(&args[1..]).core));
         }
         Some("run") => {
             let name = args.get(1).cloned().unwrap_or_else(|| usage());
+            reject_unknown_sizing_flags(&args[2..], &[("--mech", true)]);
             let mech = parse_mech(&args);
             let cfg = parse_eval(&args[2..]);
             match cdf_sim::try_simulate(&name, mech, &cfg) {

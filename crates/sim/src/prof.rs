@@ -256,13 +256,12 @@ mod tests {
 
     fn sample_profile() -> HostProfile {
         let mut h = HostProf::new();
-        let t = HostProf::begin();
+        // Cycle 0 is a stage-timed cycle.
+        let t = h.begin_cycle(0);
         std::hint::black_box(0u64);
-        h.end_stage(Stage::Retire, t);
-        let t = HostProf::begin();
+        let t = h.end_stage(Stage::Retire, t);
         h.end_stage(Stage::Fetch, t);
-        let t = HostProf::begin();
-        h.end_sub(Subsystem::MemPort, t);
+        h.end_sub(Subsystem::MemPort, Some(std::time::Instant::now()));
         h.into_profile(1_000, 500, 10_000_000)
     }
 

@@ -13,8 +13,9 @@
 //! * the full (workload × mechanism) explain grid emits a valid
 //!   `cdf-explain/1` document for every cell (validated with the crate's
 //!   own parser, no `jq`);
-//! * `cdf-sim report`/`explain` reject mistyped flags with a hard usage
-//!   error instead of silently running the default configuration.
+//! * `cdf-sim report`/`explain`, and every other flag-taking subcommand,
+//!   reject mistyped flags with a hard usage error instead of silently
+//!   running the default configuration.
 
 use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
@@ -388,6 +389,24 @@ fn explain_rejects_unknown_flags_with_usage_error() {
     assert_eq!(out.status.code(), Some(2), "--mech is not an explain flag");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `--mech`"), "{stderr}");
+}
+
+#[test]
+fn every_flag_taking_subcommand_rejects_a_mistyped_flag() {
+    for args in [
+        &["run", "libq_like", "--mesure", "1000"][..],
+        &["table1", "--robb", "512"],
+        &["telemetry", "astar_like", "--intreval", "512"],
+        &["sweep", "--profiel"],
+        &["fuzz", "--minimise"],
+        &["equiv", "--boundry"],
+        &["compare", "astar_like", "--fsat"],
+    ] {
+        let out = cdf_sim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //!   of every registry workload × all seven mechanisms bit-identical to an
 //!   unprofiled run;
 //! * **totality property** — for proptest-chosen fuzz programs, the
-//!   finalized profile satisfies `tracked + untracked == total_wall`, every
-//!   stage fraction is sane, and the per-stage call counts cover the run;
+//!   finalized profile satisfies `tracked + untracked == total_wall` with
+//!   the measured wall kept as the total, every stage fraction is sane, and
+//!   the stage call and select operation counts cover the run;
 //! * **schema round-trip** — a profile from a real run survives
 //!   `profile_json → render → Json::parse → profile_from_json` exactly;
 //! * **regression classification** — a results store holding `"profile"`
@@ -71,14 +72,14 @@ proptest! {
         core.enable_prof();
         let t0 = std::time::Instant::now();
         let stats = core.run(fp.fuel);
-        let p = core
-            .take_profile(t0.elapsed().as_nanos() as u64)
-            .expect("profiling was enabled");
+        let wall = t0.elapsed().as_nanos() as u64;
+        let p = core.take_profile(wall).expect("profiling was enabled");
         prop_assert_eq!(
             p.tracked_ns() + p.untracked_ns,
             p.total_wall_ns,
             "stage sum + untracked must tile the wall exactly"
         );
+        prop_assert_eq!(p.total_wall_ns, wall, "the estimates fit inside the measured wall");
         prop_assert_eq!(p.retired, stats.retired);
         for s in &p.stages {
             prop_assert!(
@@ -86,9 +87,16 @@ proptest! {
                 "stage {} exceeds the wall", s.name
             );
         }
-        // Every cycle passes through retire exactly once.
+        // Every cycle passes through retire and select exactly once, and
+        // both are counted on every cycle, timed or not.
         let retire = p.stages.iter().find(|s| s.name == "retire").expect("retire stage");
         prop_assert_eq!(retire.calls, stats.cycles);
+        let select = p
+            .subsystems
+            .iter()
+            .find(|s| s.name == "sched_select")
+            .expect("sched_select subsystem");
+        prop_assert_eq!(select.ops, stats.cycles);
     }
 }
 

@@ -2,10 +2,15 @@
 //!
 //! Every frontend-heavy cell runs its default warmup unprofiled, then its
 //! measured window with the profiler attached; neither stage may allocate
-//! inside that window. The allocation counters are process-wide, so this
-//! binary holds exactly one test: a second one running in parallel would
-//! charge its allocations to these stages.
+//! inside that window. The same window pins the profiler's exact counts:
+//! the seven stages' allocations add up to every allocation the window
+//! made (allocation counting is never sampled), and the profile counts the
+//! window's cycles and uops only, not the warmup's. The allocation
+//! counters are process-wide, so this binary holds exactly one test: a
+//! second one running in parallel would charge its allocations to these
+//! stages.
 
+use cdf_core::prof::alloc_counts;
 use cdf_core::{Core, CoreConfig, Stage};
 use cdf_sim::{EvalConfig, Mechanism};
 use cdf_workloads::registry;
@@ -27,21 +32,49 @@ fn fetch_and_flush_do_not_allocate_after_warmup() {
             let mut core = Core::new(&w.program, w.memory.clone(), cfg);
             core.run(eval.warmup_instructions);
             core.enable_prof();
-            let stats = core.run(end);
-            assert!(stats.retired >= end, "{name}/{}: window ran", mech.label());
+            let warm = core.stats().retired;
+            let (allocs0, _) = alloc_counts();
+            while !core.halted() && core.stats().retired < end {
+                core.step();
+            }
+            let (allocs1, _) = alloc_counts();
+            let retired = core.stats().retired;
+            assert!(retired >= end, "{name}/{}: window ran", mech.label());
             let profile = core.take_profile(0).expect("profiling was enabled");
-            for stage in [Stage::Fetch, Stage::Flush] {
-                let sample = profile
+            let stage = |s: Stage| {
+                profile
                     .stages
                     .iter()
-                    .find(|s| s.name == stage.label())
-                    .expect("every stage is reported");
+                    .find(|x| x.name == s.label())
+                    .expect("every stage is reported")
+            };
+            assert_eq!(
+                profile.cycles,
+                stage(Stage::Retire).calls,
+                "{name}/{}: the profile counts the window's cycles",
+                mech.label()
+            );
+            assert_eq!(
+                profile.retired,
+                retired - warm,
+                "{name}/{}: the profile counts the window's uops",
+                mech.label()
+            );
+            let staged: u64 = profile.stages.iter().map(|s| s.allocs).sum();
+            assert_eq!(
+                staged,
+                allocs1 - allocs0,
+                "{name}/{}: every allocation of the window lands in a stage",
+                mech.label()
+            );
+            for s in [Stage::Fetch, Stage::Flush] {
+                let sample = stage(s);
                 assert_eq!(
                     sample.allocs,
                     0,
                     "{name}/{}: {} allocated {} times ({} bytes)",
                     mech.label(),
-                    stage.label(),
+                    s.label(),
                     sample.allocs,
                     sample.alloc_bytes
                 );
