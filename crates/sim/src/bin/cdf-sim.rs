@@ -40,9 +40,9 @@
 
 use cdf_core::{CoreConfig, TelemetryConfig};
 use cdf_sim::{
-    accounting_table, profile_json, profile_table, profile_trace_json, run_explain, run_sweep,
-    simulate, table1_text, telemetry_json, trace_events_json, try_simulate_workload_profiled,
-    try_simulate_workload_telemetry, EvalConfig, ExplainConfig, Mechanism, SweepConfig,
+    accounting_table, profile_json, profile_table, profile_trace_json, run, run_explain, run_sweep,
+    table1_text, telemetry_json, trace_events_json, EvalConfig, ExplainConfig, Mechanism,
+    SweepConfig,
 };
 use cdf_workloads::registry;
 use std::process::exit;
@@ -180,16 +180,8 @@ fn run_fuzz_command(args: &[String]) {
     if let Some(v) = flag_value(args, "--threads") {
         cfg.threads = v.parse().unwrap_or_else(|_| usage());
     }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
+    if let Some(mechs) = mechs_flag(args) {
+        cfg.mechanisms = mechs;
     }
     cfg.minimize = args.iter().any(|a| a == "--minimize");
     let report = cdf_sim::run_fuzz(&cfg);
@@ -249,16 +241,8 @@ fn run_equiv_command(args: &[String]) {
     if let Some(v) = flag_value(args, "--threads") {
         cfg.threads = v.parse().unwrap_or_else(|_| usage());
     }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
+    if let Some(mechs) = mechs_flag(args) {
+        cfg.mechanisms = mechs;
     }
     let report = cdf_sim::run_equivalence(&cfg);
     println!("{}", report.render_summary());
@@ -334,23 +318,30 @@ const SIZING_FLAGS: &[(&str, bool)] = &[
     ("--fast", false),
 ];
 
-/// Rejects any `--flag` not in `allowed` (a `(name, takes_value)` list) with
-/// a hard usage error. A mistyped flag must fail loudly — [`parse_eval`]'s
+/// Rejects with a hard usage error every argument that is neither a flag in
+/// `allowed` (a `(name, takes_value)` list) nor a listed flag's value: an
+/// unknown `--flag`, a value-taking flag not followed by a value (an
+/// argument that does not start with `--`), and a stray positional. A
+/// mistyped or misplaced argument must fail loudly — [`parse_eval`]'s
 /// permissive scan would otherwise silently run the default configuration
 /// and report numbers the user did not ask for.
 fn reject_unknown_flags(args: &[String], allowed: &[(&str, bool)]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if !a.starts_with("--") {
-            continue;
-        }
         match allowed.iter().find(|(name, _)| name == a) {
             Some((_, true)) => {
-                it.next();
+                if it.next().is_none_or(|v| v.starts_with("--")) {
+                    eprintln!("missing value for {a}");
+                    usage()
+                }
             }
             Some((_, false)) => {}
-            None => {
+            None if a.starts_with("--") => {
                 eprintln!("unknown flag `{a}`");
+                usage()
+            }
+            None => {
+                eprintln!("unexpected argument `{a}`");
                 usage()
             }
         }
@@ -364,35 +355,38 @@ fn reject_unknown_sizing_flags(args: &[String], extra: &[(&str, bool)]) {
     reject_unknown_flags(args, &allowed);
 }
 
-/// Parses the mechanism flag shared by `run`, `report`, and `telemetry`.
-fn parse_mech(args: &[String]) -> Mechanism {
-    match flag_value(args, "--mech") {
-        None => Mechanism::Cdf,
-        Some(s) => Mechanism::parse(s).unwrap_or_else(|| {
-            eprintln!("unknown mechanism `{s}`");
-            usage()
-        }),
-    }
+fn parse_mechanism(s: &str) -> Mechanism {
+    Mechanism::parse(s).unwrap_or_else(|| {
+        eprintln!("unknown mechanism `{s}`");
+        usage()
+    })
 }
 
-/// Runs one workload with telemetry attached, exiting on failure.
-fn measure_with_telemetry(
-    name: &str,
-    mech: Mechanism,
-    cfg: &EvalConfig,
-) -> (cdf_sim::Measurement, cdf_core::Telemetry) {
-    let w = registry::lookup(name, &cfg.gen).unwrap_or_else(|e| {
+/// The `--mech` flag of `run`, `report`, `telemetry` and `profile`
+/// (default CDF).
+fn parse_mech(args: &[String]) -> Mechanism {
+    flag_value(args, "--mech").map_or(Mechanism::Cdf, parse_mechanism)
+}
+
+/// The `--mechs a,b,c` list of the grid subcommands, if given.
+fn mechs_flag(args: &[String]) -> Option<Vec<Mechanism>> {
+    flag_value(args, "--mechs").map(|list| list.split(',').map(parse_mechanism).collect())
+}
+
+/// The `--telemetry N` flag: telemetry with an N-cycle sample interval.
+fn telemetry_flag(args: &[String]) -> Option<TelemetryConfig> {
+    flag_value(args, "--telemetry").map(|i| TelemetryConfig {
+        interval: i.parse().unwrap_or_else(|_| usage()),
+        ..TelemetryConfig::default()
+    })
+}
+
+/// The value, or exit 1 with the error (unknown workload, watchdog, ...).
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(1)
-    });
-    match try_simulate_workload_telemetry(&w, mech, cfg) {
-        Ok((m, Some(tel))) => (m, tel),
-        Ok((_, None)) => unreachable!("telemetry was enabled in the config"),
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1)
-        }
-    }
+    })
 }
 
 fn run_report_command(args: &[String]) {
@@ -401,8 +395,10 @@ fn run_report_command(args: &[String]) {
     let mech = parse_mech(args);
     let mut cfg = parse_eval(&args[1..]);
     cfg.telemetry = Some(TelemetryConfig::default());
-    let (m, tel) = measure_with_telemetry(&name, mech, &cfg);
-    print_measurement(&m);
+    let w = or_exit(registry::lookup(&name, &cfg.gen));
+    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, false));
+    let tel = out.telemetry.expect("telemetry is enabled");
+    print_measurement(&out.measurement);
     println!("\ncycle accounting (whole run, warmup + measurement):");
     print!("{}", accounting_table(&tel.accounting));
 }
@@ -425,8 +421,10 @@ fn run_telemetry_command(args: &[String]) {
         tcfg.interval = i.parse().unwrap_or_else(|_| usage());
     }
     cfg.telemetry = Some(tcfg);
-    let (m, tel) = measure_with_telemetry(&name, mech, &cfg);
-    print_measurement(&m);
+    let w = or_exit(registry::lookup(&name, &cfg.gen));
+    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, false));
+    let tel = out.telemetry.expect("telemetry is enabled");
+    print_measurement(&out.measurement);
     println!("\ncycle accounting (whole run, warmup + measurement):");
     print!("{}", accounting_table(&tel.accounting));
     println!(
@@ -472,15 +470,10 @@ fn run_profile_command(args: &[String]) {
     );
     let mech = parse_mech(args);
     let cfg = parse_eval(&args[1..]);
-    let w = registry::lookup(&name, &cfg.gen).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    let (m, p) = try_simulate_workload_profiled(&w, mech, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    print_measurement(&m);
+    let w = or_exit(registry::lookup(&name, &cfg.gen));
+    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, true));
+    let p = out.profile.expect("the profiler is enabled");
+    print_measurement(&out.measurement);
     println!();
     print!("{}", profile_table(&p));
     let write = |path: &str, contents: String, what: &str| {
@@ -521,16 +514,8 @@ fn run_explain_command(args: &[String]) {
     if let Some(list) = flag_value(args, "--workloads") {
         cfg.workloads = list.split(',').map(str::to_string).collect();
     }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
+    if let Some(mechs) = mechs_flag(args) {
+        cfg.mechanisms = mechs;
     }
     if let Some(t) = flag_value(args, "--threads") {
         cfg.threads = t.parse().unwrap_or_else(|_| usage());
@@ -563,7 +548,7 @@ fn run_explain_command(args: &[String]) {
             .reserve_run_id(&prov)
             .and_then(|run_id| {
                 let records =
-                    cdf_sim::records_from_explain(&run_id, &prov, &cfg.eval, &report.cells);
+                    cdf_sim::records_from_cells(&run_id, &prov, &report.config.eval, &report.cells);
                 store.append(&records).map(|()| (run_id, records.len()))
             })
             .unwrap_or_else(|e| {
@@ -598,28 +583,15 @@ fn run_sweep_command(args: &[String]) {
         ],
     );
     let mut eval = parse_eval(args);
-    if let Some(i) = flag_value(args, "--telemetry") {
-        eval.telemetry = Some(TelemetryConfig {
-            interval: i.parse().unwrap_or_else(|_| usage()),
-            ..TelemetryConfig::default()
-        });
-    }
+    eval.telemetry = telemetry_flag(args);
     eval.diagnostics = args.iter().any(|a| a == "--explain");
     let mut cfg = SweepConfig::full_grid(eval);
     cfg.profile = args.iter().any(|a| a == "--profile");
     if let Some(list) = flag_value(args, "--workloads") {
         cfg.workloads = list.split(',').map(str::to_string).collect();
     }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
+    if let Some(mechs) = mechs_flag(args) {
+        cfg.mechanisms = mechs;
     }
     if let Some(t) = flag_value(args, "--threads") {
         cfg.threads = t.parse().unwrap_or_else(|_| usage());
@@ -668,12 +640,7 @@ fn run_mix_command(args: &[String]) {
         ],
     );
     let mut eval = parse_eval(args);
-    if let Some(i) = flag_value(args, "--telemetry") {
-        eval.telemetry = Some(TelemetryConfig {
-            interval: i.parse().unwrap_or_else(|_| usage()),
-            ..TelemetryConfig::default()
-        });
-    }
+    eval.telemetry = telemetry_flag(args);
     let workloads: Vec<String> = flag_value(args, "--workloads")
         .unwrap_or_else(|| {
             eprintln!("mix needs --workloads a,b[,c,...] (one per core)");
@@ -686,18 +653,7 @@ fn run_mix_command(args: &[String]) {
         eprintln!("a mix needs at least two cores (got {})", workloads.len());
         usage();
     }
-    let mechs: Vec<Mechanism> = match flag_value(args, "--mechs") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect(),
-        None => vec![Mechanism::Cdf],
-    };
+    let mechs = mechs_flag(args).unwrap_or_else(|| vec![Mechanism::Cdf]);
     if mechs.len() != 1 && mechs.len() != workloads.len() {
         eprintln!(
             "--mechs needs one mechanism (for every core) or one per core ({} cores, {} mechanisms)",
@@ -712,10 +668,7 @@ fn run_mix_command(args: &[String]) {
     }
     cfg.eval = eval;
     cfg.profile = args.iter().any(|a| a == "--profile");
-    let report = cdf_sim::run_mix(&cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
+    let report = or_exit(cdf_sim::run_mix(&cfg));
 
     println!(
         "{} cores, {} cycles, {} MSHR steals, channel utilization [{}]",
@@ -800,28 +753,15 @@ fn run_record_command(args: &[String]) {
         ],
     );
     let mut eval = parse_eval(args);
-    if let Some(i) = flag_value(args, "--telemetry") {
-        eval.telemetry = Some(TelemetryConfig {
-            interval: i.parse().unwrap_or_else(|_| usage()),
-            ..TelemetryConfig::default()
-        });
-    }
+    eval.telemetry = telemetry_flag(args);
     eval.diagnostics = args.iter().any(|a| a == "--explain");
     let mut cfg = cdf_sim::RecordConfig::full_grid(eval);
     cfg.profile = args.iter().any(|a| a == "--profile");
     if let Some(list) = flag_value(args, "--workloads") {
         cfg.workloads = list.split(',').map(str::to_string).collect();
     }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
+    if let Some(mechs) = mechs_flag(args) {
+        cfg.mechanisms = mechs;
     }
     if let Some(t) = flag_value(args, "--threads") {
         cfg.threads = t.parse().unwrap_or_else(|_| usage());
@@ -848,20 +788,22 @@ fn run_record_command(args: &[String]) {
     }
 }
 
-/// Positional (non-`--flag`) arguments, given the flag table in effect.
-fn positionals(args: &[String], flags: &[(&str, bool)]) -> Vec<String> {
-    let mut out = Vec::new();
+/// Splits `args` into its positional (non-`--flag`) arguments and the rest
+/// (flags with their values), given the flag table in effect.
+fn positionals(args: &[String], flags: &[(&str, bool)]) -> (Vec<String>, Vec<String>) {
+    let (mut positional, mut rest) = (Vec::new(), Vec::new());
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            if let Some((_, true)) = flags.iter().find(|(name, _)| name == a) {
-                it.next();
-            }
+        if !a.starts_with("--") {
+            positional.push(a.clone());
             continue;
         }
-        out.push(a.clone());
+        rest.push(a.clone());
+        if let Some((_, true)) = flags.iter().find(|(name, _)| name == a) {
+            rest.extend(it.next().cloned());
+        }
     }
-    out
+    (positional, rest)
 }
 
 const COMPARE_FLAGS: &[(&str, bool)] = &[("--store", true), ("--tolerance", true), ("--out", true)];
@@ -874,9 +816,10 @@ fn run_compare_command(args: &[String]) {
         .copied()
         .chain(COMPARE_FLAGS.iter().copied())
         .collect();
-    match positionals(args, &flags).as_slice() {
-        [workload] => run_compare_workload(workload, args),
-        [ref_a, ref_b] => run_compare_store(ref_a, ref_b, args),
+    let (positional, rest) = positionals(args, &flags);
+    match positional.as_slice() {
+        [workload] => run_compare_workload(workload, &rest),
+        [ref_a, ref_b] => run_compare_store(ref_a, ref_b, &rest),
         _ => usage(),
     }
 }
@@ -885,12 +828,9 @@ fn run_compare_command(args: &[String]) {
 fn run_compare_workload(name: &str, args: &[String]) {
     reject_unknown_flags(args, SIZING_FLAGS);
     let cfg = parse_eval(args);
-    let base = cdf_sim::try_simulate(name, Mechanism::Baseline, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    let cdf = simulate(name, Mechanism::Cdf, &cfg);
-    let pre = simulate(name, Mechanism::Pre, &cfg);
+    let w = or_exit(registry::lookup(name, &cfg.gen));
+    let [base, cdf, pre] = [Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre]
+        .map(|m| or_exit(run(&w, m.mode(), m.label(), &cfg, false)).measurement);
     println!(
         "{:10} {:>8} {:>8} {:>8} {:>12} {:>12}",
         "mech", "IPC", "speedup", "MLP", "DRAM lines", "energy (uJ)"
@@ -1166,6 +1106,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(|s| s.as_str()) {
         Some("list") => {
+            reject_unknown_flags(&args[1..], &[]);
             for name in registry::NAMES {
                 let w = registry::by_name(name, &cdf_workloads::GenConfig::test()).expect("known");
                 println!(
@@ -1183,13 +1124,9 @@ fn main() {
             reject_unknown_sizing_flags(&args[2..], &[("--mech", true)]);
             let mech = parse_mech(&args);
             let cfg = parse_eval(&args[2..]);
-            match cdf_sim::try_simulate(&name, mech, &cfg) {
-                Ok(m) => print_measurement(&m),
-                Err(e) => {
-                    eprintln!("{e}");
-                    exit(1)
-                }
-            }
+            let w = or_exit(registry::lookup(&name, &cfg.gen));
+            let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, false));
+            print_measurement(&out.measurement);
         }
         Some("compare") => run_compare_command(&args[1..]),
         Some("record") => run_record_command(&args[1..]),

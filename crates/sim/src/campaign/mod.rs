@@ -46,7 +46,7 @@ use crate::json::{field, Json};
 use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::EvalConfig;
 use crate::store::{DiagSummary, RecordPayload, ResultKey, ResultRecord, ResultStore, StoreError};
-use crate::sweep::{eval_config_hash, parallel_map, run_cell_mode};
+use crate::sweep::{eval_config_hash, parallel_map, run_cell};
 use cdf_core::Provenance;
 use cdf_workloads::fuzz::FuzzSpec;
 use std::collections::HashSet;
@@ -352,7 +352,7 @@ pub fn run_campaign_cell(spec: &CampaignSpec, p: &CellParams) -> CellRecord {
             let m = p.mechanism.expect("sweep cells carry a mechanism");
             let eval = cell_eval(spec, p);
             let mode = p.point.apply_mode(m.mode());
-            let cell = run_cell_mode(&p.workload, m, mode, &eval);
+            let cell = run_cell(&p.workload, m, mode, &eval, false);
             match cell.result {
                 Ok(measurement) => CellOutcome::Measured {
                     measurement,

@@ -28,8 +28,8 @@
 
 use crate::fuzz::{run_lockstep_full, LockstepOutcome};
 use crate::json::{field, Json};
-use crate::run::{try_simulate, EvalConfig, Measurement, Mechanism};
-use crate::sweep::parallel_map;
+use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::sweep::{parallel_map, run_cell};
 use cdf_core::{BoundaryKind, CoreStats, MemModelKind, SchedulerKind};
 use cdf_workloads::fuzz::FuzzSpec;
 
@@ -377,9 +377,9 @@ pub fn workload_equivalence_axis(
         .flat_map(|&w| mechanisms.iter().map(move |&m| (w, m)))
         .collect();
     let results = parallel_map(&jobs, 0, |&(w, m)| {
-        let ev = try_simulate(w, m, &event_cfg);
-        let sc = try_simulate(w, m, &scan_cfg);
-        match (ev, sc) {
+        let ev = run_cell(w, m, m.mode(), &event_cfg, false);
+        let sc = run_cell(w, m, m.mode(), &scan_cfg, false);
+        match (ev.result, sc.result) {
             (Ok(a), Ok(b)) => measurement_divergence(&a, &b).map(|d| EquivMismatch {
                 seed: cfg.gen.seed,
                 mechanism: format!("{w}/{}", m.label()),

@@ -9,9 +9,7 @@
 //! [`Sweep`] so bench targets can emit the stamped JSON records.
 
 use crate::report::{geomean, pct_delta, Table};
-use crate::run::{
-    simulate_workload, try_simulate_workload_mode, EvalConfig, Measurement, Mechanism,
-};
+use crate::run::{run, EvalConfig, Measurement, Mechanism};
 use crate::sweep::{parallel_map, run_sweep, Sweep, SweepConfig};
 use cdf_workloads::registry;
 
@@ -554,15 +552,17 @@ impl SensitivityCdfStructures {
         let mut rows = Vec::new();
         let mut point = |label: String, cdf_cfg: CdfConfig| {
             // Each point is a custom CdfConfig, not a named Mechanism, so it
-            // goes through the mode-level simulate with the sweep's worker
+            // goes through `run` with a free-form label on the sweep's worker
             // pool rather than a full run_sweep grid.
             let jobs: Vec<&str> = names.to_vec();
             let speedups: Vec<f64> = parallel_map(&jobs, 0, |&name| {
                 let w = registry::lookup(name, &cfg.gen).unwrap_or_else(|e| panic!("{e}"));
-                let base = simulate_workload(&w, Mechanism::Baseline, cfg);
-                let m = try_simulate_workload_mode(&w, CoreMode::Cdf(cdf_cfg.clone()), &label, cfg)
-                    .unwrap_or_else(|e| panic!("sensitivity ({name}, {label}): {e}"));
-                m.ipc / base.ipc
+                let ipc = |mode, label: &str| {
+                    run(&w, mode, label, cfg, false)
+                        .map(|out| out.measurement.ipc)
+                        .unwrap_or_else(|e| panic!("sensitivity ({name}, {label}): {e}"))
+                };
+                ipc(CoreMode::Cdf(cdf_cfg.clone()), &label) / ipc(CoreMode::Baseline, "base")
             });
             rows.push((label, geomean(&speedups)));
         };

@@ -3,10 +3,10 @@
 //! document, a human-readable table, and Perfetto async spans (one per
 //! chain).
 //!
-//! Where the sweep answers *how fast*, explain answers *why*: for every cell
-//! it runs the simulation with [`CdfDiagnostics`](cdf_core::CdfDiagnostics)
-//! attached and reports the three metric families the prefetching literature
-//! uses to justify a mechanism —
+//! Where the sweep answers *how fast*, explain answers *why*: it runs every
+//! cell through the sweep's [`run_cell`] with [`CdfDiagnostics`] attached
+//! and reports the three metric families the prefetching literature uses to
+//! justify a mechanism —
 //!
 //! * **coverage** — of the retired LLC-miss loads / mispredicted H2P
 //!   branches, how many had a live CUC trace covering that very uop;
@@ -19,14 +19,12 @@
 //! report are bit-identical to a plain sweep of the same grid (enforced by
 //! `crates/sim/tests/explain.rs`).
 
-use crate::error::SimError;
 use crate::json::{field, Json};
 use crate::report::Table;
-use crate::run::{try_simulate_workload_diagnostics, EvalConfig, Measurement, Mechanism};
-use crate::sweep::{measurement_json, panic_message, parallel_map};
+use crate::run::{EvalConfig, Mechanism};
+use crate::sweep::{measurement_json, parallel_map, run_cell, SweepCell};
 use cdf_core::{CdfDiagnostics, ChainRecord, Coverage, Histogram};
 use cdf_workloads::registry;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The JSON schema tag stamped on every emitted explain document.
 pub use crate::schema::EXPLAIN as EXPLAIN_SCHEMA;
@@ -76,70 +74,39 @@ impl ExplainConfig {
     }
 }
 
-/// One grid point: the measurement plus the provenance diagnostics, or the
-/// typed reason the cell failed.
-#[derive(Clone, Debug)]
-pub struct ExplainCell {
-    /// Workload name.
-    pub workload: String,
-    /// Mechanism simulated.
-    pub mechanism: Mechanism,
-    /// Measurement + diagnostics, or the failure.
-    pub result: Result<(Measurement, CdfDiagnostics), SimError>,
-}
-
 /// A completed explain run over the whole grid.
 #[derive(Clone, Debug)]
 pub struct ExplainReport {
-    /// The configuration that produced this report.
+    /// The configuration that produced this report, with
+    /// `eval.diagnostics` forced on as the cells ran.
     pub config: ExplainConfig,
-    /// Results in deterministic grid order (workload-major).
-    pub cells: Vec<ExplainCell>,
+    /// Results in deterministic grid order (workload-major). Every
+    /// successful cell carries its diagnostics; `wall_ms` is 0 throughout,
+    /// so the document and its store rows are clock-free.
+    pub cells: Vec<SweepCell>,
 }
 
-/// Runs the explain grid: every cell simulates with diagnostics attached,
-/// in parallel, with per-cell fault isolation (a failing cell is recorded,
-/// never fatal).
+/// Runs the explain grid: every cell goes through [`run_cell`] with
+/// diagnostics attached, in parallel, with per-cell fault isolation (a
+/// failing cell is recorded, never fatal).
 pub fn run_explain(config: &ExplainConfig) -> ExplainReport {
-    let mut eval = config.eval.clone();
-    eval.diagnostics = true;
+    let mut config = config.clone();
+    config.eval.diagnostics = true;
     let jobs: Vec<(&str, Mechanism)> = config
         .workloads
         .iter()
         .flat_map(|w| config.mechanisms.iter().map(move |&m| (w.as_str(), m)))
         .collect();
-    let cells = parallel_map(&jobs, config.threads, |&(w, m)| explain_cell(w, m, &eval));
-    ExplainReport {
-        config: config.clone(),
-        cells,
-    }
-}
-
-/// Runs one explain cell, capturing every failure mode as a [`SimError`].
-pub fn explain_cell(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> ExplainCell {
-    let mut eval = eval.clone();
-    eval.diagnostics = true;
-    let result = match registry::lookup(workload, &eval.gen) {
-        Err(e) => Err(SimError::from(e)),
-        Ok(w) => match catch_unwind(AssertUnwindSafe(|| {
-            try_simulate_workload_diagnostics(&w, mechanism, &eval)
-        })) {
-            Ok(Ok((m, Some(d)))) => Ok((m, d)),
-            Ok(Ok((_, None))) => unreachable!("diagnostics were enabled in the config"),
-            Ok(Err(e)) => Err(e),
-            Err(payload) => Err(SimError::Panicked(panic_message(payload))),
-        },
-    };
-    ExplainCell {
-        workload: workload.to_string(),
-        mechanism,
-        result,
-    }
+    let cells = parallel_map(&jobs, config.threads, |&(w, m)| SweepCell {
+        wall_ms: 0,
+        ..run_cell(w, m, m.mode(), &config.eval, false)
+    });
+    ExplainReport { config, cells }
 }
 
 impl ExplainReport {
     /// The cell for one grid point, if it was in the grid.
-    pub fn cell(&self, workload: &str, mechanism: Mechanism) -> Option<&ExplainCell> {
+    pub fn cell(&self, workload: &str, mechanism: Mechanism) -> Option<&SweepCell> {
         self.cells
             .iter()
             .find(|c| c.workload == workload && c.mechanism == mechanism)
@@ -148,8 +115,7 @@ impl ExplainReport {
     /// The diagnostics for one grid point, if the cell ran and succeeded.
     pub fn diagnostics(&self, workload: &str, mechanism: Mechanism) -> Option<&CdfDiagnostics> {
         self.cell(workload, mechanism)
-            .and_then(|c| c.result.as_ref().ok())
-            .map(|(_, d)| d)
+            .and_then(|c| c.diagnostics.as_ref())
     }
 
     /// `(succeeded, failed)` cell counts.
@@ -230,7 +196,7 @@ impl ExplainReport {
     pub fn chain_trace_events(&self) -> Json {
         let mut events = Vec::new();
         for (tid, c) in self.cells.iter().enumerate() {
-            let Ok((_, d)) = &c.result else { continue };
+            let Some(d) = &c.diagnostics else { continue };
             let tid = tid as u64 + 1;
             events.push(Json::Obj(vec![
                 field("name", "thread_name"),
@@ -281,7 +247,7 @@ impl ExplainReport {
     /// The human-readable per-cell table: coverage, accuracy, and lead-time
     /// summaries side by side.
     pub fn render_summary(&self) -> String {
-        let mut t = Table::new(&[
+        let headers = [
             "workload",
             "mechanism",
             "chains",
@@ -292,38 +258,28 @@ impl ExplainReport {
             "wasted",
             "lead-mean",
             "lead-p50",
-        ]);
+        ];
+        let mut t = Table::new(&headers);
         for c in &self.cells {
-            match &c.result {
-                Ok((_, d)) => {
-                    t.row(&[
-                        c.workload.clone(),
-                        c.mechanism.label().to_string(),
-                        format!("{}", d.chains().len()),
-                        pct(&d.load_coverage),
-                        pct(&d.branch_coverage),
-                        format!("{:.1}%", d.accuracy() * 100.0),
-                        format!("{}", d.critical_uops_fetched),
-                        format!("{}", d.critical_uops_wasted()),
-                        format!("{:.0}", d.lead_time.mean()),
-                        format!("{}", histogram_p50(&d.lead_time)),
-                    ]);
+            let mut row = vec![c.workload.clone(), c.mechanism.label().to_string()];
+            match (&c.result, &c.diagnostics) {
+                (Ok(_), Some(d)) => row.extend([
+                    format!("{}", d.chains().len()),
+                    pct(&d.load_coverage),
+                    pct(&d.branch_coverage),
+                    format!("{:.1}%", d.accuracy() * 100.0),
+                    format!("{}", d.critical_uops_fetched),
+                    format!("{}", d.critical_uops_wasted()),
+                    format!("{:.0}", d.lead_time.mean()),
+                    format!("{}", histogram_p50(&d.lead_time)),
+                ]),
+                (Err(e), _) => {
+                    row.push(format!("ERROR({})", e.kind()));
+                    row.resize(headers.len(), "-".into());
                 }
-                Err(e) => {
-                    t.row(&[
-                        c.workload.clone(),
-                        c.mechanism.label().to_string(),
-                        format!("ERROR({})", e.kind()),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                    ]);
-                }
+                (Ok(_), None) => unreachable!("run_explain attaches diagnostics to every cell"),
             }
+            t.row(&row);
         }
         let (ok, failed) = self.counts();
         format!(
@@ -359,16 +315,18 @@ fn histogram_p50(h: &Histogram) -> u64 {
     0
 }
 
-fn cell_json(c: &ExplainCell, chain_limit: usize) -> Json {
+fn cell_json(c: &SweepCell, chain_limit: usize) -> Json {
     let mut fields = vec![
         field("workload", c.workload.as_str()),
         field("mechanism", c.mechanism.label()),
         field("status", if c.result.is_ok() { "ok" } else { "error" }),
     ];
     match &c.result {
-        Ok((m, d)) => {
+        Ok(m) => {
             fields.push(field("measurement", measurement_json(m)));
-            fields.push(field("diagnostics", diagnostics_json(d, chain_limit)));
+            if let Some(d) = &c.diagnostics {
+                fields.push(field("diagnostics", diagnostics_json(d, chain_limit)));
+            }
         }
         Err(e) => fields.push(field(
             "error",
@@ -535,9 +493,14 @@ mod tests {
     }
 
     #[test]
-    fn explain_cell_collects_cdf_provenance() {
-        let c = explain_cell("astar_like", Mechanism::Cdf, &tiny_eval());
-        let (m, d) = c.result.as_ref().expect("cell runs");
+    fn explain_run_collects_cdf_provenance() {
+        let cfg = ExplainConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
+        let report = run_explain(&cfg);
+        assert!(report.config.eval.diagnostics, "diagnostics forced on");
+        let c = &report.cells[0];
+        assert_eq!(c.wall_ms, 0, "explain cells are clock-free");
+        let m = c.result.as_ref().expect("cell runs");
+        let d = c.diagnostics.as_ref().expect("diagnostics attached");
         assert!(m.critical_uops > 0, "CDF must engage");
         assert!(d.walks > 0, "walks observed");
         assert!(d.critical_uops_fetched > 0, "critical fetch observed");

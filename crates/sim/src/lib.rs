@@ -6,6 +6,13 @@
 //! [`experiments`] turn into the paper's tables and figures (each bench
 //! target in `crates/bench` calls one driver and prints its rows).
 //!
+//! Every cell takes one run path. [`run`] builds the core, attaches the
+//! observers [`EvalConfig`] asks for (plus the host profiler on request),
+//! runs the warmup and measurement windows, and returns a [`RunOutput`].
+//! [`run_cell`] adds the registry lookup, panic isolation and wall time;
+//! sweep, record, explain and campaign cells all go through it.
+//! [`simulate`] is the by-name convenience that panics on failure.
+//!
 //! The [`sweep`] module is the parallel experiment harness: it executes a
 //! (workload × mechanism) grid across worker threads with per-cell fault
 //! isolation (a failed cell is a recorded [`SimError`], never a process
@@ -88,10 +95,7 @@ pub use equivalence::{
     EquivMismatch, EquivReport, EQUIV_SCHEMA,
 };
 pub use error::{SimError, WatchdogPhase};
-pub use explain::{
-    diagnostics_json, explain_cell, run_explain, ExplainCell, ExplainConfig, ExplainReport,
-    EXPLAIN_SCHEMA,
-};
+pub use explain::{diagnostics_json, run_explain, ExplainConfig, ExplainReport, EXPLAIN_SCHEMA};
 pub use fuzz::{
     minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, run_lockstep_with,
     FailureKind, FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA,
@@ -108,20 +112,13 @@ pub use prof::{
     profile_from_json, profile_json, profile_table, profile_trace_json, PROFILE_SCHEMA,
 };
 pub use provenance::{provenance_from_json, provenance_json};
-pub use run::{
-    simulate, simulate_workload, try_simulate, try_simulate_profiled, try_simulate_workload,
-    try_simulate_workload_diagnostics, try_simulate_workload_mode, try_simulate_workload_observed,
-    try_simulate_workload_observed_profiled, try_simulate_workload_profiled,
-    try_simulate_workload_telemetry, EvalConfig, Measurement, Mechanism,
-};
+pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, RunOutput};
 pub use store::{
     next_run_id, record_from_json, record_json, record_sweep, records_for_run, records_from_cells,
-    records_from_explain, resolve_ref, run_ids, run_record, throughput_record, DiagSummary,
-    RecordConfig, RecordPayload, RecordRun, ResultKey, ResultRecord, ResultStore, StoreError,
-    TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
+    resolve_ref, run_ids, run_record, throughput_record, DiagSummary, RecordConfig, RecordPayload,
+    RecordRun, ResultKey, ResultRecord, ResultStore, StoreError, TelemetrySummary,
+    DEFAULT_STORE_PATH, RESULT_SCHEMA,
 };
-pub use sweep::{
-    eval_config_hash, run_cell, run_cell_profiled, run_sweep, Sweep, SweepCell, SweepConfig,
-};
+pub use sweep::{eval_config_hash, run_cell, run_sweep, Sweep, SweepCell, SweepConfig};
 pub use table1::table1_text;
 pub use telemetry::{accounting_table, telemetry_json, trace_events_json, TELEMETRY_SCHEMA};

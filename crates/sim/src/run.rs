@@ -119,15 +119,15 @@ pub struct EvalConfig {
     /// accounting, event sink). `None` — the default — runs zero telemetry
     /// code and produces bit-identical [`Measurement`]s to builds without
     /// the telemetry layer; `Some` attaches a collector to every simulated
-    /// core, retrievable via [`try_simulate_workload_telemetry`]. Telemetry
-    /// never perturbs the measured stats either way (asserted by tests).
+    /// core, returned in [`RunOutput::telemetry`]. Telemetry never perturbs
+    /// the measured stats either way (asserted by tests).
     pub telemetry: Option<TelemetryConfig>,
     /// Criticality-provenance diagnostics (chain lifecycles, CUC
     /// coverage/accuracy, lead-time histograms — see [`cdf_core::diag`]).
     /// `false` — the default — runs zero observation code; `true` attaches a
-    /// [`CdfDiagnostics`] collector to every simulated core, retrievable via
-    /// [`try_simulate_workload_diagnostics`]. Diagnostics never perturb the
-    /// measured stats either way (asserted by tests).
+    /// [`CdfDiagnostics`] collector to every simulated core, returned in
+    /// [`RunOutput::diagnostics`]. Diagnostics never perturb the measured
+    /// stats either way (asserted by tests).
     pub diagnostics: bool,
 }
 
@@ -174,7 +174,7 @@ pub struct Measurement {
     /// Workload name.
     pub workload: String,
     /// Mechanism label (a custom label for non-standard configurations, see
-    /// [`try_simulate_workload_mode`]).
+    /// [`run`]).
     pub mechanism: String,
     /// Instructions retired in the window.
     pub instructions: u64,
@@ -255,157 +255,55 @@ impl Snapshot {
     }
 }
 
-/// Simulates one named workload on one mechanism, with typed errors for
-/// unknown names and watchdog expiry.
-pub fn try_simulate(
-    name: &str,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<Measurement, SimError> {
-    let w = registry::lookup(name, &cfg.gen)?;
-    try_simulate_workload(&w, mechanism, cfg)
-}
-
-/// Simulates one named workload on one mechanism.
+/// Simulates one named workload on one mechanism: the by-name convenience
+/// over [`run`].
 ///
 /// # Panics
 ///
 /// Panics on any [`SimError`] — unknown workload name (see
 /// [`cdf_workloads::registry::NAMES`]) or watchdog expiry. Use
-/// [`try_simulate`] to handle failures.
+/// [`crate::run_cell`] to get failures, panics included, as typed errors.
 pub fn simulate(name: &str, mechanism: Mechanism, cfg: &EvalConfig) -> Measurement {
-    try_simulate(name, mechanism, cfg).unwrap_or_else(|e| panic!("{e}"))
+    registry::lookup(name, &cfg.gen)
+        .map_err(SimError::from)
+        .and_then(|w| run(&w, mechanism.mode(), mechanism.label(), cfg, false))
+        .map(|out| out.measurement)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Simulates an already-built workload on one mechanism.
+/// Everything one run reports: the measurement plus each observer that was
+/// attached for it. An observer that was not attached is `None`.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The measured window.
+    pub measurement: Measurement,
+    /// The core's telemetry, when [`EvalConfig::telemetry`] is set.
+    pub telemetry: Option<Telemetry>,
+    /// The criticality-provenance diagnostics, when
+    /// [`EvalConfig::diagnostics`] is set.
+    pub diagnostics: Option<CdfDiagnostics>,
+    /// The host self-profile of the whole run, when `profile` was requested.
+    pub profile: Option<HostProfile>,
+}
+
+/// Runs an already-built workload on `mode`: builds the core, attaches the
+/// observers `cfg` asks for (plus the host profiler when `profile` is set),
+/// runs the warmup window and then the measurement window, and detaches the
+/// observers into the [`RunOutput`]. `label` names the mechanism in the
+/// [`Measurement`]. Watchdog expiry in either window is a typed
+/// [`SimError::Watchdog`].
 ///
-/// # Panics
-///
-/// Panics on watchdog expiry; use [`try_simulate_workload`] to handle it.
-pub fn simulate_workload(w: &Workload, mechanism: Mechanism, cfg: &EvalConfig) -> Measurement {
-    try_simulate_workload(w, mechanism, cfg)
-        .unwrap_or_else(|e| panic!("simulating {} on {}: {e}", w.name, mechanism.label()))
-}
-
-/// Simulates an already-built workload on one mechanism, reporting watchdog
-/// expiry as a typed error.
-pub fn try_simulate_workload(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<Measurement, SimError> {
-    try_simulate_workload_mode(w, mechanism.mode(), mechanism.label(), cfg)
-}
-
-/// Simulates an already-built workload on one mechanism and also returns the
-/// core's collected [`Telemetry`] (`None` when `cfg.telemetry` is `None`).
-/// The measurement is identical to what [`try_simulate_workload`] returns —
-/// telemetry is observation-only.
-pub fn try_simulate_workload_telemetry(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, Option<Telemetry>), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, false).map(|(m, t, _, _)| (m, t))
-}
-
-/// Simulates an already-built workload on one mechanism and also returns the
-/// core's collected [`CdfDiagnostics`] (`None` when `cfg.diagnostics` is
-/// `false`). The measurement is identical to what [`try_simulate_workload`]
-/// returns — diagnostics are observation-only.
-pub fn try_simulate_workload_diagnostics(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, Option<CdfDiagnostics>), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, false).map(|(m, _, d, _)| (m, d))
-}
-
-/// Simulates one named workload on one mechanism with the host-side
-/// self-profiler attached, with typed errors for unknown names and watchdog
-/// expiry. See [`try_simulate_workload_profiled`].
-pub fn try_simulate_profiled(
-    name: &str,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, HostProfile), SimError> {
-    let w = registry::lookup(name, &cfg.gen)?;
-    try_simulate_workload_profiled(&w, mechanism, cfg)
-}
-
-/// Simulates an already-built workload on one mechanism with the host-side
-/// self-profiler attached, returning the measurement plus a [`HostProfile`]
-/// attributing the run's wall-clock time to pipeline stages and subsystem
-/// boundaries. The measurement is bit-identical to what
-/// [`try_simulate_workload`] returns — the profiler is observation-only
-/// (asserted by `tests/prof.rs` across every mechanism).
-pub fn try_simulate_workload_profiled(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, HostProfile), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, true).map(|(m, _, _, p)| {
-        let p = p.expect("profiling was requested, so a profile is produced");
-        (m, p)
-    })
-}
-
-/// Everything one simulated window can report: the measurement plus each
-/// optional observer that was attached for the run.
-pub type ObservedRun = (
-    Measurement,
-    Option<Telemetry>,
-    Option<CdfDiagnostics>,
-    Option<HostProfile>,
-);
-
-/// Simulates an already-built workload on one mechanism and returns every
-/// observation layer at once: the measurement, the telemetry (when
-/// [`EvalConfig::telemetry`] is set), and the criticality-provenance
-/// diagnostics (when [`EvalConfig::diagnostics`] is set). This is the
-/// sweep's runner; the measurement is bit-identical whichever observers are
-/// attached.
-pub fn try_simulate_workload_observed(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, Option<Telemetry>, Option<CdfDiagnostics>), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, false)
-        .map(|(m, t, d, _)| (m, t, d))
-}
-
-/// Simulates an already-built workload on an explicit [`CoreMode`] and
-/// returns every observation layer **including** the host profile when
-/// `profile` is set — the sweep/record runner behind `--profile`.
-pub fn try_simulate_workload_observed_profiled(
+/// Every observer is observation-only: the measurement is bit-identical
+/// whichever are attached. `profile` is a parameter rather than an
+/// [`EvalConfig`] field because the config's `Debug` text is hashed into
+/// every store row, and profiling must not move that hash.
+pub fn run(
     w: &Workload,
     mode: CoreMode,
     label: &str,
     cfg: &EvalConfig,
     profile: bool,
-) -> Result<ObservedRun, SimError> {
-    simulate_windows(w, mode, label, cfg, profile)
-}
-
-/// Simulates an already-built workload on an explicit [`CoreMode`] with a
-/// free-form mechanism label — the escape hatch for sensitivity sweeps whose
-/// configurations are not one of the named [`Mechanism`]s.
-pub fn try_simulate_workload_mode(
-    w: &Workload,
-    mode: CoreMode,
-    label: &str,
-    cfg: &EvalConfig,
-) -> Result<Measurement, SimError> {
-    simulate_windows(w, mode, label, cfg, false).map(|(m, _, _, _)| m)
-}
-
-fn simulate_windows(
-    w: &Workload,
-    mode: CoreMode,
-    label: &str,
-    cfg: &EvalConfig,
-    profile: bool,
-) -> Result<ObservedRun, SimError> {
+) -> Result<RunOutput, SimError> {
     let core_cfg = CoreConfig {
         mode,
         ..cfg.core.clone()
@@ -452,11 +350,8 @@ fn simulate_windows(
     let mlp_sum = end.mlp_sum - start.mlp_sum;
     let rob_c = end.rob_critical - start.rob_critical;
     let rob_n = end.rob_non_critical - start.rob_non_critical;
-    let telemetry = core.take_telemetry();
-    let diagnostics = core.take_diagnostics();
-    let host_profile = wall_start.and_then(|t0| core.take_profile(t0.elapsed().as_nanos() as u64));
-    Ok((
-        Measurement {
+    Ok(RunOutput {
+        measurement: Measurement {
             workload: w.name.to_string(),
             mechanism: label.to_string(),
             instructions,
@@ -495,10 +390,10 @@ fn simulate_windows(
             runahead_uops: end.runahead_uops - start.runahead_uops,
             dependence_violations: end.dependence_violations - start.dependence_violations,
         },
-        telemetry,
-        diagnostics,
-        host_profile,
-    ))
+        telemetry: core.take_telemetry(),
+        diagnostics: core.take_diagnostics(),
+        profile: wall_start.and_then(|t0| core.take_profile(t0.elapsed().as_nanos() as u64)),
+    })
 }
 
 #[cfg(test)]
@@ -548,7 +443,9 @@ mod tests {
 
     #[test]
     fn unknown_workload_typed_error_lists_registry() {
-        let err = try_simulate("nope", Mechanism::Baseline, &EvalConfig::quick()).unwrap_err();
+        let m = Mechanism::Baseline;
+        let cell = crate::sweep::run_cell("nope", m, m.mode(), &EvalConfig::quick(), false);
+        let err = cell.result.unwrap_err();
         assert_eq!(err.kind(), "unknown_workload");
         assert!(err.to_string().contains("astar_like"), "{err}");
     }
@@ -559,7 +456,8 @@ mod tests {
             max_cycles: Some(2_000),
             ..EvalConfig::quick()
         };
-        let err = try_simulate("libq_like", Mechanism::Baseline, &cfg).unwrap_err();
+        let w = registry::lookup("libq_like", &cfg.gen).expect("registered");
+        let err = run(&w, CoreMode::Baseline, "base", &cfg, false).unwrap_err();
         match err {
             SimError::Watchdog {
                 max_cycles,

@@ -24,7 +24,7 @@
 //!   `--filter` subset, and appends one record per cell ([`run_record`]).
 //! * `cdf-sim sweep --record` / `explain --record` — tee the cells of a
 //!   normal sweep/explain run into the store ([`record_sweep`],
-//!   [`records_from_explain`]).
+//!   [`records_from_cells`]).
 //! * `throughput-gate --record` — perf rows land in the same store (kind
 //!   `"throughput"`), so stats history and perf history live together.
 //!
@@ -36,9 +36,7 @@ use crate::json::{field, Json};
 use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::{EvalConfig, Measurement, Mechanism};
 use crate::schema;
-use crate::sweep::{
-    eval_config_hash, measurement_json, parallel_map, run_cell, run_cell_profiled, Sweep, SweepCell,
-};
+use crate::sweep::{eval_config_hash, measurement_json, parallel_map, run_cell, Sweep, SweepCell};
 use cdf_core::{CdfDiagnostics, Coverage, Provenance, Telemetry};
 use cdf_workloads::{registry, GenConfig};
 use std::io::Write as _;
@@ -542,11 +540,7 @@ pub fn run_record(cfg: &RecordConfig) -> Result<RecordRun, StoreError> {
         })
         .collect();
     let cells = parallel_map(&jobs, cfg.threads, |(w, m)| {
-        if cfg.profile {
-            run_cell_profiled(w, *m, &cfg.eval)
-        } else {
-            run_cell(w, *m, &cfg.eval)
-        }
+        run_cell(w, *m, m.mode(), &cfg.eval, cfg.profile)
     });
     let store = ResultStore::open(&cfg.store_path);
     let prov = Provenance::capture();
@@ -561,7 +555,9 @@ pub fn run_record(cfg: &RecordConfig) -> Result<RecordRun, StoreError> {
     })
 }
 
-/// Converts finished sweep cells into store records.
+/// Converts finished cells (sweep, record or explain) into store records,
+/// hashing `eval` — the config the cells actually ran under — into each
+/// row's `config_hash`.
 pub fn records_from_cells(
     run_id: &str,
     prov: &Provenance,
@@ -632,46 +628,6 @@ pub fn record_sweep(store_path: &Path, sweep: &Sweep) -> Result<String, StoreErr
     let records = records_from_cells(&run_id, &sweep.provenance, &sweep.config.eval, &sweep.cells);
     store.append(&records)?;
     Ok(run_id)
-}
-
-/// Converts finished explain cells into store records
-/// (`cdf-sim explain --record`).
-pub fn records_from_explain(
-    run_id: &str,
-    prov: &Provenance,
-    eval: &EvalConfig,
-    cells: &[crate::explain::ExplainCell],
-) -> Vec<ResultRecord> {
-    let mut eval = eval.clone();
-    eval.diagnostics = true; // run_explain forces diagnostics on
-    let config_hash = eval_config_hash(&eval);
-    cells
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let payload = match &c.result {
-                Ok((m, d)) => RecordPayload::Cell {
-                    measurement: m.clone(),
-                    diagnostics: Some(DiagSummary::from_diagnostics(d)),
-                    telemetry: None,
-                },
-                Err(e) => RecordPayload::Error {
-                    kind: e.kind().to_string(),
-                    message: e.to_string(),
-                },
-            };
-            ResultRecord {
-                run_id: run_id.to_string(),
-                seq: i as u64,
-                provenance: prov.clone(),
-                config_hash: config_hash.clone(),
-                gen: Some(eval.gen),
-                key: cell_key(&c.workload, c.mechanism.label(), &eval),
-                wall_ms: 0,
-                payload,
-            }
-        })
-        .collect()
 }
 
 fn cell_key(workload: &str, mechanism: &str, eval: &EvalConfig) -> ResultKey {

@@ -23,9 +23,9 @@ use crate::json::{field, Json};
 use crate::prof::profile_json;
 use crate::provenance::provenance_json;
 use crate::report::Table;
-use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::run::{run, EvalConfig, Measurement, Mechanism};
 use crate::telemetry::telemetry_json;
-use cdf_core::{CdfDiagnostics, HostProfile, Provenance, Telemetry};
+use cdf_core::{CdfDiagnostics, CoreMode, HostProfile, Provenance, Telemetry};
 use cdf_workloads::registry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,7 +139,7 @@ pub fn run_sweep(config: &SweepConfig) -> Sweep {
         .collect();
     let threads_used = effective_threads(config.threads, jobs.len());
     let cells = parallel_map(&jobs, config.threads, |&(w, m)| {
-        run_cell_inner(w, m, m.mode(), &config.eval, config.profile)
+        run_cell(w, m, m.mode(), &config.eval, config.profile)
     });
     Sweep {
         config: config.clone(),
@@ -150,59 +150,32 @@ pub fn run_sweep(config: &SweepConfig) -> Sweep {
     }
 }
 
-/// Runs one grid cell, capturing every failure mode as a [`SimError`].
-pub fn run_cell(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> SweepCell {
-    run_cell_inner(workload, mechanism, mechanism.mode(), eval, false)
-}
-
-/// [`run_cell`] with the host-side self-profiler attached — the runner
-/// behind `cdf-sim record --profile`. The measurement half of the cell is
-/// bit-identical to [`run_cell`]'s.
-pub fn run_cell_profiled(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> SweepCell {
-    run_cell_inner(workload, mechanism, mechanism.mode(), eval, true)
-}
-
-/// [`run_cell`] with an explicit [`cdf_core::CoreMode`] — the campaign
-/// engine's cell runner, where a grid point may have patched the mode's CDF
-/// structure knobs. The `mechanism` still names the cell; passing
-/// `mechanism.mode()` unmodified makes this exactly [`run_cell`].
-pub fn run_cell_mode(
+/// Runs one grid cell: looks the workload up, [`run`]s it on `mode` (which
+/// is `mechanism.mode()` unless a campaign point patched it; `mechanism`
+/// still names the cell), and times it on the wall clock. This is the one
+/// fault-isolated cell runner: an unknown workload, a watchdog expiry, or
+/// even a simulator panic becomes the cell's [`SimError`], never a process
+/// abort. Observers attach as [`run`] attaches them, from `eval` plus
+/// `profile`.
+pub fn run_cell(
     workload: &str,
     mechanism: Mechanism,
-    mode: cdf_core::CoreMode,
-    eval: &EvalConfig,
-) -> SweepCell {
-    run_cell_inner(workload, mechanism, mode, eval, false)
-}
-
-fn run_cell_inner(
-    workload: &str,
-    mechanism: Mechanism,
-    mode: cdf_core::CoreMode,
+    mode: CoreMode,
     eval: &EvalConfig,
     profile: bool,
 ) -> SweepCell {
     let t0 = Instant::now();
-    let (result, telemetry, diagnostics, prof) = match registry::lookup(workload, &eval.gen) {
-        Err(e) => (Err(SimError::from(e)), None, None, None),
-        Ok(w) => match catch_unwind(AssertUnwindSafe(|| {
-            crate::run::try_simulate_workload_observed_profiled(
-                &w,
-                mode,
-                mechanism.label(),
-                eval,
-                profile,
-            )
-        })) {
-            Ok(Ok((m, tel, diag, p))) => (Ok(m), tel, diag, p),
-            Ok(Err(e)) => (Err(e), None, None, None),
-            Err(payload) => (
-                Err(SimError::Panicked(panic_message(payload))),
-                None,
-                None,
-                None,
-            ),
-        },
+    let out = registry::lookup(workload, &eval.gen)
+        .map_err(SimError::from)
+        .and_then(|w| {
+            catch_unwind(AssertUnwindSafe(|| {
+                run(&w, mode, mechanism.label(), eval, profile)
+            }))
+            .unwrap_or_else(|payload| Err(SimError::Panicked(panic_message(payload))))
+        });
+    let (result, telemetry, diagnostics, profile) = match out {
+        Ok(o) => (Ok(o.measurement), o.telemetry, o.diagnostics, o.profile),
+        Err(e) => (Err(e), None, None, None),
     };
     SweepCell {
         workload: workload.to_string(),
@@ -210,7 +183,7 @@ fn run_cell_inner(
         result,
         telemetry,
         diagnostics,
-        profile: prof,
+        profile,
         wall_ms: t0.elapsed().as_millis() as u64,
     }
 }
@@ -591,9 +564,10 @@ mod tests {
     #[test]
     fn telemetry_cells_embed_series_without_perturbing_results() {
         let mut eval = tiny_eval();
-        let plain = run_cell("libq_like", Mechanism::Cdf, &eval);
+        let m = Mechanism::Cdf;
+        let plain = run_cell("libq_like", m, m.mode(), &eval, false);
         eval.telemetry = Some(cdf_core::TelemetryConfig::default());
-        let telem = run_cell("libq_like", Mechanism::Cdf, &eval);
+        let telem = run_cell("libq_like", m, m.mode(), &eval, false);
         assert_eq!(plain.result, telem.result, "telemetry is observation-only");
         assert!(plain.telemetry.is_none());
         let tel = telem.telemetry.as_ref().expect("collector returned");
@@ -606,8 +580,9 @@ mod tests {
     #[test]
     fn profiled_cells_embed_profile_without_perturbing_results() {
         let eval = tiny_eval();
-        let plain = run_cell("libq_like", Mechanism::Cdf, &eval);
-        let prof = run_cell_profiled("libq_like", Mechanism::Cdf, &eval);
+        let m = Mechanism::Cdf;
+        let plain = run_cell("libq_like", m, m.mode(), &eval, false);
+        let prof = run_cell("libq_like", m, m.mode(), &eval, true);
         assert_eq!(plain.result, prof.result, "profiling is observation-only");
         assert!(plain.profile.is_none());
         let p = prof.profile.as_ref().expect("profiler returned");
@@ -630,9 +605,10 @@ mod tests {
     #[test]
     fn diagnostics_cells_embed_provenance_without_perturbing_results() {
         let mut eval = tiny_eval();
-        let plain = run_cell("astar_like", Mechanism::Cdf, &eval);
+        let m = Mechanism::Cdf;
+        let plain = run_cell("astar_like", m, m.mode(), &eval, false);
         eval.diagnostics = true;
-        let diag = run_cell("astar_like", Mechanism::Cdf, &eval);
+        let diag = run_cell("astar_like", m, m.mode(), &eval, false);
         assert_eq!(
             plain.result, diag.result,
             "diagnostics are observation-only"

@@ -14,15 +14,16 @@
 //!   `cdf-explain/1` document for every cell (validated with the crate's
 //!   own parser, no `jq`);
 //! * `cdf-sim report`/`explain`, and every other flag-taking subcommand,
-//!   reject mistyped flags with a hard usage error instead of silently
-//!   running the default configuration.
+//!   reject mistyped flags, flags missing their value and stray positionals
+//!   with a hard usage error instead of silently running the default
+//!   configuration; `compare <workload>` reports a watchdog on any
+//!   mechanism as a typed error.
 
 use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
 use cdf_sim::json::Json;
 use cdf_sim::{
-    diagnostics_json, run_explain, try_simulate_workload_diagnostics, EvalConfig, ExplainConfig,
-    Mechanism, EXPLAIN_SCHEMA,
+    diagnostics_json, run, run_explain, EvalConfig, ExplainConfig, Mechanism, EXPLAIN_SCHEMA,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::{registry, GenConfig};
@@ -60,20 +61,20 @@ fn diagnostics_never_perturb_measurements_on_any_mechanism() {
     let cfg = small_eval();
     let w = registry::lookup("astar_like", &cfg.gen).expect("registered");
     for mech in Mechanism::ALL {
-        let (plain, none) = try_simulate_workload_diagnostics(&w, mech, &cfg).unwrap();
-        assert!(none.is_none(), "disabled by default");
+        let plain = run(&w, mech.mode(), mech.label(), &cfg, false).unwrap();
+        assert!(plain.diagnostics.is_none(), "disabled by default");
         let enabled = EvalConfig {
             diagnostics: true,
             ..cfg.clone()
         };
-        let (measured, d) = try_simulate_workload_diagnostics(&w, mech, &enabled).unwrap();
+        let measured = run(&w, mech.mode(), mech.label(), &enabled, false).unwrap();
         assert_eq!(
-            plain,
-            measured,
+            plain.measurement,
+            measured.measurement,
             "{}: diagnostics must be observation-only, stat for stat",
             mech.label()
         );
-        let d = d.expect("collector returned");
+        let d = measured.diagnostics.expect("collector returned");
         assert_eq!(d.lead_time.samples(), d.llc_miss_initiations);
     }
 }
@@ -407,6 +408,63 @@ fn every_flag_taking_subcommand_rejects_a_mistyped_flag() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
     }
+}
+
+/// A value-taking flag must be followed by a value — an argument that does
+/// not start with `--` — instead of being dropped and run with defaults.
+#[test]
+fn a_flag_missing_its_value_is_a_usage_error() {
+    for (cmd, flag) in [
+        (
+            "sweep --fast --workloads libq_like --mechs base --out",
+            "--out",
+        ),
+        ("sweep --fast --threads", "--threads"),
+        ("telemetry libq_like --fast --interval", "--interval"),
+        ("record --filter", "--filter"),
+        ("run libq_like --max-cycles --fast", "--max-cycles"),
+        ("compare astar_like --fast --seed", "--seed"),
+    ] {
+        let out = cdf_sim(&cmd.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(2), "`{cmd}` must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("missing value for {flag}")),
+            "`{cmd}`: {stderr}"
+        );
+    }
+}
+
+/// An argument that is neither a listed flag nor a flag's value is
+/// rejected, not silently ignored.
+#[test]
+fn a_stray_positional_is_a_usage_error() {
+    for (cmd, stray) in [
+        ("run libq_like mcf_like --fast --mech base", "mcf_like"),
+        ("sweep astar_like --fast", "astar_like"),
+        ("table1 extra", "extra"),
+        ("list extra", "extra"),
+    ] {
+        let out = cdf_sim(&cmd.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(2), "`{cmd}` must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument `{stray}`")),
+            "`{cmd}`: {stderr}"
+        );
+    }
+}
+
+/// `compare <workload>` runs all three mechanisms through the typed run
+/// path: a watchdog on CDF (base retires its window inside this budget,
+/// CDF does not) exits 1 with the watchdog message, not a panic.
+#[test]
+fn compare_reports_a_watchdog_on_any_mechanism_as_a_typed_error() {
+    let out = cdf_sim(&["compare", "roms_like", "--fast", "--max-cycles", "164000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("watchdog"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

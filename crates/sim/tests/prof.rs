@@ -1,8 +1,8 @@
 //! Acceptance suite for the host self-profiling plane:
 //!
-//! * **observation-only** — attaching the profiler leaves the `Measurement`
-//!   of every registry workload × all seven mechanisms bit-identical to an
-//!   unprofiled run;
+//! * **observation-only** — attaching the profiler, alone or together with
+//!   telemetry and diagnostics, leaves the `Measurement` of all seven
+//!   mechanisms bit-identical to a bare run;
 //! * **totality property** — for proptest-chosen fuzz programs, the
 //!   finalized profile satisfies `tracked + untracked == total_wall` with
 //!   the measured wall kept as the total, every stage fraction is sane, and
@@ -14,12 +14,11 @@
 //!   (slower wall for identical simulated cycles) while leaving exact
 //!   metrics untouched.
 
-use cdf_core::{Core, CoreConfig};
+use cdf_core::{Core, CoreConfig, TelemetryConfig};
 use cdf_sim::json::Json;
 use cdf_sim::{
-    compare_runs, profile_from_json, profile_json, records_from_cells, run_cell_profiled,
-    try_simulate_workload, try_simulate_workload_profiled, CompareConfig, EvalConfig, Mechanism,
-    MetricClass, RecordPayload,
+    compare_runs, profile_from_json, profile_json, records_from_cells, run, run_cell,
+    CompareConfig, EvalConfig, Mechanism, MetricClass, RecordPayload,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::registry;
@@ -33,30 +32,52 @@ fn quick_eval() -> EvalConfig {
     eval
 }
 
-/// Satellite 4a: profiling must be a pure observer — identical
-/// measurements with and without it, on every mechanism.
+/// Profiling must be a pure observer — identical measurements with and
+/// without it, on every mechanism — and so must all three observers
+/// attached at once, as `sweep --telemetry N --explain --profile` runs.
 #[test]
 fn profiled_measurements_are_bit_identical_on_all_mechanisms() {
     let eval = quick_eval();
+    let all_observers = EvalConfig {
+        telemetry: Some(TelemetryConfig::default()),
+        diagnostics: true,
+        ..eval.clone()
+    };
     let w = registry::lookup("mcf_like", &eval.gen).expect("known workload");
     for mech in Mechanism::ALL {
-        let plain = try_simulate_workload(&w, mech, &eval).expect("plain run succeeds");
-        let (profiled, p) =
-            try_simulate_workload_profiled(&w, mech, &eval).expect("profiled run succeeds");
+        let label = mech.label();
+        let run_with = |cfg: &EvalConfig, profile: bool| {
+            run(&w, mech.mode(), label, cfg, profile).expect("run succeeds")
+        };
+        let plain = run_with(&eval, false);
+        let profiled = run_with(&eval, true);
+        let observed = run_with(&all_observers, true);
         assert_eq!(
-            plain,
-            profiled,
-            "{}: profiling perturbed the measurement",
-            mech.label()
+            plain.measurement, profiled.measurement,
+            "{label}: profiling perturbed the measurement"
         );
+        assert_eq!(
+            plain.measurement, observed.measurement,
+            "{label}: telemetry, diagnostics and the profiler together perturbed the measurement"
+        );
+        assert!(
+            plain.telemetry.is_none() && plain.diagnostics.is_none() && plain.profile.is_none(),
+            "{label}: a bare run attaches no observer"
+        );
+        assert!(
+            observed.telemetry.is_some()
+                && observed.diagnostics.is_some()
+                && observed.profile.is_some(),
+            "{label}: every attached observer is returned"
+        );
+        let p = profiled.profile.expect("profiler returned");
         // Profile cycles span the whole run (warmup + measurement), so they
         // dominate the measured-window cycle count.
         assert!(
-            p.cycles >= plain.cycles,
-            "{}: profile covers the whole run",
-            mech.label()
+            p.cycles >= plain.measurement.cycles,
+            "{label}: profile covers the whole run"
         );
-        assert!(p.total_wall_ns > 0, "{}: wall clock ran", mech.label());
+        assert!(p.total_wall_ns > 0, "{label}: wall clock ran");
     }
 }
 
@@ -106,7 +127,11 @@ proptest! {
 fn profile_document_round_trips_from_a_real_run() {
     let eval = quick_eval();
     let w = registry::lookup("astar_like", &eval.gen).expect("known workload");
-    let (_, p) = try_simulate_workload_profiled(&w, Mechanism::Cdf, &eval).expect("run succeeds");
+    let cdf = Mechanism::Cdf;
+    let p = run(&w, cdf.mode(), cdf.label(), &eval, true)
+        .expect("run succeeds")
+        .profile
+        .expect("profiler returned");
     let doc = profile_json(&p, "astar_like", "CDF");
     let parsed = Json::parse(&doc.render()).expect("rendered profile parses");
     let back = profile_from_json(&parsed).expect("parsed profile validates");
@@ -120,7 +145,8 @@ fn profile_document_round_trips_from_a_real_run() {
 #[test]
 fn compare_classifies_injected_host_time_regression_from_profile_rows() {
     let eval = quick_eval();
-    let cell = run_cell_profiled("astar_like", Mechanism::Cdf, &eval);
+    let cdf = Mechanism::Cdf;
+    let cell = run_cell("astar_like", cdf, cdf.mode(), &eval, true);
     assert!(cell.result.is_ok() && cell.profile.is_some());
     let cells = vec![cell];
     let prov = cdf_core::Provenance {

@@ -506,12 +506,11 @@ fn every_serializer_emits_a_registered_roundtripping_tag() {
         ..eval.clone()
     };
     let w = cdf_workloads::registry::lookup("astar_like", &tel_eval.gen).expect("registered");
-    let (_, tel) =
-        cdf_sim::try_simulate_workload_telemetry(&w, cdf_sim::Mechanism::Baseline, &tel_eval)
-            .expect("simulates");
+    let base = cdf_sim::Mechanism::Baseline;
+    let out = cdf_sim::run(&w, base.mode(), base.label(), &tel_eval, false).expect("simulates");
     docs.push((
         schema::TELEMETRY,
-        cdf_sim::telemetry_json(&tel.expect("telemetry attached")),
+        cdf_sim::telemetry_json(&out.telemetry.expect("telemetry attached")),
     ));
 
     let equiv_cfg = cdf_sim::EquivConfig {

@@ -14,8 +14,8 @@ use cdf_core::{
 };
 use cdf_sim::json::Json;
 use cdf_sim::{
-    run_sweep, trace_events_json, try_simulate_workload_telemetry, EvalConfig, Mechanism,
-    SweepConfig, TELEMETRY_SCHEMA,
+    run, run_sweep, trace_events_json, EvalConfig, Mechanism, RunOutput, SweepConfig,
+    TELEMETRY_SCHEMA,
 };
 use cdf_workloads::{registry, GenConfig};
 use proptest::prelude::*;
@@ -142,19 +142,27 @@ fn instrumented_core_stats_are_bit_identical_to_plain() {
     );
 }
 
+fn run_cdf(w: &cdf_workloads::Workload, cfg: &EvalConfig) -> RunOutput {
+    let cdf = Mechanism::Cdf;
+    run(w, cdf.mode(), cdf.label(), cfg, false).unwrap()
+}
+
 #[test]
 fn telemetry_never_perturbs_measurements() {
     let cfg = small_eval();
     let w = registry::lookup("astar_like", &cfg.gen).expect("registered");
-    let (plain, no_tel) = try_simulate_workload_telemetry(&w, Mechanism::Cdf, &cfg).unwrap();
-    assert!(no_tel.is_none(), "disabled by default");
+    let plain = run_cdf(&w, &cfg);
+    assert!(plain.telemetry.is_none(), "disabled by default");
     let enabled = EvalConfig {
         telemetry: Some(TelemetryConfig::default()),
         ..cfg
     };
-    let (measured, tel) = try_simulate_workload_telemetry(&w, Mechanism::Cdf, &enabled).unwrap();
-    assert_eq!(plain, measured, "Measurement identical with telemetry on");
-    let tel = tel.expect("collector returned");
+    let measured = run_cdf(&w, &enabled);
+    assert_eq!(
+        plain.measurement, measured.measurement,
+        "Measurement identical with telemetry on"
+    );
+    let tel = measured.telemetry.expect("collector returned");
     assert_eq!(tel.accounting.total(), tel.observed_cycles());
 }
 
@@ -190,8 +198,8 @@ fn perfetto_trace_is_valid_and_contains_cdf_episode() {
         ..small_eval()
     };
     let w = registry::lookup("astar_like", &cfg.gen).expect("registered");
-    let (m, tel) = try_simulate_workload_telemetry(&w, Mechanism::Cdf, &cfg).unwrap();
-    let tel = tel.expect("collector returned");
+    let out = run_cdf(&w, &cfg);
+    let (m, tel) = (out.measurement, out.telemetry.expect("collector returned"));
     assert!(m.cdf_mode_cycles > 0, "workload must engage CDF: {m:?}");
 
     let text = trace_events_json(&tel).render();

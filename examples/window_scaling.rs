@@ -8,7 +8,7 @@
 //! ```
 
 use cdf::core::{CdfConfig, CoreConfig, CoreMode};
-use cdf::sim::{simulate_workload, EvalConfig, Mechanism};
+use cdf::sim::{run, EvalConfig, Measurement, Mechanism};
 use cdf::workloads::{registry, GenConfig};
 
 fn main() {
@@ -33,6 +33,11 @@ fn main() {
         telemetry: None,
         diagnostics: false,
     };
+    let measure = |mech: Mechanism, cfg: &EvalConfig| -> Measurement {
+        run(&w, mech.mode(), mech.label(), cfg, false)
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", mech.label()))
+            .measurement
+    };
 
     println!("{name}: IPC of plain cores at growing window sizes vs a 352-entry CDF core");
     println!();
@@ -42,7 +47,7 @@ fn main() {
             core: CoreConfig::default().with_scaled_window(rob),
             ..eval.clone()
         };
-        let m = simulate_workload(&w, Mechanism::Baseline, &cfg);
+        let m = measure(Mechanism::Baseline, &cfg);
         println!("{rob:>6} {:>10.3} {:>10.2}", m.ipc, m.mlp);
     }
     let cdf_cfg = EvalConfig {
@@ -52,7 +57,7 @@ fn main() {
         },
         ..eval
     };
-    let m = simulate_workload(&w, Mechanism::Cdf, &cdf_cfg);
+    let m = measure(Mechanism::Cdf, &cdf_cfg);
     println!();
     println!(
         "CDF @ ROB 352: IPC {:.3}, MLP {:.2} — the effective window critical \
