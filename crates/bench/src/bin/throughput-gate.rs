@@ -1,14 +1,5 @@
 //! `throughput-gate` — CI guard against simulator-throughput regressions.
-//!
-//! ```text
-//! throughput-gate --bless [--full]           # (re)write the baseline JSON
-//! throughput-gate [--full] [--tolerance F]   # measure and compare
-//! throughput-gate --baseline FILE ...        # non-default baseline path
-//! throughput-gate --record [--store FILE]    # also append cdf-result/1
-//!                                            # rows to the results store
-//! throughput-gate --profile-out FILE         # also write per-case
-//!                                            # cdf-profile/1 documents
-//! ```
+//! Its flags are declared once, in [`GATE`]; a usage error prints them.
 //!
 //! Measures the scheduler + memory-model micro/macro suite (best-of-3,
 //! quick sizing by default) and compares cycles/second per case against
@@ -28,6 +19,7 @@
 use cdf_bench::throughput::{
     measure, profile_once, rows_from_json, rows_json, speedup_ratios, throughput_cases,
 };
+use cdf_sim::cli::{or_exit, Cli};
 use cdf_sim::json::{field, Json};
 use std::path::PathBuf;
 use std::process::exit;
@@ -37,27 +29,32 @@ use std::process::exit;
 #[global_allocator]
 static ALLOC: cdf_core::CountingAlloc = cdf_core::CountingAlloc;
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+/// The gate's flags: the one declaration its parser and its usage read.
+static GATE: Cli = Cli {
+    program: "throughput-gate",
+    commands: &[(
+        "",
+        &["\
+options:
+  --bless             (re)write the baseline instead of comparing against it
+  --full              full sizing (default: quick)
+  --tolerance F       allowed cycles/s loss per case (default 0.20)
+  --baseline FILE     baseline path (default crates/bench/baseline/throughput.json)
+  --record            also append cdf-result/1 rows to the results store
+  --store FILE        results store path (default .cdf-results/results.jsonl)
+  --profile-out FILE  also write one cdf-profile/1 document per case to FILE"],
+    )],
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let bless = args.iter().any(|a| a == "--bless");
-    let tolerance: f64 = flag_value(&args, "--tolerance")
-        .map(|v| v.parse().expect("--tolerance takes a fraction, e.g. 0.2"))
-        .unwrap_or(0.20);
-    let baseline_path = flag_value(&args, "--baseline")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baseline/throughput.json")
-        });
+    let a = GATE.parse(&args);
+    let quick = !a.has("--full");
+    let tolerance: f64 = a.get("--tolerance").unwrap_or(0.20);
+    let baseline_path: PathBuf = a.get("--baseline").unwrap_or_else(|| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baseline/throughput.json")
+    });
 
-    let quick = !full;
     let rows = measure(&throughput_cases(quick), 3);
     for r in &rows {
         println!(
@@ -73,16 +70,10 @@ fn main() {
         println!("{case:32} event/reference = {ratio:.2}x");
     }
 
-    if args.iter().any(|a| a == "--record") {
-        let store_path = flag_value(&args, "--store")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(cdf_sim::DEFAULT_STORE_PATH));
-        let store = cdf_sim::ResultStore::open(&store_path);
-        let existing = store
-            .load()
-            .unwrap_or_else(|e| panic!("loading {}: {e}", store_path.display()));
+    if a.has("--record") {
+        let store =
+            cdf_sim::ResultStore::open(a.value("--store").unwrap_or(cdf_sim::DEFAULT_STORE_PATH));
         let prov = cdf_core::Provenance::capture();
-        let run_id = cdf_sim::next_run_id(&existing, &prov);
         // The sizing is the only configuration axis the gate varies, so it
         // is the whole config hash: quick vs full rows must not compare as
         // same-config cells.
@@ -91,34 +82,37 @@ fn main() {
         } else {
             "throughput-full"
         };
-        let records: Vec<_> = rows
-            .iter()
-            .enumerate()
-            .map(|(seq, r)| {
-                let (case, variant) = r.name.rsplit_once('/').unwrap_or((r.name.as_str(), ""));
-                cdf_sim::throughput_record(
-                    &run_id,
-                    seq as u64,
-                    &prov,
-                    config_hash,
-                    case,
-                    variant,
-                    r.simulated_cycles,
-                    r.wall_seconds,
-                )
-            })
-            .collect();
-        store
-            .append(&records)
-            .unwrap_or_else(|e| panic!("recording to {}: {e}", store_path.display()));
+        let build = |run_id: &str| {
+            rows.iter()
+                .enumerate()
+                .map(|(seq, r)| {
+                    let (case, variant) = r.name.rsplit_once('/').unwrap_or((r.name.as_str(), ""));
+                    cdf_sim::throughput_record(
+                        run_id,
+                        seq as u64,
+                        &prov,
+                        config_hash,
+                        case,
+                        variant,
+                        r.simulated_cycles,
+                        r.wall_seconds,
+                    )
+                })
+                .collect()
+        };
+        let (run_id, records) = or_exit(
+            store
+                .append_run(&prov, build)
+                .map_err(|e| format!("recording to {}: {e}", store.path().display())),
+        );
         println!(
             "recorded {} throughput row(s) to {} as run {run_id}",
             records.len(),
-            store_path.display()
+            store.path().display()
         );
     }
 
-    if let Some(path) = flag_value(&args, "--profile-out") {
+    if let Some(path) = a.value("--profile-out") {
         // One profiled pass per case (event-driven variant) so the gate's
         // own wall time is attributable to pipeline stages and subsystems.
         let cases = throughput_cases(quick);
@@ -134,8 +128,9 @@ fn main() {
             field("quick", quick),
             field("profiles", Json::Arr(profiles)),
         ]);
-        std::fs::write(&path, doc.render_pretty())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        or_exit(
+            std::fs::write(path, doc.render_pretty()).map_err(|e| format!("writing {path}: {e}")),
+        );
         println!("wrote {} case profile(s) to {path}", cases.len());
     }
 
@@ -160,26 +155,25 @@ fn main() {
         }
     }
 
-    if bless {
-        std::fs::create_dir_all(baseline_path.parent().expect("baseline dir"))
-            .expect("create baseline dir");
-        std::fs::write(&baseline_path, rows_json(&rows, quick).render_pretty())
-            .unwrap_or_else(|e| panic!("writing {}: {e}", baseline_path.display()));
-        println!("blessed baseline: {}", baseline_path.display());
+    let shown = baseline_path.display();
+    if a.has("--bless") {
+        let dir = baseline_path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all);
+        let doc = rows_json(&rows, quick).render_pretty();
+        let written = dir.and_then(|()| std::fs::write(&baseline_path, doc));
+        or_exit(written.map_err(|e| format!("writing {shown}: {e}")));
+        println!("blessed baseline: {shown}");
     } else {
         match std::fs::read_to_string(&baseline_path) {
             Err(e) => failures.push(format!(
-                "no baseline at {} ({e}); run `throughput-gate --bless`",
-                baseline_path.display()
+                "no baseline at {shown} ({e}); run `throughput-gate --bless`"
             )),
             Ok(text) => {
-                let doc = Json::parse(&text).expect("baseline JSON parses");
-                let baseline = rows_from_json(&doc).unwrap_or_else(|| {
-                    panic!(
-                        "{} is not a cdf-throughput/1 document",
-                        baseline_path.display()
-                    )
-                });
+                let parsed = Json::parse(&text).ok().and_then(|d| rows_from_json(&d));
+                let baseline = or_exit(
+                    parsed.ok_or_else(|| format!("{shown} is not a cdf-throughput/1 document")),
+                );
                 for (name, base_cps) in &baseline {
                     let Some(row) = rows.iter().find(|r| &r.name == name) else {
                         failures.push(format!("{name}: in baseline but not measured"));

@@ -36,7 +36,7 @@ pub fn maybe_emit_sweep(tag: &str, sweep: &Sweep) {
     let write = || -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{tag}.json"));
-        sweep.write_json(&path)?;
+        std::fs::write(&path, sweep.to_json().render_pretty())?;
         Ok(path)
     };
     match write() {

@@ -171,6 +171,8 @@ pub struct Core<'p> {
     stats: CoreStats,
     halted: bool,
     last_retire_cycle: u64,
+    /// The no-retirement diagnostic, once the pipeline has stalled.
+    stalled: Option<String>,
     in_stall_episode: bool,
 }
 
@@ -291,6 +293,7 @@ impl<'p> Core<'p> {
             stats: CoreStats::default(),
             halted: false,
             last_retire_cycle: 0,
+            stalled: None,
             in_stall_episode: false,
             now: 0,
             program,
@@ -566,13 +569,9 @@ impl<'p> Core<'p> {
         model.report(self.now)
     }
 
-    /// Runs until the program halts or `max_instructions` retire. Returns
-    /// the final statistics (also available via [`stats`](Self::stats)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline makes no forward progress for 200k cycles —
-    /// that is a simulator bug, never a program property.
+    /// Runs until the program halts, `max_instructions` retire, or the
+    /// pipeline [stalls](Self::stalled). Returns the final statistics (also
+    /// available via [`stats`](Self::stats)).
     pub fn run(&mut self, max_instructions: u64) -> CoreStats {
         self.run_bounded(max_instructions, u64::MAX)
     }
@@ -580,14 +579,14 @@ impl<'p> Core<'p> {
     /// Like [`run`](Self::run), but additionally stops once the core clock
     /// reaches `cycle_budget` — the fuel for a sweep watchdog. The caller
     /// can tell the budget ran out because the returned stats have
-    /// `halted == false` and `retired < max_instructions`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same 200k-cycle no-retirement condition as
-    /// [`run`](Self::run).
+    /// `halted == false` and `retired < max_instructions`, and
+    /// [`stalled`](Self::stalled) is `None`.
     pub fn run_bounded(&mut self, max_instructions: u64, cycle_budget: u64) -> CoreStats {
-        while !self.halted && self.stats.retired < max_instructions && self.now < cycle_budget {
+        while !self.halted
+            && self.stalled.is_none()
+            && self.stats.retired < max_instructions
+            && self.now < cycle_budget
+        {
             self.step();
         }
         self.finalize_stats()
@@ -599,6 +598,13 @@ impl<'p> Core<'p> {
         self.halted
     }
 
+    /// The diagnostic once the pipeline has gone 200k cycles without
+    /// retiring: a simulator bug, never a program property. The run methods
+    /// stop there, so the caller can report it as an error.
+    pub fn stalled(&self) -> Option<&str> {
+        self.stalled.as_deref()
+    }
+
     /// The core clock.
     pub fn now(&self) -> u64 {
         self.now
@@ -607,16 +613,11 @@ impl<'p> Core<'p> {
     /// Advances the core by exactly one cycle — the primitive the
     /// round-robin multi-core driver interleaves. [`run_bounded`](Self::run_bounded)
     /// is `step` in a loop followed by [`finalize_stats`](Self::finalize_stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the 200k-cycle no-retirement watchdog described at
-    /// [`run`](Self::run).
+    /// It sets [`stalled`](Self::stalled) after 200k cycles without a retirement.
     pub fn step(&mut self) {
-        {
-            self.cycle();
-            assert!(
-                self.now - self.last_retire_cycle < 200_000,
+        self.cycle();
+        if self.now - self.last_retire_cycle >= 200_000 && self.stalled.is_none() {
+            self.stalled = Some(format!(
                 "no retirement for 200k cycles at cycle {} (commit_seq {}, next_seq {}, \
                  rob {}/{} (crit cap {}), rs {}, cdf_fetch_mode {}, crit_active {}, \
                  cmq {}, dbq {}, pool {}, prf free {}, reg_renamed_upto {})",
@@ -634,7 +635,7 @@ impl<'p> Core<'p> {
                 self.pool.len(),
                 self.prf.free_count(),
                 self.reg_renamed_upto,
-            );
+            ));
         }
     }
 

@@ -119,14 +119,14 @@ impl<'p> MultiCore<'p> {
     /// at a time in core-id order. Returns per-core outcomes (index =
     /// core id); shared totals come from [`shared_report`](Self::shared_report).
     ///
-    /// Conservation invariants of the shared pool are asserted at end of
+    /// A core that [stalls](Core::stalled) stops there while the others run
+    /// on. Conservation invariants of the shared pool are asserted at end of
     /// run (and continuously by the proptest battery).
     ///
     /// # Panics
     ///
-    /// Panics on any core's 200k-cycle no-retirement watchdog or on a
-    /// shared-pool invariant violation — simulator bugs, never workload
-    /// properties.
+    /// Panics on a shared-pool invariant violation — a simulator bug, never
+    /// a workload property.
     pub fn run(&mut self, max_instructions: u64, cycle_budget: u64) -> Vec<CoreOutcome> {
         self.run_inner(max_instructions, cycle_budget, false)
     }
@@ -147,7 +147,10 @@ impl<'p> MultiCore<'p> {
         check_every_sweep: bool,
     ) -> Vec<CoreOutcome> {
         let live = |c: &mut Core| {
-            !c.halted() && c.stats().retired < max_instructions && c.now() < cycle_budget
+            !c.halted()
+                && c.stalled().is_none()
+                && c.stats().retired < max_instructions
+                && c.now() < cycle_budget
         };
         loop {
             let mut any = false;

@@ -1,50 +1,17 @@
 //! `cdf-sim` — command-line front end for the simulator.
 //!
-//! ```text
-//! cdf-sim list
-//! cdf-sim table1 [sizing flags]
-//! cdf-sim run <workload> [--mech base|cdf|pre|classify|...] [--rob N]
-//!             [--warmup N] [--measure N] [--scale F] [--seed N] [--fast]
-//! cdf-sim report <workload> [--mech M] [sizing flags]
-//! cdf-sim explain [--workloads a,b,c] [--mechs base,cdf,...] [--threads N]
-//!                 [--chains N] [--out explain.json] [--trace-out FILE]
-//!                 [sizing flags]
-//! cdf-sim telemetry <workload> [--mech M] [--interval N] [--out FILE]
-//!                   [--trace-out FILE] [sizing flags]
-//! cdf-sim profile <workload> [--mech M] [--out FILE] [--trace-out FILE]
-//!                 [sizing flags]
-//! cdf-sim compare <workload> [sizing flags]
-//! cdf-sim compare <refA> <refB> [--store FILE] [--tolerance F] [--out FILE]
-//! cdf-sim record [--workloads a,b,c] [--mechs base,cdf,...] [--threads N]
-//!                [--filter SUBSTR] [--store FILE] [--telemetry N]
-//!                [--explain] [--profile] [sizing flags]
-//! cdf-sim sweep [--workloads a,b,c] [--mechs base,cdf,...] [--threads N]
-//!               [--max-cycles N] [--telemetry N] [--explain] [--profile]
-//!               [--record] [--store FILE]
-//!               [--out results.json] [sizing flags]
-//! cdf-sim fuzz [--seeds N] [--start N] [--budget M] [--mechs a,b,c]
-//!              [--minimize] [--shrink-budget N] [--threads N]
-//!              [--out DIR] [--report FILE]
-//! cdf-sim equiv [--seeds N] [--start N] [--mechs a,b,c] [--threads N]
-//!               [--mem] [--boundary] [--report FILE]
-//! cdf-sim mix --workloads a,b[,c,...] [--mechs base,cdf,...] [--fast]
-//!             [--telemetry N] [--profile]
-//!             [--out FILE] [--record] [--store FILE] [sizing flags]
-//! cdf-sim campaign run --spec FILE [--dir DIR] [--shards N] [--threads N]
-//!                      [--store FILE] [--no-record]
-//! cdf-sim campaign resume --dir DIR [--threads N] [--store FILE] [--no-record]
-//! cdf-sim campaign status --dir DIR
-//! cdf-sim campaign shard --dir DIR --shard I [--threads N] [--batch N]
-//!                        [--abort-after N]
-//! ```
+//! Every subcommand and flag is declared once, in [`CDF_SIM`]; `cdf-sim`
+//! with no arguments prints the usage generated from it.
 
-use cdf_core::{CoreConfig, TelemetryConfig};
+use cdf_core::{CoreConfig, Provenance, TelemetryConfig};
+use cdf_sim::cli::{or_exit, Args, Cli};
 use cdf_sim::{
     accounting_table, profile_json, profile_table, profile_trace_json, run, run_explain, run_sweep,
     table1_text, telemetry_json, trace_events_json, EvalConfig, ExplainConfig, Mechanism,
-    SweepConfig,
+    ResultRecord, ResultStore, SweepConfig,
 };
 use cdf_workloads::registry;
+use std::path::PathBuf;
 use std::process::exit;
 
 /// Counting allocator so host profiles ([`cdf_sim::prof`]) attribute
@@ -54,155 +21,176 @@ use std::process::exit;
 #[global_allocator]
 static ALLOC: cdf_core::CountingAlloc = cdf_core::CountingAlloc;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  cdf-sim list\n  cdf-sim table1 [options]\n  cdf-sim run <workload> [options]\n  \
-         cdf-sim report <workload> [options]\n  cdf-sim explain [options]\n  \
-         cdf-sim telemetry <workload> [options]\n  \
-         cdf-sim profile <workload> [options]\n  \
-         cdf-sim compare <workload> [options]\n  \
-         cdf-sim compare <refA> <refB> [options]\n  \
-         cdf-sim record [options]\n  cdf-sim sweep [options]\n  \
-         cdf-sim fuzz [options]\n  cdf-sim equiv [options]\n  \
-         cdf-sim mix --workloads a,b [options]\n  \
-         cdf-sim campaign run|resume|status|shard [options]\n\noptions:\n  \
-         --mech base|cdf|pre|classify|cdf-nobr|cdf-static|cdf-nomask\n                 \
-         mechanism (run/report/telemetry; default cdf)\n  \
-         --rob N        scale the window to N ROB entries\n  \
-         --warmup N     warmup instructions\n  --measure N    measured instructions\n  \
-         --scale F      workload footprint scale\n  --seed N       workload seed\n  \
-         --fast         quick sizing preset\n\nexplain options:\n  \
-         --workloads a,b,c  comma-separated workloads (default: full registry)\n  \
-         --mechs a,b,c      comma-separated mechanisms (default: all)\n  \
-         --threads N        worker threads (default: all hardware threads)\n  \
-         --chains N         chain records embedded per cell (default 32)\n  \
-         --out FILE         write the cdf-explain/1 JSON document to FILE\n  \
-         --trace-out FILE   write per-chain Perfetto async spans to FILE\n\ntelemetry options:\n  \
-         --interval N       cycles per interval sample (default 1024)\n  \
-         --out FILE         write the cdf-telemetry/1 JSON document to FILE\n  \
-         --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE\n\nprofile options:\n  \
-         --mech M           mechanism to profile (default cdf)\n  \
-         --out FILE         write the cdf-profile/1 JSON document to FILE\n  \
-         --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE\n\nsweep options:\n  \
-         --workloads a,b,c  comma-separated workloads (default: full registry)\n  \
-         --mechs a,b,c      comma-separated mechanisms (default: all)\n  \
-         --threads N        worker threads (default: all hardware threads)\n  \
-         --max-cycles N     per-run watchdog cycle budget (default: off)\n  \
-         --telemetry N      collect telemetry with an N-cycle interval and\n                     \
-         embed it per cell in the JSON records\n  \
-         --explain          collect criticality-provenance diagnostics and\n                     \
-         embed them per cell in the JSON records\n  \
-         --profile          attach the host self-profiler and embed a\n                     \
-         cdf-profile/1 document per cell in the JSON records\n  \
-         --record           also append one cdf-result/1 record per cell to the\n                     \
-         results store\n  \
-         --store FILE       results store path (default .cdf-results/results.jsonl)\n  \
-         --out FILE         write the stamped JSON records to FILE\n\nrecord options:\n  \
-         --workloads/--mechs/--threads/--telemetry/--explain  as for sweep\n  \
-         --profile          also append one host-throughput \"profile\" record per\n                     \
-         successful cell (compare classifies them tolerantly)\n  \
-         --filter SUBSTR    only cells whose workload/mechanism label contains SUBSTR\n  \
-         --store FILE       results store to append to\n\ncompare options (two-ref form):\n  \
-         <refA> <refB>      each: `latest`, `latest~N`, a run id, or a commit prefix\n  \
-         --store FILE       results store to read\n  \
-         --tolerance F      relative tolerance for wall-clock metrics (default 0.25)\n  \
-         --out FILE         write the cdf-compare/1 JSON report to FILE\n\nfuzz options:\n  \
-         --seeds N          random programs to run (default 100)\n  \
-         --start N          first seed (default 0)\n  \
-         --budget M         cap on total dynamic uops across seeds (default: off)\n  \
-         --mechs a,b,c      mechanisms run in lockstep (default base,cdf,pre)\n  \
-         --minimize         delta-debug each failure to a minimal reproducer\n  \
-         --shrink-budget N  shrinker predicate evaluations per failure (default 300)\n  \
-         --out DIR          write each failure as a cdf-fuzz-case/1 JSON file\n  \
-         --report FILE      write the cdf-fuzz/1 JSON report to FILE\n\nequiv options:\n  \
-         --seeds N          fuzz programs to run under both variants (default 500)\n  \
-         --start N          first seed (default 1)\n  \
-         --mechs a,b,c      mechanisms (default: all seven)\n  \
-         --threads N        worker threads (default: all hardware threads)\n  \
-         --mem              compare the memory-model pair (event-driven vs lazy\n                     \
-         reference) instead of the scheduler pair\n  \
-         --boundary         compare the core-memory boundary pair (request/\n                     \
-         response vs direct-call reference)\n  \
-         --report FILE      write the cdf-equiv/1 JSON report to FILE\n\nmix options:\n  \
-         --workloads a,b    one workload per core, in core order (2+ cores)\n  \
-         --mechs a,b        one mechanism per core, or one for all (default cdf)\n  \
-         --telemetry N      per-core telemetry with an N-cycle sample interval,\n                     \
-         embedded per core in the JSON document\n  \
-         --profile          host self-profile for the whole mix, embedded in the\n                     \
-         JSON document and printed as a table\n  \
-         --out FILE         write the cdf-mix/1 JSON document to FILE\n  \
-         --record           append per-core cdf-result/1 records to the store\n  \
-         --store FILE       results store path (default .cdf-results/results.jsonl)\n\ncampaign options:\n  \
-         run    --spec FILE   TOML/JSON experiment spec; initializes the campaign\n                       \
-         directory and runs it to completion\n  \
-         resume --dir DIR     restart a killed campaign exactly where it stopped\n  \
-         status --dir DIR     streaming aggregate of the journals, usable mid-run\n  \
-         shard  --dir DIR --shard I   run one shard in this process (what `run`\n                       \
-         spawns; also the crash-injection point for tests)\n  \
-         --dir DIR          campaign directory (default .cdf-campaigns/<name>)\n  \
-         --shards N         worker processes (default 1)\n  \
-         --threads N        total worker threads, split across shards\n  \
-         --store FILE       results store sweep/explain cells are appended to\n  \
-         --no-record        skip the results store\n  \
-         --batch N          cells per checkpoint append (shard; default auto)\n  \
-         --abort-after N    stop the shard after N new cells (crash injection)"
-    );
-    exit(2)
-}
+const SIZING: &str = "\
+sizing options:
+  --rob N            scale the window to N ROB entries
+  --warmup N         warmup instructions
+  --measure N        measured instructions
+  --scale F          workload footprint scale
+  --seed N           workload seed
+  --max-cycles N     per-run watchdog cycle budget (default: off)
+  --fast             quick sizing preset";
 
-const FUZZ_FLAGS: &[(&str, bool)] = &[
-    ("--seeds", true),
-    ("--start", true),
-    ("--budget", true),
-    ("--mechs", true),
-    ("--minimize", false),
-    ("--shrink-budget", true),
-    ("--threads", true),
-    ("--out", true),
-    ("--report", true),
-];
+const MECH: &str = "\
+mechanism option:
+  --mech M           base|cdf|pre|classify|cdf-nobr|cdf-static|cdf-nomask
+                     (default cdf)";
 
-fn run_fuzz_command(args: &[String]) {
-    reject_unknown_flags(args, FUZZ_FLAGS);
+const GRID: &str = "\
+grid options:
+  --workloads a,b,c  comma-separated workloads (default: full registry)
+  --mechs a,b,c      comma-separated mechanisms (default: all)
+  --threads N        worker threads (default: all hardware threads)";
+
+const STORE: &str = "\
+store options:
+  --record           also append cdf-result/1 records to the results store
+  --store FILE       results store path (default .cdf-results/results.jsonl)";
+
+const TELEMETRY: &str = "\
+telemetry options:
+  --interval N       cycles per interval sample (default 1024)
+  --out FILE         write the cdf-telemetry/1 JSON document to FILE
+  --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE";
+
+const PROFILE: &str = "\
+profile options:
+  --out FILE         write the cdf-profile/1 JSON document to FILE
+  --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE";
+
+const EXPLAIN: &str = "\
+explain options:
+  --chains N         chain records embedded per cell (default 32)
+  --out FILE         write the cdf-explain/1 JSON document to FILE
+  --trace-out FILE   write per-chain Perfetto async spans to FILE";
+
+const SWEEP: &str = "\
+sweep options (what the observers collect is embedded in each cell):
+  --telemetry N      collect telemetry with an N-cycle sample interval
+  --explain          collect criticality-provenance diagnostics
+  --profile          attach the host self-profiler (cdf-profile/1 per cell)
+  --out FILE         write the stamped JSON records to FILE";
+
+const RECORD: &str = "\
+record options:
+  --telemetry N      summarize N-cycle-interval telemetry in each record
+  --explain          summarize provenance diagnostics in each record
+  --profile          also append one host-throughput \"profile\" record per
+                     successful cell (compare classifies them tolerantly)
+  --filter SUBSTR    only cells whose workload/mechanism label contains SUBSTR
+  --store FILE       results store to append to";
+
+const COMPARE: &str = "\
+compare options (refs: latest, latest~N, a run id, or a commit prefix):
+  --store FILE       results store to read
+  --tolerance F      relative tolerance for wall-clock metrics (default 0.25)
+  --out FILE         write the cdf-compare/1 JSON report to FILE";
+
+const MIX: &str = "\
+mix options:
+  --workloads a,b    one workload per core, in core order (2+ cores; required)
+  --mechs a,b        one mechanism per core, or one for all (default cdf)
+  --telemetry N      per-core telemetry (N-cycle interval), embedded per core
+  --profile          host self-profile of the whole mix, embedded and printed
+  --out FILE         write the cdf-mix/1 JSON document to FILE";
+
+const FUZZ: &str = "\
+fuzz options:
+  --seeds N          random programs to run (default 100)
+  --start N          first seed (default 0)
+  --budget M         cap on total dynamic uops across seeds (default: off)
+  --mechs a,b,c      mechanisms run in lockstep (default base,cdf,pre)
+  --minimize         delta-debug each failure to a minimal reproducer
+  --shrink-budget N  shrinker predicate evaluations per failure (default 300)
+  --threads N        worker threads (default: all hardware threads)
+  --out DIR          write each failure as a cdf-fuzz-case/1 JSON file
+  --report FILE      write the cdf-fuzz/1 JSON report to FILE";
+
+const EQUIV: &str = "\
+equiv options:
+  --seeds N          fuzz programs to run under both variants (default 500)
+  --start N          first seed (default 1)
+  --mechs a,b,c      mechanisms (default: all seven)
+  --threads N        worker threads (default: all hardware threads)
+  --mem              compare the memory-model pair (event-driven vs lazy
+                     reference) instead of the scheduler pair
+  --boundary         compare the core-memory boundary pair (request/
+                     response vs direct-call reference)
+  --report FILE      write the cdf-equiv/1 JSON report to FILE";
+
+const CAMPAIGN_RUN: &str = "\
+campaign run options (initialize a campaign and run it to completion):
+  --spec FILE        TOML/JSON experiment spec (required)
+  --dir DIR          campaign directory (default .cdf-campaigns/<name>)
+  --shards N         worker processes (default 1)";
+
+const CAMPAIGN_DIR: &str = "\
+campaign directory (resume restarts it where it stopped, status aggregates
+its journals mid-run, shard runs one of its shards as `campaign run` does):
+  --dir DIR          an initialized campaign directory (required)";
+
+const CAMPAIGN: &str = "\
+campaign options:
+  --threads N        total worker threads, split across shards
+  --store FILE       results store sweep/explain cells are appended to
+  --no-record        skip the results store";
+
+const SHARD: &str = "\
+campaign shard options:
+  --shard I          the shard to run (required)
+  --threads N        worker threads
+  --batch N          cells per checkpoint append (default auto)
+  --abort-after N    stop the shard after N new cells (crash injection)";
+
+/// Every `cdf-sim` command: the one declaration its parser and its usage
+/// read.
+static CDF_SIM: Cli = Cli {
+    program: "cdf-sim",
+    commands: &[
+        ("list", &[]),
+        ("table1", &[SIZING]),
+        ("run <workload>", &[MECH, SIZING]),
+        ("report <workload>", &[MECH, SIZING]),
+        ("explain", &[GRID, EXPLAIN, STORE, SIZING]),
+        ("telemetry <workload>", &[MECH, TELEMETRY, SIZING]),
+        ("profile <workload>", &[MECH, PROFILE, SIZING]),
+        ("compare <workload>", &[SIZING]),
+        ("compare <refA> <refB>", &[COMPARE]),
+        ("record", &[GRID, RECORD, SIZING]),
+        ("sweep", &[GRID, SWEEP, STORE, SIZING]),
+        ("mix", &[MIX, STORE, SIZING]),
+        ("fuzz", &[FUZZ]),
+        ("equiv", &[EQUIV]),
+        ("campaign run", &[CAMPAIGN_RUN, CAMPAIGN]),
+        ("campaign resume", &[CAMPAIGN_DIR, CAMPAIGN]),
+        ("campaign status", &[CAMPAIGN_DIR]),
+        ("campaign shard", &[CAMPAIGN_DIR, SHARD]),
+    ],
+};
+
+fn run_fuzz_command(a: &Args) {
     let mut cfg = cdf_sim::FuzzConfig::default();
-    if let Some(v) = flag_value(args, "--seeds") {
-        cfg.seeds = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--start") {
-        cfg.start_seed = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--budget") {
-        cfg.budget_uops = Some(v.parse().unwrap_or_else(|_| usage()));
-    }
-    if let Some(v) = flag_value(args, "--shrink-budget") {
-        cfg.shrink_budget = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--threads") {
-        cfg.threads = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(mechs) = mechs_flag(args) {
-        cfg.mechanisms = mechs;
-    }
-    cfg.minimize = args.iter().any(|a| a == "--minimize");
+    cfg.seeds = a.get("--seeds").unwrap_or(cfg.seeds);
+    cfg.start_seed = a.get("--start").unwrap_or(cfg.start_seed);
+    cfg.budget_uops = a.get("--budget").or(cfg.budget_uops);
+    cfg.shrink_budget = a.get("--shrink-budget").unwrap_or(cfg.shrink_budget);
+    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
+    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
+    cfg.minimize = a.has("--minimize");
     let report = cdf_sim::run_fuzz(&cfg);
     print!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--report") {
-        std::fs::write(path, report.to_json().render_pretty()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.value("--report") {
+        write_out(path, report.to_json().render_pretty(), "");
     }
-    if let Some(dir) = flag_value(args, "--out") {
+    if let Some(dir) = a.value("--out") {
         if report.clean() {
             eprintln!("no failures; nothing written to {dir}");
         } else {
-            let paths = report
-                .write_corpus(std::path::Path::new(dir))
-                .unwrap_or_else(|e| {
-                    eprintln!("writing corpus to {dir}: {e}");
-                    exit(1)
-                });
+            let paths = or_exit(
+                report
+                    .write_corpus(std::path::Path::new(dir))
+                    .map_err(|e| format!("writing corpus to {dir}: {e}")),
+            );
             for p in paths {
                 eprintln!("wrote {}", p.display());
             }
@@ -213,220 +201,133 @@ fn run_fuzz_command(args: &[String]) {
     }
 }
 
-const EQUIV_FLAGS: &[(&str, bool)] = &[
-    ("--seeds", true),
-    ("--start", true),
-    ("--mechs", true),
-    ("--threads", true),
-    ("--mem", false),
-    ("--boundary", false),
-    ("--report", true),
-];
-
-fn run_equiv_command(args: &[String]) {
-    reject_unknown_flags(args, EQUIV_FLAGS);
+fn run_equiv_command(a: &Args) {
     let mut cfg = cdf_sim::EquivConfig::default();
-    if args.iter().any(|a| a == "--mem") {
+    if a.has("--mem") {
         cfg.axis = cdf_sim::EquivAxis::MemModel;
     }
-    if args.iter().any(|a| a == "--boundary") {
+    if a.has("--boundary") {
         cfg.axis = cdf_sim::EquivAxis::Boundary;
     }
-    if let Some(v) = flag_value(args, "--seeds") {
-        cfg.seeds = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--start") {
-        cfg.start_seed = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--threads") {
-        cfg.threads = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(mechs) = mechs_flag(args) {
-        cfg.mechanisms = mechs;
-    }
+    cfg.seeds = a.get("--seeds").unwrap_or(cfg.seeds);
+    cfg.start_seed = a.get("--start").unwrap_or(cfg.start_seed);
+    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
+    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
     let report = cdf_sim::run_equivalence(&cfg);
     println!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--report") {
-        std::fs::write(path, report.to_json().render_pretty()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.value("--report") {
+        write_out(path, report.to_json().render_pretty(), "");
     }
     if !report.clean() {
         exit(5);
     }
 }
 
-fn parse_eval(args: &[String]) -> EvalConfig {
-    let mut cfg = if args.iter().any(|a| a == "--fast") {
+/// The evaluation sizing the [`SIZING`] flags ask for.
+fn parse_eval(a: &Args) -> EvalConfig {
+    let mut cfg = if a.has("--fast") {
         EvalConfig::quick()
     } else {
         EvalConfig::default()
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
+    if let Some(rob) = a.get("--rob") {
+        cfg.core = CoreConfig {
+            mode: cfg.core.mode.clone(),
+            ..cfg.core.clone().with_scaled_window(rob)
         };
-        match a.as_str() {
-            "--rob" => {
-                let rob: usize = val("--rob").parse().unwrap_or_else(|_| usage());
-                cfg.core = CoreConfig {
-                    mode: cfg.core.mode.clone(),
-                    ..cfg.core.clone().with_scaled_window(rob)
-                };
-            }
-            "--warmup" => {
-                cfg.warmup_instructions = val("--warmup").parse().unwrap_or_else(|_| usage())
-            }
-            "--measure" => {
-                cfg.measure_instructions = val("--measure").parse().unwrap_or_else(|_| usage())
-            }
-            "--scale" => cfg.gen.scale = val("--scale").parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.gen.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--max-cycles" => {
-                cfg.max_cycles = Some(val("--max-cycles").parse().unwrap_or_else(|_| usage()))
-            }
-            _ => {}
-        }
     }
+    cfg.warmup_instructions = a.get("--warmup").unwrap_or(cfg.warmup_instructions);
+    cfg.measure_instructions = a.get("--measure").unwrap_or(cfg.measure_instructions);
+    cfg.gen.scale = a.get("--scale").unwrap_or(cfg.gen.scale);
+    cfg.gen.seed = a.get("--seed").unwrap_or(cfg.gen.seed);
+    cfg.max_cycles = a.get("--max-cycles").or(cfg.max_cycles);
     cfg
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+fn parse_mechanism(a: &Args, s: &str) -> Mechanism {
+    Mechanism::parse(s).unwrap_or_else(|| a.fail(format!("unknown mechanism `{s}`")))
 }
 
-/// Shared sizing flags accepted by every subcommand that calls
-/// [`parse_eval`]: `(name, takes_value)`.
-const SIZING_FLAGS: &[(&str, bool)] = &[
-    ("--rob", true),
-    ("--warmup", true),
-    ("--measure", true),
-    ("--scale", true),
-    ("--seed", true),
-    ("--max-cycles", true),
-    ("--fast", false),
-];
-
-/// Rejects with a hard usage error every argument that is neither a flag in
-/// `allowed` (a `(name, takes_value)` list) nor a listed flag's value: an
-/// unknown `--flag`, a value-taking flag not followed by a value (an
-/// argument that does not start with `--`), and a stray positional. A
-/// mistyped or misplaced argument must fail loudly — [`parse_eval`]'s
-/// permissive scan would otherwise silently run the default configuration
-/// and report numbers the user did not ask for.
-fn reject_unknown_flags(args: &[String], allowed: &[(&str, bool)]) {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match allowed.iter().find(|(name, _)| name == a) {
-            Some((_, true)) => {
-                if it.next().is_none_or(|v| v.starts_with("--")) {
-                    eprintln!("missing value for {a}");
-                    usage()
-                }
-            }
-            Some((_, false)) => {}
-            None if a.starts_with("--") => {
-                eprintln!("unknown flag `{a}`");
-                usage()
-            }
-            None => {
-                eprintln!("unexpected argument `{a}`");
-                usage()
-            }
-        }
-    }
-}
-
-/// [`reject_unknown_flags`] for a subcommand that takes the
-/// [`SIZING_FLAGS`] besides its own `extra` flags.
-fn reject_unknown_sizing_flags(args: &[String], extra: &[(&str, bool)]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS.iter().chain(extra).copied().collect();
-    reject_unknown_flags(args, &allowed);
-}
-
-fn parse_mechanism(s: &str) -> Mechanism {
-    Mechanism::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown mechanism `{s}`");
-        usage()
-    })
-}
-
-/// The `--mech` flag of `run`, `report`, `telemetry` and `profile`
-/// (default CDF).
-fn parse_mech(args: &[String]) -> Mechanism {
-    flag_value(args, "--mech").map_or(Mechanism::Cdf, parse_mechanism)
-}
-
-/// The `--mechs a,b,c` list of the grid subcommands, if given.
-fn mechs_flag(args: &[String]) -> Option<Vec<Mechanism>> {
-    flag_value(args, "--mechs").map(|list| list.split(',').map(parse_mechanism).collect())
+/// The `--mechs a,b,c` list, if given.
+fn mechs(a: &Args) -> Option<Vec<Mechanism>> {
+    a.value("--mechs")
+        .map(|list| list.split(',').map(|m| parse_mechanism(a, m)).collect())
 }
 
 /// The `--telemetry N` flag: telemetry with an N-cycle sample interval.
-fn telemetry_flag(args: &[String]) -> Option<TelemetryConfig> {
-    flag_value(args, "--telemetry").map(|i| TelemetryConfig {
-        interval: i.parse().unwrap_or_else(|_| usage()),
+fn telemetry_flag(a: &Args) -> Option<TelemetryConfig> {
+    a.get("--telemetry").map(|interval| TelemetryConfig {
+        interval,
         ..TelemetryConfig::default()
     })
 }
 
-/// The value, or exit 1 with the error (unknown workload, watchdog, ...).
-fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    })
-}
-
-fn run_report_command(args: &[String]) {
-    let name = args.first().cloned().unwrap_or_else(|| usage());
-    reject_unknown_sizing_flags(&args[1..], &[("--mech", true)]);
-    let mech = parse_mech(args);
-    let mut cfg = parse_eval(&args[1..]);
-    cfg.telemetry = Some(TelemetryConfig::default());
-    let w = or_exit(registry::lookup(&name, &cfg.gen));
-    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, false));
-    let tel = out.telemetry.expect("telemetry is enabled");
-    print_measurement(&out.measurement);
-    println!("\ncycle accounting (whole run, warmup + measurement):");
-    print!("{}", accounting_table(&tel.accounting));
-}
-
-fn run_telemetry_command(args: &[String]) {
-    let name = args.first().cloned().unwrap_or_else(|| usage());
-    reject_unknown_sizing_flags(
-        &args[1..],
-        &[
-            ("--mech", true),
-            ("--interval", true),
-            ("--out", true),
-            ("--trace-out", true),
-        ],
-    );
-    let mech = parse_mech(args);
-    let mut cfg = parse_eval(&args[1..]);
-    let mut tcfg = TelemetryConfig::default();
-    if let Some(i) = flag_value(args, "--interval") {
-        tcfg.interval = i.parse().unwrap_or_else(|_| usage());
+/// Writes an output file and says so on stderr (`wrote [what to ]path`),
+/// or exits 1 naming the path.
+fn write_out(path: &str, contents: String, what: &str) {
+    or_exit(std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}")));
+    if what.is_empty() {
+        eprintln!("wrote {path}");
+    } else {
+        eprintln!("wrote {what} to {path}");
     }
-    cfg.telemetry = Some(tcfg);
-    let w = or_exit(registry::lookup(&name, &cfg.gen));
-    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, false));
-    let tel = out.telemetry.expect("telemetry is enabled");
+}
+
+/// The `--store` flag, defaulting to the standard store location.
+fn store_path(a: &Args) -> PathBuf {
+    PathBuf::from(a.value("--store").unwrap_or(cdf_sim::DEFAULT_STORE_PATH))
+}
+
+/// With `--record`, appends one run built by `build` under the
+/// provenance `prov` gives to the `--store` store (or exits 1), and says on
+/// stderr that it recorded `n` `what`.
+fn record_run(
+    a: &Args,
+    prov: impl FnOnce() -> Provenance,
+    (n, what): (usize, &str),
+    build: impl FnOnce(&str, &Provenance) -> Vec<ResultRecord>,
+) {
+    if a.has("--record") {
+        let (prov, store) = (prov(), ResultStore::open(store_path(a)));
+        let path = store.path().display();
+        let (run_id, _) = or_exit(
+            store
+                .append_run(&prov, |id| build(id, &prov))
+                .map_err(|e| format!("recording to {path}: {e}")),
+        );
+        eprintln!("recorded {n} {what} to {path} as run {run_id}");
+    }
+}
+
+/// `run`, `report`, `telemetry` and `profile`: one cell of `<workload>` on
+/// `--mech`, with telemetry and the host profiler as asked.
+fn run_one(a: &Args, telemetry: Option<TelemetryConfig>, profile: bool) -> cdf_sim::RunOutput {
+    let mech = a
+        .value("--mech")
+        .map_or(Mechanism::Cdf, |m| parse_mechanism(a, m));
+    let mut cfg = parse_eval(a);
+    cfg.telemetry = telemetry;
+    let w = or_exit(registry::lookup(a.positional(0), &cfg.gen));
+    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, profile));
     print_measurement(&out.measurement);
+    out
+}
+
+/// `report` (and the start of `telemetry`): one cell with telemetry
+/// attached, then its cycle accounting.
+fn run_report_command(a: &Args, tcfg: TelemetryConfig) -> cdf_core::Telemetry {
+    let tel = run_one(a, Some(tcfg), false)
+        .telemetry
+        .expect("telemetry is enabled");
     println!("\ncycle accounting (whole run, warmup + measurement):");
     print!("{}", accounting_table(&tel.accounting));
+    tel
+}
+
+fn run_telemetry_command(a: &Args) {
+    let mut tcfg = TelemetryConfig::default();
+    tcfg.interval = a.get("--interval").unwrap_or(tcfg.interval);
+    let tel = run_report_command(a, tcfg);
     println!(
         "\nintervals     : {} retained (+{} evicted into totals), {} cycles/sample",
         tel.intervals.len(),
@@ -445,180 +346,72 @@ fn run_telemetry_command(args: &[String]) {
         tel.events().len(),
         tel.events_dropped()
     );
-    let write = |path: &str, contents: String, what: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {what} to {path}");
-    };
-    if let Some(path) = flag_value(args, "--out") {
-        write(path, telemetry_json(&tel).render_pretty(), "telemetry JSON");
+    if let Some(path) = a.value("--out") {
+        write_out(path, telemetry_json(&tel).render_pretty(), "telemetry JSON");
     }
-    if let Some(path) = flag_value(args, "--trace-out") {
-        write(path, trace_events_json(&tel).render(), "trace events");
+    if let Some(path) = a.value("--trace-out") {
+        write_out(path, trace_events_json(&tel).render(), "trace events");
     }
 }
 
 /// `cdf-sim profile <workload>` — run one cell with the host self-profiler
 /// attached and report where the simulator's own wall-clock time went.
-fn run_profile_command(args: &[String]) {
-    let name = args.first().cloned().unwrap_or_else(|| usage());
-    reject_unknown_sizing_flags(
-        &args[1..],
-        &[("--mech", true), ("--out", true), ("--trace-out", true)],
-    );
-    let mech = parse_mech(args);
-    let cfg = parse_eval(&args[1..]);
-    let w = or_exit(registry::lookup(&name, &cfg.gen));
-    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, true));
+fn run_profile_command(a: &Args) {
+    let out = run_one(a, None, true);
     let p = out.profile.expect("the profiler is enabled");
-    print_measurement(&out.measurement);
     println!();
     print!("{}", profile_table(&p));
-    let write = |path: &str, contents: String, what: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {what} to {path}");
-    };
-    if let Some(path) = flag_value(args, "--out") {
-        write(
-            path,
-            profile_json(&p, &name, mech.label()).render_pretty(),
-            "profile JSON",
-        );
+    if let Some(path) = a.value("--out") {
+        let label = out.measurement.mechanism.as_str();
+        let doc = profile_json(&p, a.positional(0), label);
+        write_out(path, doc.render_pretty(), "profile JSON");
     }
-    if let Some(path) = flag_value(args, "--trace-out") {
-        write(path, profile_trace_json(&p).render(), "trace events");
+    if let Some(path) = a.value("--trace-out") {
+        write_out(path, profile_trace_json(&p).render(), "trace events");
     }
 }
 
-fn run_explain_command(args: &[String]) {
-    reject_unknown_sizing_flags(
-        args,
-        &[
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--threads", true),
-            ("--chains", true),
-            ("--out", true),
-            ("--trace-out", true),
-            ("--record", false),
-            ("--store", true),
-        ],
-    );
-    let eval = parse_eval(args);
-    let mut cfg = ExplainConfig::full_grid(eval);
-    if let Some(list) = flag_value(args, "--workloads") {
-        cfg.workloads = list.split(',').map(str::to_string).collect();
-    }
-    if let Some(mechs) = mechs_flag(args) {
-        cfg.mechanisms = mechs;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        cfg.threads = t.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(n) = flag_value(args, "--chains") {
-        cfg.chain_limit = n.parse().unwrap_or_else(|_| usage());
-    }
+fn run_explain_command(a: &Args) {
+    let mut cfg = ExplainConfig::full_grid(parse_eval(a));
+    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
+    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
+    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
+    cfg.chain_limit = a.get("--chains").unwrap_or(cfg.chain_limit);
     let report = run_explain(&cfg);
     print!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--out") {
-        report
-            .write_json(std::path::Path::new(path))
-            .unwrap_or_else(|e| {
-                eprintln!("writing {path}: {e}");
-                exit(1)
-            });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.value("--out") {
+        write_out(path, report.to_json().render_pretty(), "");
     }
-    if let Some(path) = flag_value(args, "--trace-out") {
-        std::fs::write(path, report.chain_trace_events().render()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote chain spans to {path}");
+    if let Some(path) = a.value("--trace-out") {
+        write_out(path, report.chain_trace_events().render(), "chain spans");
     }
-    if args.iter().any(|a| a == "--record") {
-        let store = cdf_sim::ResultStore::open(store_path(args));
-        let prov = cdf_core::Provenance::capture();
-        let recorded = store
-            .reserve_run_id(&prov)
-            .and_then(|run_id| {
-                let records =
-                    cdf_sim::records_from_cells(&run_id, &prov, &report.config.eval, &report.cells);
-                store.append(&records).map(|()| (run_id, records.len()))
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("recording to {}: {e}", store.path().display());
-                exit(1)
-            });
-        eprintln!(
-            "recorded {} cell(s) to {} as run {}",
-            recorded.1,
-            store.path().display(),
-            recorded.0
-        );
-    }
+    let n = report.cells.len();
+    record_run(a, Provenance::capture, (n, "cell(s)"), |id, prov| {
+        cdf_sim::records_from_cells(id, prov, &report.config.eval, &report.cells)
+    });
     if report.counts().1 > 0 {
         exit(3);
     }
 }
 
-fn run_sweep_command(args: &[String]) {
-    reject_unknown_sizing_flags(
-        args,
-        &[
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--threads", true),
-            ("--telemetry", true),
-            ("--explain", false),
-            ("--profile", false),
-            ("--record", false),
-            ("--store", true),
-            ("--out", true),
-        ],
-    );
-    let mut eval = parse_eval(args);
-    eval.telemetry = telemetry_flag(args);
-    eval.diagnostics = args.iter().any(|a| a == "--explain");
+fn run_sweep_command(a: &Args) {
+    let mut eval = parse_eval(a);
+    eval.telemetry = telemetry_flag(a);
+    eval.diagnostics = a.has("--explain");
     let mut cfg = SweepConfig::full_grid(eval);
-    cfg.profile = args.iter().any(|a| a == "--profile");
-    if let Some(list) = flag_value(args, "--workloads") {
-        cfg.workloads = list.split(',').map(str::to_string).collect();
-    }
-    if let Some(mechs) = mechs_flag(args) {
-        cfg.mechanisms = mechs;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        cfg.threads = t.parse().unwrap_or_else(|_| usage());
-    }
+    cfg.profile = a.has("--profile");
+    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
+    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
+    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
     let sweep = run_sweep(&cfg);
     print!("{}", sweep.render_summary());
-    if let Some(path) = flag_value(args, "--out") {
-        sweep
-            .write_json(std::path::Path::new(path))
-            .unwrap_or_else(|e| {
-                eprintln!("writing {path}: {e}");
-                exit(1)
-            });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.value("--out") {
+        write_out(path, sweep.to_json().render_pretty(), "");
     }
-    if args.iter().any(|a| a == "--record") {
-        let store = store_path(args);
-        let run_id = cdf_sim::record_sweep(&store, &sweep).unwrap_or_else(|e| {
-            eprintln!("recording to {}: {e}", store.display());
-            exit(1)
-        });
-        eprintln!(
-            "recorded {} cell(s) to {} as run {run_id}",
-            sweep.cells.len(),
-            store.display()
-        );
-    }
+    let prov = || sweep.provenance.clone();
+    record_run(a, prov, (sweep.cells.len(), "cell(s)"), |id, prov| {
+        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
+    });
     // Failed cells are recorded, not fatal — but reflect them in the exit
     // status so scripts notice.
     if sweep.counts().1 > 0 {
@@ -626,48 +419,30 @@ fn run_sweep_command(args: &[String]) {
     }
 }
 
-fn run_mix_command(args: &[String]) {
-    reject_unknown_sizing_flags(
-        args,
-        &[
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--telemetry", true),
-            ("--profile", false),
-            ("--out", true),
-            ("--record", false),
-            ("--store", true),
-        ],
-    );
-    let mut eval = parse_eval(args);
-    eval.telemetry = telemetry_flag(args);
-    let workloads: Vec<String> = flag_value(args, "--workloads")
-        .unwrap_or_else(|| {
-            eprintln!("mix needs --workloads a,b[,c,...] (one per core)");
-            usage()
-        })
-        .split(',')
-        .map(str::to_string)
-        .collect();
+fn run_mix_command(a: &Args) {
+    let mut eval = parse_eval(a);
+    eval.telemetry = telemetry_flag(a);
+    let workloads = a
+        .list("--workloads")
+        .unwrap_or_else(|| a.fail("mix needs --workloads a,b[,c,...] (one per core)"));
     if workloads.len() < 2 {
-        eprintln!("a mix needs at least two cores (got {})", workloads.len());
-        usage();
+        a.fail(format!(
+            "a mix needs at least two cores (got {})",
+            workloads.len()
+        ));
     }
-    let mechs = mechs_flag(args).unwrap_or_else(|| vec![Mechanism::Cdf]);
+    let mechs = mechs(a).unwrap_or_else(|| vec![Mechanism::Cdf]);
     if mechs.len() != 1 && mechs.len() != workloads.len() {
-        eprintln!(
+        a.fail(format!(
             "--mechs needs one mechanism (for every core) or one per core ({} cores, {} mechanisms)",
             workloads.len(),
             mechs.len()
-        );
-        usage();
+        ));
     }
     let mut cfg = cdf_sim::MixConfig::new(workloads, mechs);
-    if let Some(budget) = eval.max_cycles {
-        cfg.cycle_budget = budget;
-    }
+    cfg.cycle_budget = eval.max_cycles.unwrap_or(cfg.cycle_budget);
     cfg.eval = eval;
-    cfg.profile = args.iter().any(|a| a == "--profile");
+    cfg.profile = a.has("--profile");
     let report = or_exit(cdf_sim::run_mix(&cfg));
 
     println!(
@@ -701,77 +476,32 @@ fn run_mix_command(args: &[String]) {
         print!("{}", profile_table(p));
     }
 
-    if let Some(path) = flag_value(args, "--out") {
-        let mut body = cdf_sim::mix_json(&report).render();
-        body.push('\n');
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.value("--out") {
+        write_out(path, cdf_sim::mix_json(&report).render() + "\n", "");
     }
-    if args.iter().any(|a| a == "--record") {
-        let store = cdf_sim::ResultStore::open(store_path(args));
-        let run_id = store
-            .reserve_run_id(&report.provenance)
-            .unwrap_or_else(|e| {
-                eprintln!("recording to {}: {e}", store.path().display());
-                exit(1)
-            });
-        let records = cdf_sim::records_from_mix(&run_id, &report.provenance, &report);
-        store.append(&records).unwrap_or_else(|e| {
-            eprintln!("recording to {}: {e}", store.path().display());
-            exit(1)
-        });
-        eprintln!(
-            "recorded {} core(s) to {} as run {run_id}",
-            records.len(),
-            store.path().display()
-        );
-    }
-}
-
-/// The `--store` flag, defaulting to the standard store location.
-fn store_path(args: &[String]) -> std::path::PathBuf {
-    flag_value(args, "--store")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(cdf_sim::DEFAULT_STORE_PATH))
-}
-
-fn run_record_command(args: &[String]) {
-    reject_unknown_sizing_flags(
-        args,
-        &[
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--threads", true),
-            ("--filter", true),
-            ("--store", true),
-            ("--telemetry", true),
-            ("--explain", false),
-            ("--profile", false),
-        ],
-    );
-    let mut eval = parse_eval(args);
-    eval.telemetry = telemetry_flag(args);
-    eval.diagnostics = args.iter().any(|a| a == "--explain");
-    let mut cfg = cdf_sim::RecordConfig::full_grid(eval);
-    cfg.profile = args.iter().any(|a| a == "--profile");
-    if let Some(list) = flag_value(args, "--workloads") {
-        cfg.workloads = list.split(',').map(str::to_string).collect();
-    }
-    if let Some(mechs) = mechs_flag(args) {
-        cfg.mechanisms = mechs;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        cfg.threads = t.parse().unwrap_or_else(|_| usage());
-    }
-    cfg.filter = flag_value(args, "--filter").map(str::to_string);
-    cfg.store_path = store_path(args);
-    let run = cdf_sim::run_record(&cfg).unwrap_or_else(|e| {
-        eprintln!("recording to {}: {e}", cfg.store_path.display());
-        exit(1)
+    // One record per core, plus the profile row of a profiled mix.
+    let n = report.cores.len() + usize::from(report.profile.is_some());
+    let prov = || report.provenance.clone();
+    record_run(a, prov, (n, "core(s)"), |id, prov| {
+        cdf_sim::records_from_mix(id, prov, &report)
     });
+}
+
+fn run_record_command(a: &Args) {
+    let mut eval = parse_eval(a);
+    eval.telemetry = telemetry_flag(a);
+    eval.diagnostics = a.has("--explain");
+    let mut cfg = cdf_sim::RecordConfig::full_grid(eval);
+    cfg.profile = a.has("--profile");
+    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
+    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
+    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
+    cfg.filter = a.get("--filter");
+    cfg.store_path = store_path(a);
+    let run = or_exit(
+        cdf_sim::run_record(&cfg)
+            .map_err(|e| format!("recording to {}: {e}", cfg.store_path.display())),
+    );
     println!(
         "recorded {} cell(s) to {} as run {} ({} failed)",
         run.records.len(),
@@ -788,47 +518,11 @@ fn run_record_command(args: &[String]) {
     }
 }
 
-/// Splits `args` into its positional (non-`--flag`) arguments and the rest
-/// (flags with their values), given the flag table in effect.
-fn positionals(args: &[String], flags: &[(&str, bool)]) -> (Vec<String>, Vec<String>) {
-    let (mut positional, mut rest) = (Vec::new(), Vec::new());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !a.starts_with("--") {
-            positional.push(a.clone());
-            continue;
-        }
-        rest.push(a.clone());
-        if let Some((_, true)) = flags.iter().find(|(name, _)| name == a) {
-            rest.extend(it.next().cloned());
-        }
-    }
-    (positional, rest)
-}
-
-const COMPARE_FLAGS: &[(&str, bool)] = &[("--store", true), ("--tolerance", true), ("--out", true)];
-
-/// `cdf-sim compare` front end. One positional: the legacy per-workload
-/// mechanism table. Two positionals: the store-backed cross-run diff.
-fn run_compare_command(args: &[String]) {
-    let flags: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain(COMPARE_FLAGS.iter().copied())
-        .collect();
-    let (positional, rest) = positionals(args, &flags);
-    match positional.as_slice() {
-        [workload] => run_compare_workload(workload, &rest),
-        [ref_a, ref_b] => run_compare_store(ref_a, ref_b, &rest),
-        _ => usage(),
-    }
-}
-
-/// Legacy form: base/cdf/pre mechanism table for one workload.
-fn run_compare_workload(name: &str, args: &[String]) {
-    reject_unknown_flags(args, SIZING_FLAGS);
-    let cfg = parse_eval(args);
-    let w = or_exit(registry::lookup(name, &cfg.gen));
+/// Workload form of `compare`: base/cdf/pre mechanism table for one
+/// workload.
+fn run_compare_workload(a: &Args) {
+    let cfg = parse_eval(a);
+    let w = or_exit(registry::lookup(a.positional(0), &cfg.gen));
     let [base, cdf, pre] = [Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre]
         .map(|m| or_exit(run(&w, m.mode(), m.label(), &cfg, false)).measurement);
     println!(
@@ -848,38 +542,34 @@ fn run_compare_workload(name: &str, args: &[String]) {
     }
 }
 
-/// Store form: join two recorded runs and classify every cell.
-fn run_compare_store(ref_a: &str, ref_b: &str, args: &[String]) {
-    reject_unknown_flags(args, COMPARE_FLAGS);
-    let store = cdf_sim::ResultStore::open(store_path(args));
-    let records = store.load().unwrap_or_else(|e| {
-        eprintln!("loading {}: {e}", store.path().display());
-        exit(1)
-    });
+/// Store form of `compare`: join two recorded runs and classify every
+/// cell.
+fn run_compare_store(a: &Args) {
+    let (ref_a, ref_b) = (a.positional(0), a.positional(1));
+    let store = ResultStore::open(store_path(a));
+    let records = or_exit(
+        store
+            .load()
+            .map_err(|e| format!("loading {}: {e}", store.path().display())),
+    );
     let resolve = |wanted: &str| {
-        cdf_sim::resolve_ref(&records, wanted).unwrap_or_else(|e| {
-            eprintln!("resolving {wanted:?} in {}: {e}", store.path().display());
-            exit(1)
-        })
+        or_exit(
+            cdf_sim::resolve_ref(&records, wanted)
+                .map_err(|e| format!("resolving {wanted:?} in {}: {e}", store.path().display())),
+        )
     };
     let run_a = resolve(ref_a);
     let run_b = resolve(ref_b);
     let mut cfg = cdf_sim::CompareConfig::default();
-    if let Some(t) = flag_value(args, "--tolerance") {
-        cfg.wall_tolerance = t.parse().unwrap_or_else(|_| usage());
-    }
+    cfg.wall_tolerance = a.get("--tolerance").unwrap_or(cfg.wall_tolerance);
     let report = cdf_sim::compare_runs(
         (ref_a, &cdf_sim::records_for_run(&records, &run_a)),
         (ref_b, &cdf_sim::records_for_run(&records, &run_b)),
         &cfg,
     );
     print!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(path, report.to_json().render_pretty()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.value("--out") {
+        write_out(path, report.to_json().render_pretty(), "");
     }
     // Exit 4 on regression, matching the fuzzer's divergence exit.
     if report.has_regressions() {
@@ -889,70 +579,34 @@ fn run_compare_store(ref_a: &str, ref_b: &str, args: &[String]) {
 
 // ---------------------------------------------------------------------------
 // campaign subcommands
+// Exit codes: 2 spec/journal/state errors, 3 failed cells, 4 divergence.
 // ---------------------------------------------------------------------------
 
-/// Exit codes: 2 spec/journal/state errors, 3 failed cells, 4 divergence.
-fn run_campaign_command(args: &[String]) {
-    match args.first().map(|s| s.as_str()) {
-        Some("run") => campaign_run(&args[1..]),
-        Some("resume") => campaign_resume(&args[1..]),
-        Some("status") => campaign_status_cmd(&args[1..]),
-        Some("shard") => campaign_shard(&args[1..]),
-        _ => usage(),
-    }
-}
-
-fn campaign_dir(args: &[String]) -> std::path::PathBuf {
-    flag_value(args, "--dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| usage())
-}
-
-fn campaign_load(args: &[String]) -> cdf_sim::Campaign {
-    cdf_sim::load_campaign(&campaign_dir(args)).unwrap_or_else(|e| {
+/// A campaign error: exit 2.
+fn or_exit2<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2)
     })
 }
 
-fn campaign_threads(args: &[String]) -> usize {
-    flag_value(args, "--threads")
-        .map(|t| t.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(0)
+fn campaign_load(a: &Args) -> cdf_sim::Campaign {
+    or_exit2(cdf_sim::load_campaign(&a.require::<PathBuf>("--dir")))
 }
 
-fn campaign_run(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--spec", true),
-            ("--dir", true),
-            ("--shards", true),
-            ("--threads", true),
-            ("--store", true),
-            ("--no-record", false),
-        ],
+fn campaign_run(a: &Args) {
+    let spec_path: String = a.require("--spec");
+    let text = or_exit2(
+        std::fs::read_to_string(&spec_path).map_err(|e| format!("reading {spec_path}: {e}")),
     );
-    let spec_path = flag_value(args, "--spec").unwrap_or_else(|| usage());
-    let text = std::fs::read_to_string(spec_path).unwrap_or_else(|e| {
-        eprintln!("reading {spec_path}: {e}");
-        exit(2)
-    });
-    let spec = cdf_sim::CampaignSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{spec_path}: {e}");
-        exit(2)
-    });
-    let dir = flag_value(args, "--dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(".cdf-campaigns").join(&spec.name));
-    let shards: u64 = flag_value(args, "--shards")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(1);
-    let c = cdf_sim::init_campaign(&dir, spec, shards, cdf_core::Provenance::capture())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+    let spec =
+        or_exit2(cdf_sim::CampaignSpec::parse(&text).map_err(|e| format!("{spec_path}: {e}")));
+    let dir = a
+        .get("--dir")
+        .unwrap_or_else(|| PathBuf::from(".cdf-campaigns").join(&spec.name));
+    let shards = a.get("--shards").unwrap_or(1);
+    let prov = Provenance::capture();
+    let c = or_exit2(cdf_sim::init_campaign(&dir, spec, shards, prov));
     eprintln!(
         "campaign {}: {} cells across {} shard(s) in {}",
         c.spec.name,
@@ -960,49 +614,24 @@ fn campaign_run(args: &[String]) {
         c.shards,
         c.dir.display()
     );
-    campaign_execute(&c, args);
-}
-
-fn campaign_resume(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--dir", true),
-            ("--threads", true),
-            ("--store", true),
-            ("--no-record", false),
-        ],
-    );
-    campaign_execute(&campaign_load(args), args);
+    campaign_execute(&c, a);
 }
 
 /// Runs every shard to completion (in-process for one shard, one spawned
 /// `campaign shard` process each otherwise), then finalizes: report,
 /// store append, exit status.
-fn campaign_execute(c: &cdf_sim::Campaign, args: &[String]) {
-    let threads = campaign_threads(args);
+fn campaign_execute(c: &cdf_sim::Campaign, a: &Args) {
+    let threads = a.get("--threads").unwrap_or(0);
     if c.shards == 1 {
-        cdf_sim::run_shard(
-            c,
-            0,
-            &cdf_sim::ShardOptions {
-                threads,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+        let opts = cdf_sim::ShardOptions {
+            threads,
+            ..Default::default()
+        };
+        or_exit2(cdf_sim::run_shard(c, 0, &opts));
     } else {
-        let exe = std::env::current_exe().unwrap_or_else(|e| {
-            eprintln!("resolving own executable: {e}");
-            exit(2)
-        });
-        let codes = cdf_sim::campaign::spawn_shards(c, &exe, threads).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+        let exe =
+            or_exit2(std::env::current_exe().map_err(|e| format!("resolving own executable: {e}")));
+        let codes = or_exit2(cdf_sim::campaign::spawn_shards(c, &exe, threads));
         for (shard, code) in codes {
             if code != Some(0) {
                 eprintln!(
@@ -1013,13 +642,9 @@ fn campaign_execute(c: &cdf_sim::Campaign, args: &[String]) {
             }
         }
     }
-    let record = !args.iter().any(|a| a == "--no-record");
-    let store = store_path(args);
-    let (status, recorded) = cdf_sim::finalize_campaign(c, record.then_some(store.as_path()))
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+    let store = store_path(a);
+    let record = (!a.has("--no-record")).then_some(store.as_path());
+    let (status, recorded) = or_exit2(cdf_sim::finalize_campaign(c, record));
     print!("{}", status.render_text());
     if let Some(run_id) = &recorded {
         eprintln!(
@@ -1037,43 +662,15 @@ fn campaign_execute(c: &cdf_sim::Campaign, args: &[String]) {
     }
 }
 
-fn campaign_status_cmd(args: &[String]) {
-    reject_unknown_flags(args, &[("--dir", true)]);
-    let c = campaign_load(args);
-    let status = cdf_sim::campaign_status(&c).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
-    print!("{}", status.render_text());
-}
-
-fn campaign_shard(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--dir", true),
-            ("--shard", true),
-            ("--threads", true),
-            ("--batch", true),
-            ("--abort-after", true),
-        ],
-    );
-    let c = campaign_load(args);
-    let shard: u64 = flag_value(args, "--shard")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or_else(|| usage());
+fn campaign_shard(a: &Args) {
+    let shard: u64 = a.require("--shard");
+    let c = campaign_load(a);
     let opts = cdf_sim::ShardOptions {
-        threads: campaign_threads(args),
-        batch: flag_value(args, "--batch")
-            .map(|b| b.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(0),
-        abort_after: flag_value(args, "--abort-after")
-            .map(|n| n.parse().unwrap_or_else(|_| usage())),
+        threads: a.get("--threads").unwrap_or(0),
+        batch: a.get("--batch").unwrap_or(0),
+        abort_after: a.get("--abort-after"),
     };
-    let run = cdf_sim::run_shard(&c, shard, &opts).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
+    let run = or_exit2(cdf_sim::run_shard(&c, shard, &opts));
     eprintln!(
         "shard {shard}: {} cell(s) completed, {} remaining",
         run.completed, run.remaining
@@ -1104,9 +701,9 @@ fn print_measurement(m: &cdf_sim::Measurement) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(|s| s.as_str()) {
-        Some("list") => {
-            reject_unknown_flags(&args[1..], &[]);
+    let a = CDF_SIM.parse(&args);
+    match a.command {
+        "list" => {
             for name in registry::NAMES {
                 let w = registry::by_name(name, &cdf_workloads::GenConfig::test()).expect("known");
                 println!(
@@ -1115,30 +712,30 @@ fn main() {
                 );
             }
         }
-        Some("table1") => {
-            reject_unknown_flags(&args[1..], SIZING_FLAGS);
-            print!("{}", table1_text(&parse_eval(&args[1..]).core));
+        "table1" => print!("{}", table1_text(&parse_eval(&a).core)),
+        "run <workload>" => {
+            run_one(&a, None, false);
         }
-        Some("run") => {
-            let name = args.get(1).cloned().unwrap_or_else(|| usage());
-            reject_unknown_sizing_flags(&args[2..], &[("--mech", true)]);
-            let mech = parse_mech(&args);
-            let cfg = parse_eval(&args[2..]);
-            let w = or_exit(registry::lookup(&name, &cfg.gen));
-            let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, false));
-            print_measurement(&out.measurement);
+        "report <workload>" => {
+            run_report_command(&a, TelemetryConfig::default());
         }
-        Some("compare") => run_compare_command(&args[1..]),
-        Some("record") => run_record_command(&args[1..]),
-        Some("report") => run_report_command(&args[1..]),
-        Some("explain") => run_explain_command(&args[1..]),
-        Some("telemetry") => run_telemetry_command(&args[1..]),
-        Some("profile") => run_profile_command(&args[1..]),
-        Some("sweep") => run_sweep_command(&args[1..]),
-        Some("mix") => run_mix_command(&args[1..]),
-        Some("fuzz") => run_fuzz_command(&args[1..]),
-        Some("equiv") => run_equiv_command(&args[1..]),
-        Some("campaign") => run_campaign_command(&args[1..]),
-        _ => usage(),
+        "explain" => run_explain_command(&a),
+        "telemetry <workload>" => run_telemetry_command(&a),
+        "profile <workload>" => run_profile_command(&a),
+        "compare <workload>" => run_compare_workload(&a),
+        "compare <refA> <refB>" => run_compare_store(&a),
+        "record" => run_record_command(&a),
+        "sweep" => run_sweep_command(&a),
+        "mix" => run_mix_command(&a),
+        "fuzz" => run_fuzz_command(&a),
+        "equiv" => run_equiv_command(&a),
+        "campaign run" => campaign_run(&a),
+        "campaign resume" => campaign_execute(&campaign_load(&a), &a),
+        "campaign status" => {
+            let status = or_exit2(cdf_sim::campaign_status(&campaign_load(&a)));
+            print!("{}", status.render_text());
+        }
+        "campaign shard" => campaign_shard(&a),
+        other => unreachable!("`{other}` is declared but not dispatched"),
     }
 }

@@ -510,9 +510,8 @@ pub fn finalize(
         if let Ok(existing) = fs::read_to_string(c.recorded_path()) {
             recorded = Some(existing.trim().to_string());
         } else if let Some(store_path) = store_path {
-            let store = ResultStore::open(store_path);
-            let run_id = store.reserve_run_id(&c.provenance)?;
-            store.append(&store_records(c, &run_id, &journals))?;
+            let (run_id, _) = ResultStore::open(store_path)
+                .append_run(&c.provenance, |id| store_records(c, id, &journals))?;
             fs::write(c.recorded_path(), format!("{run_id}\n"))?;
             recorded = Some(run_id);
         }

@@ -42,9 +42,12 @@ pub enum SimError {
         /// Instructions retired when the budget expired.
         retired: u64,
     },
-    /// The simulation panicked — a simulator bug (e.g. the core's
-    /// no-forward-progress assertion). The sweep catches the unwind and
-    /// records the payload here.
+    /// The pipeline stopped retiring for 200k cycles — a simulator bug,
+    /// never a program property. Carries the core's diagnostic
+    /// ([`cdf_core::Core::stalled`]).
+    Stalled(String),
+    /// The simulation panicked — a simulator bug. The sweep catches the
+    /// unwind and records the payload here.
     Panicked(String),
 }
 
@@ -61,6 +64,7 @@ impl fmt::Display for SimError {
                 "watchdog: cycle budget {max_cycles} exhausted during {phase} \
                  ({retired} instructions retired)"
             ),
+            SimError::Stalled(diagnostic) => write!(f, "stalled: {diagnostic}"),
             SimError::Panicked(msg) => write!(f, "simulation panicked: {msg}"),
         }
     }
@@ -83,11 +87,13 @@ impl From<UnknownWorkload> for SimError {
 
 /// A machine-readable tag for each error variant, used in emitted JSON.
 impl SimError {
-    /// Stable snake_case kind tag (`unknown_workload`, `watchdog`, `panic`).
+    /// Stable snake_case kind tag (`unknown_workload`, `watchdog`,
+    /// `stalled`, `panic`).
     pub fn kind(&self) -> &'static str {
         match self {
             SimError::UnknownWorkload(_) => "unknown_workload",
             SimError::Watchdog { .. } => "watchdog",
+            SimError::Stalled(_) => "stalled",
             SimError::Panicked(_) => "panic",
         }
     }
@@ -114,6 +120,10 @@ mod tests {
         assert!(w.to_string().contains("budget 1000"));
         assert!(w.to_string().contains("measure"));
         assert_eq!(w.kind(), "watchdog");
+
+        let s = SimError::Stalled("no retirement for 200k cycles".into());
+        assert!(s.to_string().contains("no retirement"));
+        assert_eq!(s.kind(), "stalled");
 
         let p = SimError::Panicked("boom".into());
         assert!(p.to_string().contains("boom"));

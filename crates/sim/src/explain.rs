@@ -184,11 +184,6 @@ impl ExplainReport {
         ])
     }
 
-    /// Writes [`to_json`](Self::to_json) (pretty-printed) to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().render_pretty())
-    }
-
     /// Chrome/Perfetto trace-event JSON with one async span per recorded
     /// chain (`ph:"b"`/`ph:"e"`, spanning install → last lifecycle event),
     /// grouped by grid cell. Load into Perfetto to see chain lifetimes laid

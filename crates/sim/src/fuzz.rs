@@ -40,7 +40,8 @@ pub enum FailureKind {
     Divergence,
     /// The core panicked (structural invariant or internal assertion).
     Panic,
-    /// The core stopped retiring before `Halt` (instruction budget ran out).
+    /// The core stopped retiring before `Halt`: the instruction budget ran
+    /// out, or the pipeline stalled.
     Hang,
     /// Per-uop stream matched but the final architectural state did not.
     FinalState,
@@ -213,13 +214,17 @@ pub fn run_lockstep_full(
             );
         }
         if !stats.halted {
+            let detail = match core.stalled() {
+                Some(diagnostic) => SimError::Stalled(diagnostic.to_string()).to_string(),
+                None => format!(
+                    "no Halt after {} retired uops in {} cycles",
+                    stats.retired, stats.cycles
+                ),
+            };
             return (
                 LockstepOutcome::Fail {
                     kind: FailureKind::Hang,
-                    detail: format!(
-                        "no Halt after {} retired uops in {} cycles",
-                        stats.retired, stats.cycles
-                    ),
+                    detail,
                 },
                 Some(stats.clone()),
             );

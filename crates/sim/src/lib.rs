@@ -61,6 +61,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod campaign;
+pub mod cli;
 pub mod compare;
 pub mod equivalence;
 pub mod experiments;
@@ -114,10 +115,9 @@ pub use prof::{
 pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, RunOutput};
 pub use store::{
-    next_run_id, record_from_json, record_json, record_sweep, records_for_run, records_from_cells,
-    resolve_ref, run_ids, run_record, throughput_record, DiagSummary, RecordConfig, RecordPayload,
-    RecordRun, ResultKey, ResultRecord, ResultStore, StoreError, TelemetrySummary,
-    DEFAULT_STORE_PATH, RESULT_SCHEMA,
+    record_from_json, record_json, records_for_run, records_from_cells, resolve_ref, run_ids,
+    run_record, throughput_record, DiagSummary, RecordConfig, RecordPayload, RecordRun, ResultKey,
+    ResultRecord, ResultStore, StoreError, TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
 };
 pub use sweep::{eval_config_hash, run_cell, run_sweep, Sweep, SweepCell, SweepConfig};
 pub use table1::table1_text;

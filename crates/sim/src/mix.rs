@@ -34,8 +34,8 @@ use crate::store::{measurement_from_json, RecordPayload, ResultKey, ResultRecord
 use crate::sweep::{eval_config_hash, measurement_json};
 use crate::telemetry::telemetry_json;
 use cdf_core::{
-    CoreOutcome, CoreShareStats, HostProf, HostProfile, MultiCore, Provenance, SharedStatsReport,
-    Telemetry,
+    Core, CoreOutcome, CoreShareStats, HostProf, HostProfile, MultiCore, Provenance,
+    SharedStatsReport, Telemetry,
 };
 use cdf_workloads::registry;
 use cdf_workloads::Workload;
@@ -187,6 +187,9 @@ pub fn run_mix(cfg: &MixConfig) -> Result<MixReport, SimError> {
     let target = cfg.eval.warmup_instructions + cfg.eval.measure_instructions;
     let outcomes = mc.run(target, cfg.cycle_budget);
     let wall_ns = wall_start.map(|t0| t0.elapsed().as_nanos() as u64);
+    if let Some(diagnostic) = mc.cores().iter().find_map(Core::stalled) {
+        return Err(SimError::Stalled(diagnostic.to_string()));
+    }
     for o in &outcomes {
         if !o.stats.halted && o.stats.retired < target {
             return Err(SimError::Watchdog {

@@ -290,8 +290,8 @@ pub struct RunOutput {
 /// observers `cfg` asks for (plus the host profiler when `profile` is set),
 /// runs the warmup window and then the measurement window, and detaches the
 /// observers into the [`RunOutput`]. `label` names the mechanism in the
-/// [`Measurement`]. Watchdog expiry in either window is a typed
-/// [`SimError::Watchdog`].
+/// [`Measurement`]. A stall or a watchdog expiry in either window is a
+/// typed [`SimError`].
 ///
 /// Every observer is observation-only: the measurement is bit-identical
 /// whichever are attached. `profile` is a parameter rather than an
@@ -332,9 +332,13 @@ pub fn run(
     }
     let start = Snapshot::take(&core, warm.cycles, Some(warm.retired));
 
-    // Measurement window.
+    // Measurement window. A stall stops the core for good, so a warmup
+    // stall ends this window at once and is reported here.
     let target = cfg.warmup_instructions + cfg.measure_instructions;
     let end_stats = core.run_bounded(target, budget);
+    if let Some(diagnostic) = core.stalled() {
+        return Err(SimError::Stalled(diagnostic.to_string()));
+    }
     if !end_stats.halted && end_stats.retired < target && end_stats.cycles >= budget {
         return Err(SimError::Watchdog {
             phase: WatchdogPhase::Measure,

@@ -23,8 +23,7 @@
 //! * `cdf-sim record` — runs the full (workload × mechanism) grid, or a
 //!   `--filter` subset, and appends one record per cell ([`run_record`]).
 //! * `cdf-sim sweep --record` / `explain --record` — tee the cells of a
-//!   normal sweep/explain run into the store ([`record_sweep`],
-//!   [`records_from_cells`]).
+//!   normal sweep/explain run into the store ([`records_from_cells`]).
 //! * `throughput-gate --record` — perf rows land in the same store (kind
 //!   `"throughput"`), so stats history and perf history live together.
 //!
@@ -36,7 +35,7 @@ use crate::json::{field, Json};
 use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::{EvalConfig, Measurement, Mechanism};
 use crate::schema;
-use crate::sweep::{eval_config_hash, measurement_json, parallel_map, run_cell, Sweep, SweepCell};
+use crate::sweep::{eval_config_hash, measurement_json, parallel_map, run_cell, SweepCell};
 use cdf_core::{CdfDiagnostics, Coverage, Provenance, Telemetry};
 use cdf_workloads::{registry, GenConfig};
 use std::io::Write as _;
@@ -295,13 +294,13 @@ impl ResultStore {
     /// processes (campaign shards, parallel CI jobs) allocate against one
     /// store concurrently.
     ///
-    /// [`next_run_id`] computes the same id by *reading* the store, which
-    /// is race-free only for a single writer: two processes that load the
-    /// same store state would mint the same ordinal and their interleaved
-    /// appends would merge into one run. This method closes the race by
-    /// reserving the ordinal as a `create_new` marker file under
-    /// `<store>.runs/` — creation is atomic, so exactly one process wins
-    /// each ordinal and the loser retries with the next one.
+    /// Reading the store alone would be race-free only for a single
+    /// writer: two processes that load the same store state would mint the
+    /// same ordinal and their interleaved appends would merge into one run.
+    /// This method closes the race by reserving the ordinal as a
+    /// `create_new` marker file under `<store>.runs/` — creation is atomic,
+    /// so exactly one process wins each ordinal and the loser retries with
+    /// the next one. Producers append through [`append_run`](Self::append_run).
     pub fn reserve_run_id(&self, prov: &Provenance) -> Result<String, StoreError> {
         let existing = self.load()?;
         let dir = self.runs_dir();
@@ -335,6 +334,20 @@ impl ResultStore {
             .unwrap_or_else(|| "store".to_string());
         name.push_str(".runs");
         self.path.with_file_name(name)
+    }
+
+    /// Appends one run: reserves its id, builds its records under it, and
+    /// appends them. Every producer goes through here, so none can reuse an
+    /// id another run reserved. Returns the id and the records.
+    pub fn append_run(
+        &self,
+        prov: &Provenance,
+        build: impl FnOnce(&str) -> Vec<ResultRecord>,
+    ) -> Result<(String, Vec<ResultRecord>), StoreError> {
+        let run_id = self.reserve_run_id(prov)?;
+        let records = build(&run_id);
+        self.append(&records)?;
+        Ok((run_id, records))
     }
 
     /// Appends records (one JSONL line each), creating the parent
@@ -404,14 +417,6 @@ fn run_id_for(ordinal: u64, prov: &Provenance) -> String {
         ""
     };
     format!("r{:04}-{}{}", ordinal, prov.short_commit(8), dirty)
-}
-
-/// The next run id for a store already holding `existing` records:
-/// `r<ordinal>-<short commit>[-dirty]`. The ordinal keeps ids unique when
-/// the same commit records repeatedly. Race-free only for a single writer —
-/// concurrent producers must use [`ResultStore::reserve_run_id`].
-pub fn next_run_id(existing: &[ResultRecord], prov: &Provenance) -> String {
-    run_id_for(max_ordinal(existing) + 1, prov)
 }
 
 /// Resolves a user-facing run ref to a concrete run id. Accepted forms,
@@ -542,12 +547,10 @@ pub fn run_record(cfg: &RecordConfig) -> Result<RecordRun, StoreError> {
     let cells = parallel_map(&jobs, cfg.threads, |(w, m)| {
         run_cell(w, *m, m.mode(), &cfg.eval, cfg.profile)
     });
-    let store = ResultStore::open(&cfg.store_path);
     let prov = Provenance::capture();
-    let run_id = store.reserve_run_id(&prov)?;
-    let records = records_from_cells(&run_id, &prov, &cfg.eval, &cells);
+    let (run_id, records) = ResultStore::open(&cfg.store_path)
+        .append_run(&prov, |id| records_from_cells(id, &prov, &cfg.eval, &cells))?;
     let failed = records.iter().filter(|r| !r.is_ok()).count();
-    store.append(&records)?;
     Ok(RecordRun {
         run_id,
         records,
@@ -618,16 +621,6 @@ pub fn records_from_cells(
         }
     }
     records
-}
-
-/// Tees a finished sweep into the store (`cdf-sim sweep --record`).
-/// Returns the run id the records were appended under.
-pub fn record_sweep(store_path: &Path, sweep: &Sweep) -> Result<String, StoreError> {
-    let store = ResultStore::open(store_path);
-    let run_id = store.reserve_run_id(&sweep.provenance)?;
-    let records = records_from_cells(&run_id, &sweep.provenance, &sweep.config.eval, &sweep.cells);
-    store.append(&records)?;
-    Ok(run_id)
 }
 
 fn cell_key(workload: &str, mechanism: &str, eval: &EvalConfig) -> ResultKey {

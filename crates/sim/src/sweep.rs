@@ -301,11 +301,6 @@ impl Sweep {
         ])
     }
 
-    /// Writes [`to_json`](Self::to_json) (pretty-printed) to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().render_pretty())
-    }
-
     /// A text summary table: IPC per grid point, `ERROR(kind)` for failed
     /// cells.
     pub fn render_summary(&self) -> String {
@@ -559,6 +554,23 @@ mod tests {
         let cell = sweep.cell("libq_like", Mechanism::Baseline).unwrap();
         assert_eq!(cell.result.as_ref().unwrap_err().kind(), "watchdog");
         assert!(sweep.to_json().render().contains("\"kind\":\"watchdog\""));
+    }
+
+    #[test]
+    fn stalled_pipeline_degrades_into_a_stalled_cell() {
+        let mut eval = tiny_eval();
+        eval.core = eval.core.with_scaled_window(0);
+        let cfg = SweepConfig::new(["libq_like"], vec![Mechanism::Baseline], eval);
+        let sweep = run_sweep(&cfg);
+        let err = sweep
+            .cell("libq_like", Mechanism::Baseline)
+            .unwrap()
+            .result
+            .as_ref()
+            .unwrap_err();
+        assert_eq!(err.kind(), "stalled");
+        assert!(err.to_string().contains("no retirement"), "{err}");
+        assert!(sweep.to_json().render().contains("\"kind\":\"stalled\""));
     }
 
     #[test]

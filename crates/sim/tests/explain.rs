@@ -13,11 +13,11 @@
 //! * the full (workload × mechanism) explain grid emits a valid
 //!   `cdf-explain/1` document for every cell (validated with the crate's
 //!   own parser, no `jq`);
-//! * `cdf-sim report`/`explain`, and every other flag-taking subcommand,
-//!   reject mistyped flags, flags missing their value and stray positionals
+//! * every `cdf-sim` subcommand rejects mistyped, repeated and unparsable
+//!   flags, flags missing their value, and stray or missing positionals
 //!   with a hard usage error instead of silently running the default
-//!   configuration; `compare <workload>` reports a watchdog on any
-//!   mechanism as a typed error.
+//!   configuration; its usage lists every flag it accepts; a watchdog or a
+//!   stalled pipeline exits 1 with a typed error, not a panic.
 
 use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
@@ -375,96 +375,150 @@ fn cdf_sim(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// Every subcommand rejects bad input the same way: exit 2, the one
+/// message naming what is wrong, and the usage. A mistyped or misplaced
+/// argument must fail loudly instead of silently running a default
+/// configuration and reporting numbers the user did not ask for.
 #[test]
-fn report_rejects_unknown_flags_with_usage_error() {
-    let out = cdf_sim(&["report", "astar_like", "--warmupp", "1000"]);
-    assert_eq!(out.status.code(), Some(2), "mistyped flag must exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag `--warmupp`"), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
-}
-
-#[test]
-fn explain_rejects_unknown_flags_with_usage_error() {
-    let out = cdf_sim(&["explain", "--mech", "cdf"]);
-    assert_eq!(out.status.code(), Some(2), "--mech is not an explain flag");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag `--mech`"), "{stderr}");
-}
-
-#[test]
-fn every_flag_taking_subcommand_rejects_a_mistyped_flag() {
-    for args in [
-        &["run", "libq_like", "--mesure", "1000"][..],
-        &["table1", "--robb", "512"],
-        &["telemetry", "astar_like", "--intreval", "512"],
-        &["sweep", "--profiel"],
-        &["fuzz", "--minimise"],
-        &["equiv", "--boundry"],
-        &["compare", "astar_like", "--fsat"],
-    ] {
-        let out = cdf_sim(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
-    }
-}
-
-/// A value-taking flag must be followed by a value — an argument that does
-/// not start with `--` — instead of being dropped and run with defaults.
-#[test]
-fn a_flag_missing_its_value_is_a_usage_error() {
-    for (cmd, flag) in [
+fn every_subcommand_rejects_bad_input_with_a_usage_error() {
+    for (cmd, message) in [
+        // An unknown flag.
+        (
+            "report astar_like --warmupp 1000",
+            "unknown flag `--warmupp`",
+        ),
+        ("explain --mech cdf", "unknown flag `--mech`"),
+        ("run libq_like --mesure 1000", "unknown flag `--mesure`"),
+        ("table1 --robb 512", "unknown flag `--robb`"),
+        (
+            "telemetry astar_like --intreval 512",
+            "unknown flag `--intreval`",
+        ),
+        ("sweep --profiel", "unknown flag `--profiel`"),
+        ("fuzz --minimise", "unknown flag `--minimise`"),
+        ("equiv --boundry", "unknown flag `--boundry`"),
+        ("compare astar_like --fsat", "unknown flag `--fsat`"),
+        // A value-taking flag with no value, or a `--` argument, after it.
         (
             "sweep --fast --workloads libq_like --mechs base --out",
-            "--out",
+            "missing value for --out",
         ),
-        ("sweep --fast --threads", "--threads"),
-        ("telemetry libq_like --fast --interval", "--interval"),
-        ("record --filter", "--filter"),
-        ("run libq_like --max-cycles --fast", "--max-cycles"),
-        ("compare astar_like --fast --seed", "--seed"),
+        ("sweep --fast --threads", "missing value for --threads"),
+        (
+            "telemetry libq_like --fast --interval",
+            "missing value for --interval",
+        ),
+        ("record --filter", "missing value for --filter"),
+        (
+            "run libq_like --max-cycles --fast",
+            "missing value for --max-cycles",
+        ),
+        (
+            "compare astar_like --fast --seed",
+            "missing value for --seed",
+        ),
+        // An argument that is neither a flag nor a flag's value.
+        (
+            "run libq_like mcf_like --fast --mech base",
+            "unexpected argument `mcf_like`",
+        ),
+        (
+            "sweep astar_like --fast",
+            "unexpected argument `astar_like`",
+        ),
+        ("table1 extra", "unexpected argument `extra`"),
+        ("list extra", "unexpected argument `extra`"),
+        // A repeated flag: neither the first nor the last value wins.
+        (
+            "run astar_like --fast --mech base --seed 1 --seed 2",
+            "--seed given twice",
+        ),
+        (
+            "run astar_like --fast --mech base --mech cdf",
+            "--mech given twice",
+        ),
+        // A value that does not parse, named with its flag.
+        ("sweep --threads abc", "invalid value `abc` for --threads"),
+        ("fuzz --seeds x", "invalid value `x` for --seeds"),
+        (
+            "run astar_like --rob many",
+            "invalid value `many` for --rob",
+        ),
+        // A missing positional or required flag.
+        ("run", "missing <workload>"),
+        ("campaign status", "missing --dir"),
+        ("campaign run --shards 2", "missing --spec"),
+        // No subcommand at all.
+        ("", "usage:"),
     ] {
-        let out = cdf_sim(&cmd.split(' ').collect::<Vec<_>>());
-        assert_eq!(out.status.code(), Some(2), "`{cmd}` must exit 2");
+        let out = cdf_sim(&cmd.split_whitespace().collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("missing value for {flag}")),
-            "`{cmd}`: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(2), "`{cmd}`: {stderr}");
+        assert!(stderr.contains(message), "`{cmd}`: {stderr}");
+        assert!(stderr.contains("usage:"), "`{cmd}`: {stderr}");
+        assert!(out.stdout.is_empty(), "`{cmd}` ran anyway");
     }
 }
 
-/// An argument that is neither a listed flag nor a flag's value is
-/// rejected, not silently ignored.
+/// The usage is generated from the declarations the parser checks, so it
+/// lists every flag a subcommand accepts.
 #[test]
-fn a_stray_positional_is_a_usage_error() {
-    for (cmd, stray) in [
-        ("run libq_like mcf_like --fast --mech base", "mcf_like"),
-        ("sweep astar_like --fast", "astar_like"),
-        ("table1 extra", "extra"),
-        ("list extra", "extra"),
+fn usage_lists_every_accepted_flag_under_its_subcommand() {
+    let usage = String::from_utf8(cdf_sim(&[]).stderr).unwrap();
+    let synopsis = |name: &str| -> String {
+        let start = usage
+            .find(&format!("  cdf-sim {name} "))
+            .unwrap_or_else(|| panic!("no `{name}` line in {usage}"));
+        let rest = &usage[start + 2..];
+        let end = rest.find("\n  cdf-sim").unwrap_or(rest.len());
+        rest[..end].to_string()
+    };
+    assert!(synopsis("explain").contains("[--record] [--store FILE]"));
+    for name in [
+        "table1",
+        "run",
+        "report",
+        "explain",
+        "telemetry",
+        "profile",
+        "compare <workload>",
+        "record",
+        "sweep",
+        "mix",
     ] {
-        let out = cdf_sim(&cmd.split(' ').collect::<Vec<_>>());
-        assert_eq!(out.status.code(), Some(2), "`{cmd}` must exit 2");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unexpected argument `{stray}`")),
-            "`{cmd}`: {stderr}"
-        );
+        assert!(synopsis(name).contains("[--max-cycles N]"), "{name}");
     }
+    assert!(!synopsis("compare <refA>").contains("--max-cycles"));
 }
 
-/// `compare <workload>` runs all three mechanisms through the typed run
-/// path: a watchdog on CDF (base retires its window inside this budget,
-/// CDF does not) exits 1 with the watchdog message, not a panic.
+/// Positionals may come anywhere: a flag before the workload runs the same
+/// cell, byte for byte.
 #[test]
-fn compare_reports_a_watchdog_on_any_mechanism_as_a_typed_error() {
-    let out = cdf_sim(&["compare", "roms_like", "--fast", "--max-cycles", "164000"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("watchdog"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+fn a_workload_after_its_flags_runs_the_same_cell() {
+    let flags_first = cdf_sim(&["run", "--fast", "astar_like", "--mech", "base"]);
+    let workload_first = cdf_sim(&["run", "astar_like", "--fast", "--mech", "base"]);
+    assert_eq!(flags_first.status.code(), Some(0));
+    assert_eq!(flags_first.stdout, workload_first.stdout);
+}
+
+/// A run that fails inside the simulator exits 1 with a typed message, not
+/// a panic: `compare <workload>`'s three runs hit the watchdog on CDF (base
+/// retires its window inside this budget, CDF does not), and a window too
+/// small to hold an instruction (ROB 0) or CDF's work (ROB 2) stalls the
+/// pipeline.
+#[test]
+fn a_failed_run_exits_1_with_a_typed_error() {
+    for (cmd, message) in [
+        ("compare roms_like --fast --max-cycles 164000", "watchdog"),
+        ("run libq_like --fast --rob 0 --mech base", "no retirement"),
+        ("run astar_like --fast --rob 2 --mech cdf", "no retirement"),
+    ] {
+        let out = cdf_sim(&cmd.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{cmd}`: {stderr}");
+        assert!(stderr.contains(message), "`{cmd}`: {stderr}");
+        assert!(!stderr.contains("panicked"), "`{cmd}`: {stderr}");
+    }
 }
 
 #[test]

@@ -249,8 +249,8 @@ fn corrupt_store_line_is_a_hard_error() {
 }
 
 /// Satellite: N campaign shards allocating against one store concurrently
-/// must mint distinct, gap-free run ordinals. `next_run_id` computes the
-/// same ordinal for every reader of one store state; `reserve_run_id`
+/// must mint distinct, gap-free run ordinals. Reading the store alone gives
+/// every reader of one store state the same ordinal; `reserve_run_id`
 /// closes that race with atomic marker-file creation.
 #[test]
 fn concurrent_reservations_mint_distinct_sequential_run_ids() {
