@@ -192,10 +192,11 @@ impl<'p> Core<'p> {
 
     /// Builds core `core_id` of a multi-core system: its memory requests go
     /// to `sys`, the [`MultiCoreMemory`] it shares with its co-runners
-    /// (private L1 slice, shared LLC/MSHR pool/DRAM). `cfg.mem` geometry
-    /// must match the one `sys` was built with; `cfg.boundary`/`cfg.mem_model`
-    /// are ignored (the shared system is event-driven message-passing by
-    /// construction).
+    /// (private L1 slice, shared LLC/MSHR pool/DRAM). `sys` was built from
+    /// one core's `cfg.mem` and `cfg.mem_model` (the first core's, in
+    /// [`MultiCore::new`](crate::MultiCore::new)), so this core's must
+    /// match them; `cfg.boundary` is ignored (a shared port is
+    /// message-passing by construction).
     pub fn new_shared(
         program: &'p Program,
         mem: MemoryImage,

@@ -21,10 +21,12 @@
 //!   [`MultiCoreMemory`] shared by N cores (private L1s, shared
 //!   LLC/MSHR/DRAM), with the chain id namespaced by core on the far side.
 //!
-//! The port is deliberately synchronous-completion underneath: a request
-//! is serviced the cycle it is submitted and its response carries the
-//! future `ready_at`. That keeps the single-core model bit-identical while
-//! giving multi-core the tagged envelope it needs for attribution.
+//! Behind every variant runs the same access code: a [`MemoryHierarchy`]
+//! is a one-core [`MultiCoreMemory`]. The port is deliberately
+//! synchronous-completion underneath: a request is serviced the cycle it
+//! is submitted and its response carries the future `ready_at`. That keeps
+//! the single-core model bit-identical while giving multi-core the tagged
+//! envelope it needs for attribution.
 
 use cdf_mem::{AccessKind, AccessResult, MemStats, MemoryHierarchy, MultiCoreMemory};
 use std::cell::RefCell;
@@ -157,11 +159,11 @@ pub struct SharedPort {
 
 /// The core's memory side: which implementation sits behind the boundary.
 ///
-/// All variants expose the same request/response contract; `Direct` and
-/// `Message` are proven bit-identical (the `--boundary` equivalence axis),
-/// and `Shared` is the N-core generalization whose N=1 instantiation
-/// matches them (pinned in `cdf-mem::shared` unit tests and the boundary
-/// test battery).
+/// All variants expose the same request/response contract and run the
+/// same access code (a private hierarchy is a one-core shared system).
+/// `Direct` and `Message` are proven bit-identical by the `--boundary`
+/// equivalence axis; a one-core `Shared` system is pinned against a private
+/// core by `crates/sim/tests/mix.rs`.
 #[derive(Debug)]
 pub enum MemSide {
     /// Reference: synchronous call into a private hierarchy.

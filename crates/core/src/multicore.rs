@@ -70,7 +70,8 @@ impl<'p> MultiCore<'p> {
     /// Builds `workloads.len()` cores sharing one memory system. Each entry
     /// supplies the core's program, initial data memory, and configuration;
     /// the **first** core's `cfg.mem` stamps out the shared geometry (L1
-    /// slices included), keeping one-config-per-system semantics.
+    /// slices included) and its `cfg.mem_model` the bookkeeping model,
+    /// keeping one-config-per-system semantics.
     ///
     /// # Panics
     ///
@@ -81,7 +82,8 @@ impl<'p> MultiCore<'p> {
             cores: workloads.len(),
             mem: workloads[0].2.mem.clone(),
         };
-        let sys = Rc::new(RefCell::new(MultiCoreMemory::new(shared_cfg)));
+        let model = workloads[0].2.mem_model;
+        let sys = Rc::new(RefCell::new(MultiCoreMemory::with_model(shared_cfg, model)));
         let cores = workloads
             .into_iter()
             .enumerate()

@@ -30,6 +30,9 @@ impl CacheConfig {
 #[derive(Clone, Copy, Default, Debug)]
 struct Line {
     tag: u64,
+    /// The core whose fill allocated the line (LLC occupancy share). Sits
+    /// in what would otherwise be padding: a line stays 16 bytes.
+    owner: u32,
     dirty: bool,
     /// Set by prefetch fills; cleared (and counted) on first demand hit —
     /// the accuracy signal for Feedback Directed Prefetching.
@@ -141,8 +144,15 @@ impl Cache {
 
     /// Fills the line containing `addr` as MRU, returning the eviction if a
     /// valid line was displaced. `prefetched` tags prefetch fills for FDP
-    /// accounting.
-    pub fn fill_tagged(&mut self, addr: u64, dirty: bool, prefetched: bool) -> Option<Eviction> {
+    /// accounting; `owner` records which core the allocation is for. A
+    /// resident line keeps its owner and prefetch tag.
+    pub fn fill_tagged(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        prefetched: bool,
+        owner: u32,
+    ) -> Option<Eviction> {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let shift = self.set_mask + 1;
@@ -163,6 +173,7 @@ impl Cache {
             0,
             Line {
                 tag,
+                owner,
                 dirty,
                 prefetched,
                 valid: true,
@@ -171,9 +182,9 @@ impl Cache {
         evicted
     }
 
-    /// Fills the line containing `addr` as a demand fill.
+    /// Fills the line containing `addr` as a demand fill for owner 0.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
-        self.fill_tagged(addr, dirty, false)
+        self.fill_tagged(addr, dirty, false, 0)
     }
 
     /// Invalidates the line containing `addr`. Returns `Some(dirty)` if the
@@ -194,6 +205,15 @@ impl Cache {
     /// `(hits, misses)` of demand accesses since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// Number of valid lines allocated by a fill for `owner`.
+    pub fn occupancy(&self, owner: u32) -> usize {
+        self.sets
+            .iter()
+            .flatten()
+            .filter(|l| l.valid && l.owner == owner)
+            .count()
     }
 }
 
@@ -296,7 +316,7 @@ mod tests {
     #[test]
     fn fill_on_resident_line_merges() {
         let mut c = tiny();
-        c.fill_tagged(0x0, false, true); // prefetched, clean
+        c.fill_tagged(0x0, false, true, 0); // prefetched, clean
         c.fill(0x80, false); // set 0 now full: [0x80, 0x0]
         assert_eq!(c.fill(0x0, true), None, "merge, not a second way");
         // 0x0 was promoted to MRU, so the next fill evicts 0x80 — proving
@@ -318,7 +338,7 @@ mod tests {
     #[test]
     fn prefetch_first_use_flag() {
         let mut c = tiny();
-        c.fill_tagged(0x0, false, true);
+        c.fill_tagged(0x0, false, true, 0);
         let a = c.access(0x0, false);
         assert!(a.hit && a.first_use_of_prefetch);
         let b = c.access(0x0, false);
@@ -335,6 +355,26 @@ mod tests {
         assert_eq!(c.invalidate(0x0), None);
         c.fill(0x40, false);
         assert_eq!(c.invalidate(0x40), Some(false));
+    }
+
+    #[test]
+    fn occupancy_counts_each_owners_resident_lines() {
+        let mut c = tiny();
+        c.fill_tagged(0x0, false, false, 1);
+        c.fill_tagged(0x80, false, true, 2);
+        c.fill_tagged(0x40, false, false, 1);
+        assert_eq!((c.occupancy(1), c.occupancy(2)), (2, 1));
+        // A refill of a resident line keeps the allocating owner.
+        c.fill_tagged(0x0, true, false, 2);
+        assert_eq!((c.occupancy(1), c.occupancy(2)), (2, 1));
+        // Eviction and invalidation release the line.
+        assert_eq!(
+            c.fill_tagged(0x100, false, false, 2).unwrap().line_addr,
+            0x80
+        );
+        c.invalidate(0x40);
+        assert_eq!((c.occupancy(1), c.occupancy(2)), (1, 1));
+        assert_eq!(std::mem::size_of::<Line>(), 16, "owner fits the padding");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! come and every query is O(1) (map lookup / heap peek) amortized.
 //!
 //! Both implementations are kept compiled and runtime-selectable via
-//! [`MemModelKind`](crate::MemModelKind); the `cdf-sim equiv --mem`
+//! [`MemModelKind`](crate::MemModelKind): the memory system holds every
+//! MSHR file as an [`MshrFile`] and every MLP tracker as an [`MlpTracker`],
+//! which dispatch to one or the other. The `cdf-sim equiv --mem`
 //! harness proves them bit-identical. The equivalence argument is small:
 //! queries on the lazy structures filter by `done > now`, and the event
 //! structures maintain the invariant that after `advance(now)` exactly the
@@ -16,7 +18,9 @@
 //! `now` never moves backwards, which the core guarantees (all call sites
 //! pass its monotonic cycle counter) and a debug watermark asserts.
 
-use crate::mshr::MshrOutcome;
+use crate::mshr::{Mshr, MshrOutcome};
+use crate::prof::{HeapProf, TimerKind};
+use crate::MemModelKind;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -146,6 +150,148 @@ impl EventOutstanding {
             self.heap.pop();
         }
         self.heap.len()
+    }
+}
+
+/// An MSHR file, dispatching to the lazy or event-driven implementation.
+/// All methods take `&mut self` because the event model advances its
+/// expiry heap on every query. Every operation is counted by an optional
+/// host timer ([`HeapProf`]), which times it on sampled cycles, so profiled
+/// runs can attribute wall time to MSHR bookkeeping; an unprofiled file
+/// pays one null check per call.
+#[derive(Clone, Debug)]
+pub(crate) struct MshrFile {
+    imp: MshrImpl,
+    pub(crate) prof: Option<Box<HeapProf>>,
+}
+
+#[derive(Clone, Debug)]
+enum MshrImpl {
+    Lazy(Mshr),
+    Event(EventMshr),
+}
+
+impl MshrFile {
+    pub(crate) fn new(capacity: usize, model: MemModelKind) -> MshrFile {
+        MshrFile {
+            imp: match model {
+                MemModelKind::EventDriven => MshrImpl::Event(EventMshr::new(capacity)),
+                MemModelKind::ReferenceLazy => MshrImpl::Lazy(Mshr::new(capacity)),
+            },
+            prof: None,
+        }
+    }
+
+    #[inline]
+    fn finish(&mut self, t0: Option<std::time::Instant>) {
+        if let Some(p) = self.prof.as_mut() {
+            p.finish(t0);
+        }
+    }
+
+    pub(crate) fn try_alloc(&mut self, line: u64, now: u64, completes_at: u64) -> MshrOutcome {
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
+        let r = match &mut self.imp {
+            MshrImpl::Lazy(m) => m.try_alloc(line, now, completes_at),
+            MshrImpl::Event(m) => m.try_alloc(line, now, completes_at),
+        };
+        self.finish(t0);
+        r
+    }
+
+    pub(crate) fn outstanding(&mut self, line: u64, now: u64) -> Option<u64> {
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
+        let r = match &mut self.imp {
+            MshrImpl::Lazy(m) => m.outstanding(line, now),
+            MshrImpl::Event(m) => m.outstanding(line, now),
+        };
+        self.finish(t0);
+        r
+    }
+
+    pub(crate) fn len(&mut self, now: u64) -> usize {
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
+        let r = match &mut self.imp {
+            MshrImpl::Lazy(m) => m.len(now),
+            MshrImpl::Event(m) => m.len(now),
+        };
+        self.finish(t0);
+        r
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        match &self.imp {
+            MshrImpl::Lazy(m) => m.capacity(),
+            MshrImpl::Event(m) => m.capacity(),
+        }
+    }
+
+    pub(crate) fn earliest_release(&mut self, now: u64) -> Option<u64> {
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
+        let r = match &mut self.imp {
+            MshrImpl::Lazy(m) => m.earliest_release(now),
+            MshrImpl::Event(m) => m.earliest_release(now),
+        };
+        self.finish(t0);
+        r
+    }
+}
+
+/// Completion cycles of outstanding *demand* LLC misses, for MLP
+/// measurement (merged and prefetch requests are not double counted).
+/// Operations carry the same optional host timer as [`MshrFile`].
+#[derive(Clone, Debug)]
+pub(crate) struct MlpTracker {
+    imp: MlpImpl,
+    pub(crate) prof: Option<Box<HeapProf>>,
+}
+
+#[derive(Clone, Debug)]
+enum MlpImpl {
+    /// Reference: `retain` on insert, filter-count on sample.
+    Lazy(Vec<u64>),
+    /// Event-driven: min-heap popped as completions pass.
+    Event(EventOutstanding),
+}
+
+impl MlpTracker {
+    pub(crate) fn new(model: MemModelKind) -> MlpTracker {
+        MlpTracker {
+            imp: match model {
+                MemModelKind::EventDriven => MlpImpl::Event(EventOutstanding::default()),
+                MemModelKind::ReferenceLazy => MlpImpl::Lazy(Vec::new()),
+            },
+            prof: None,
+        }
+    }
+
+    #[inline]
+    fn finish(&mut self, t0: Option<std::time::Instant>) {
+        if let Some(p) = self.prof.as_mut() {
+            p.finish(t0);
+        }
+    }
+
+    pub(crate) fn note(&mut self, done: u64, now: u64) {
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
+        match &mut self.imp {
+            MlpImpl::Lazy(v) => {
+                v.retain(|&d| d > now);
+                v.push(done);
+            }
+            MlpImpl::Event(h) => h.note(done),
+        }
+        self.finish(t0);
+    }
+
+    pub(crate) fn outstanding(&mut self, now: u64) -> usize {
+        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
+        let r = match &mut self.imp {
+            MlpImpl::Lazy(v) => v.iter().filter(|&&d| d > now).count(),
+            MlpImpl::Event(h) => h.outstanding(now),
+        };
+        self.finish(t0);
+        r
     }
 }
 

@@ -1,12 +1,12 @@
-//! The full memory hierarchy: L1I + L1D + LLC + MSHRs + prefetcher + DRAM.
+//! The memory system's vocabulary — configuration, access kinds, outcomes,
+//! backpressure and statistics — and [`MemoryHierarchy`], the private
+//! one-core view of the [`MultiCoreMemory`] that implements them.
 
-use crate::cache::{Cache, CacheConfig};
-use crate::dram::{Dram, DramConfig, DramStats};
-use crate::event::{EventMshr, EventOutstanding};
-use crate::line_addr;
-use crate::mshr::{Mshr, MshrOutcome};
+use crate::cache::CacheConfig;
+use crate::dram::{DramConfig, DramStats};
 use crate::prefetch::{PrefetcherConfig, StreamPrefetcher};
-use crate::prof::{HeapProf, MemProfReport, TimerKind};
+use crate::prof::MemProfReport;
+use crate::shared::{MultiCoreMemory, SharedMemConfig};
 
 /// Configuration of the whole hierarchy (defaults mirror Table 1).
 #[derive(Clone, PartialEq, Debug)]
@@ -56,20 +56,21 @@ impl Default for MemConfig {
     }
 }
 
-/// Which bookkeeping implementation the hierarchy runs on. Both produce
-/// bit-identical timing and statistics (proven by `cdf-sim equiv --mem`);
-/// only the cost of tracking outstanding misses differs.
+/// Which bookkeeping implementation the memory system runs on, private
+/// hierarchies and mixes alike. Both produce bit-identical timing and
+/// statistics (proven by `cdf-sim equiv --mem`); only the cost of tracking
+/// outstanding misses differs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MemModelKind {
     /// Outstanding misses retire on completion-cycle min-heaps
-    /// ([`EventMshr`]): O(1) occupancy queries and per-cycle MLP samples.
-    /// Requires monotonically non-decreasing access times, which the core
-    /// guarantees. The default.
+    /// ([`EventMshr`](crate::EventMshr)): O(1) occupancy queries and
+    /// per-cycle MLP samples. Requires monotonically non-decreasing access
+    /// times, which the core guarantees. The default.
     #[default]
     EventDriven,
-    /// The original lazy implementation ([`Mshr`] + `Vec` retain/filter):
-    /// every query rescans entries against `now`. Kept compiled as the
-    /// equivalence oracle.
+    /// The original lazy implementation ([`Mshr`](crate::Mshr) + `Vec`
+    /// retain/filter): every query rescans entries against `now`. Kept
+    /// compiled as the equivalence oracle.
     ReferenceLazy,
 }
 
@@ -80,148 +81,6 @@ impl MemModelKind {
             MemModelKind::EventDriven => "mem-event",
             MemModelKind::ReferenceLazy => "mem-lazy",
         }
-    }
-}
-
-/// An MSHR file, dispatching to the lazy or event-driven implementation.
-/// All methods take `&mut self` because the event model advances its
-/// expiry heap on every query. Every operation is counted by an optional
-/// host timer ([`HeapProf`]), which times it on sampled cycles, so profiled
-/// runs can attribute wall time to MSHR bookkeeping; an unprofiled file
-/// pays one null check per call.
-#[derive(Clone, Debug)]
-struct MshrFile {
-    imp: MshrImpl,
-    prof: Option<Box<HeapProf>>,
-}
-
-#[derive(Clone, Debug)]
-enum MshrImpl {
-    Lazy(Mshr),
-    Event(EventMshr),
-}
-
-impl MshrFile {
-    fn new(capacity: usize, model: MemModelKind) -> MshrFile {
-        MshrFile {
-            imp: match model {
-                MemModelKind::EventDriven => MshrImpl::Event(EventMshr::new(capacity)),
-                MemModelKind::ReferenceLazy => MshrImpl::Lazy(Mshr::new(capacity)),
-            },
-            prof: None,
-        }
-    }
-
-    #[inline]
-    fn finish(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(p) = self.prof.as_mut() {
-            p.finish(t0);
-        }
-    }
-
-    fn try_alloc(&mut self, line: u64, now: u64, completes_at: u64) -> MshrOutcome {
-        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.try_alloc(line, now, completes_at),
-            MshrImpl::Event(m) => m.try_alloc(line, now, completes_at),
-        };
-        self.finish(t0);
-        r
-    }
-
-    fn outstanding(&mut self, line: u64, now: u64) -> Option<u64> {
-        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.outstanding(line, now),
-            MshrImpl::Event(m) => m.outstanding(line, now),
-        };
-        self.finish(t0);
-        r
-    }
-
-    fn len(&mut self, now: u64) -> usize {
-        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.len(now),
-            MshrImpl::Event(m) => m.len(now),
-        };
-        self.finish(t0);
-        r
-    }
-
-    fn capacity(&self) -> usize {
-        match &self.imp {
-            MshrImpl::Lazy(m) => m.capacity(),
-            MshrImpl::Event(m) => m.capacity(),
-        }
-    }
-
-    fn earliest_release(&mut self, now: u64) -> Option<u64> {
-        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.earliest_release(now),
-            MshrImpl::Event(m) => m.earliest_release(now),
-        };
-        self.finish(t0);
-        r
-    }
-}
-
-/// Completion cycles of outstanding *demand* LLC misses, for MLP
-/// measurement (merged and prefetch requests are not double counted).
-/// Operations carry the same optional host timer as [`MshrFile`].
-#[derive(Clone, Debug)]
-struct MlpTracker {
-    imp: MlpImpl,
-    prof: Option<Box<HeapProf>>,
-}
-
-#[derive(Clone, Debug)]
-enum MlpImpl {
-    /// Reference: `retain` on insert, filter-count on sample.
-    Lazy(Vec<u64>),
-    /// Event-driven: min-heap popped as completions pass.
-    Event(EventOutstanding),
-}
-
-impl MlpTracker {
-    fn new(model: MemModelKind) -> MlpTracker {
-        MlpTracker {
-            imp: match model {
-                MemModelKind::EventDriven => MlpImpl::Event(EventOutstanding::default()),
-                MemModelKind::ReferenceLazy => MlpImpl::Lazy(Vec::new()),
-            },
-            prof: None,
-        }
-    }
-
-    #[inline]
-    fn finish(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(p) = self.prof.as_mut() {
-            p.finish(t0);
-        }
-    }
-
-    fn note(&mut self, done: u64, now: u64) {
-        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
-        match &mut self.imp {
-            MlpImpl::Lazy(v) => {
-                v.retain(|&d| d > now);
-                v.push(done);
-            }
-            MlpImpl::Event(h) => h.note(done),
-        }
-        self.finish(t0);
-    }
-
-    fn outstanding(&mut self, now: u64) -> usize {
-        let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
-        let r = match &mut self.imp {
-            MlpImpl::Lazy(v) => v.iter().filter(|&&d| d > now).count(),
-            MlpImpl::Event(h) => h.outstanding(now),
-        };
-        self.finish(t0);
-        r
     }
 }
 
@@ -294,7 +153,8 @@ impl std::fmt::Display for MshrFull {
 
 impl std::error::Error for MshrFull {}
 
-/// Result of [`MemoryHierarchy::access`].
+/// Result of [`MultiCoreMemory::access`] (and so of
+/// [`MemoryHierarchy::access`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AccessResult {
     /// The access was accepted; data ready at `ready_at`.
@@ -349,21 +209,13 @@ pub struct MemStats {
     pub rejections: u64,
 }
 
-/// The memory hierarchy the core talks to. See the [crate docs](crate) for
-/// the model and an example.
+/// A private memory hierarchy: the [`MultiCoreMemory`] with one core.
+/// Every method delegates to that system as core 0, so a single-core run
+/// counts misses, MLP and DRAM traffic with the same access algorithm a mix
+/// does. See the [crate docs](crate) for the model and an example.
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
-    cfg: MemConfig,
-    model: MemModelKind,
-    l1i: Cache,
-    l1d: Cache,
-    llc: Cache,
-    l1d_mshr: MshrFile,
-    llc_mshr: MshrFile,
-    prefetcher: StreamPrefetcher,
-    dram: Dram,
-    stats: MemStats,
-    demand_outstanding: MlpTracker,
+    sys: MultiCoreMemory,
 }
 
 impl MemoryHierarchy {
@@ -376,38 +228,24 @@ impl MemoryHierarchy {
     /// Creates a hierarchy running on an explicit bookkeeping model.
     pub fn with_model(cfg: MemConfig, model: MemModelKind) -> MemoryHierarchy {
         MemoryHierarchy {
-            l1i: Cache::new(cfg.l1i),
-            l1d: Cache::new(cfg.l1d),
-            llc: Cache::new(cfg.llc),
-            l1d_mshr: MshrFile::new(cfg.l1d_mshrs, model),
-            llc_mshr: MshrFile::new(cfg.llc_mshrs, model),
-            prefetcher: StreamPrefetcher::new(cfg.prefetcher),
-            dram: Dram::new(cfg.dram),
-            stats: MemStats::default(),
-            demand_outstanding: MlpTracker::new(model),
-            model,
-            cfg,
+            sys: MultiCoreMemory::with_model(SharedMemConfig { cores: 1, mem: cfg }, model),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &MemConfig {
-        &self.cfg
+        &self.sys.config().mem
     }
 
     /// The bookkeeping model this hierarchy runs on.
     pub fn model(&self) -> MemModelKind {
-        self.model
+        self.sys.model()
     }
 
-    /// Performs an access at cycle `now`. `wrong_path` attributes any DRAM
-    /// read this access causes to wrong-path execution in the statistics
-    /// (the paper's runahead-overhead accounting).
-    ///
-    /// Admission is decided *before* any state changes: a rejected access
-    /// leaves the caches, MSHRs, prefetcher, and statistics (other than
-    /// `rejections`) untouched, so the mandatory retry replays it cleanly
-    /// without double-counting anything.
+    /// Performs an access at cycle `now`; see [`MultiCoreMemory::access`].
+    /// `wrong_path` attributes any DRAM read this access causes to
+    /// wrong-path execution in the statistics (the paper's
+    /// runahead-overhead accounting).
     pub fn access(
         &mut self,
         addr: u64,
@@ -415,275 +253,64 @@ impl MemoryHierarchy {
         now: u64,
         wrong_path: bool,
     ) -> AccessResult {
-        let is_write = kind == AccessKind::Store;
-        let is_inst = kind == AccessKind::InstFetch;
-        let line = line_addr(addr);
-
-        // --- Admission (no mutation of architectural state; the event
-        // model may advance its expiry heaps, which is not visible). The
-        // probes mirror exactly the lookups the accepted path performs, so
-        // acceptance here cannot turn into a structural conflict below.
-        let l1_hit = if is_inst {
-            self.l1i.probe(addr)
-        } else {
-            self.l1d.probe(addr)
-        };
-        // L1 miss: check the L1 MSHRs (data side only; the in-order fetch
-        // unit has a single outstanding I-miss by construction).
-        let l1d_merge = if !l1_hit && !is_inst {
-            let merge = self.l1d_mshr.outstanding(line, now);
-            if merge.is_none() && self.l1d_mshr.len(now) >= self.l1d_mshr.capacity() {
-                self.stats.rejections += 1;
-                return AccessResult::Rejected(MshrFull {
-                    level: MshrLevel::L1d,
-                    retry_at: self.l1d_mshr.earliest_release(now).unwrap_or(now + 1),
-                });
-            }
-            merge
-        } else {
-            None
-        };
-        // Requests that reach the LLC and miss it need an LLC MSHR (a merge
-        // with an outstanding DRAM-bound miss does not).
-        if !l1_hit
-            && l1d_merge.is_none()
-            && !self.llc.probe(addr)
-            && self.llc_mshr.outstanding(line, now).is_none()
-            && self.llc_mshr.len(now) >= self.llc_mshr.capacity()
-        {
-            self.stats.rejections += 1;
-            return AccessResult::Rejected(MshrFull {
-                level: MshrLevel::Llc,
-                retry_at: self.llc_mshr.earliest_release(now).unwrap_or(now + 1),
-            });
-        }
-
-        // --- Accepted: count the access exactly once.
-        match kind {
-            AccessKind::Load => self.stats.demand_loads += 1,
-            AccessKind::Store => self.stats.demand_stores += 1,
-            AccessKind::InstFetch => self.stats.inst_fetches += 1,
-        }
-
-        // --- L1 ---
-        let l1 = if is_inst {
-            &mut self.l1i
-        } else {
-            &mut self.l1d
-        };
-        let l1_info = l1.access(addr, is_write);
-        debug_assert_eq!(l1_info.hit, l1_hit, "probe agrees with access");
-        if l1_info.hit {
-            return AccessResult::Done(AccessOutcome {
-                ready_at: now + self.cfg.l1_latency,
-                level: HitLevel::L1,
-            });
-        }
-        if let Some(done) = l1d_merge {
-            // Merge with an in-flight L1 miss.
-            return AccessResult::Done(AccessOutcome {
-                ready_at: done,
-                level: HitLevel::Llc,
-            });
-        }
-
-        // --- LLC ---
-        let llc_info = self.llc.access(addr, false);
-        let ready_at;
-        let level;
-        if llc_info.hit {
-            if llc_info.first_use_of_prefetch {
-                self.prefetcher.on_prefetch_hit();
-            }
-            ready_at = now + self.cfg.l1_latency + self.cfg.llc_latency;
-            level = HitLevel::Llc;
-        } else {
-            // LLC miss → DRAM, moderated by the LLC MSHRs.
-            self.stats.llc_demand_misses += 1;
-            let issue_at = now + self.cfg.l1_latency + self.cfg.llc_latency;
-            if let Some(done) = self.llc_mshr.outstanding(line, now) {
-                ready_at = done.max(issue_at);
-                level = HitLevel::Dram;
-            } else {
-                let done = self.dram.read(line, issue_at);
-                let outcome = self.llc_mshr.try_alloc(line, now, done);
-                debug_assert_eq!(outcome, MshrOutcome::Allocated);
-                if wrong_path {
-                    self.stats.wrong_path_reads += 1;
-                }
-                self.demand_outstanding.note(done, now);
-                // Fill the LLC now (tag-available model).
-                if let Some(ev) = self.llc.fill(line, false) {
-                    self.evict_inclusive(ev.line_addr, ev.dirty, done);
-                }
-                ready_at = done;
-                level = HitLevel::Dram;
-            }
-        }
-
-        // Train the prefetcher only on *accepted* L1D demand misses, and
-        // only after the demand request itself has been issued: the demand
-        // DRAM read goes to the memory controller ahead of the prefetch
-        // reads it triggers (demand priority).
-        if !is_inst {
-            let pf_lines = self.prefetcher.on_demand_miss(addr);
-            for pf in pf_lines {
-                self.issue_prefetch(pf, now, false);
-            }
-        }
-
-        // Fill L1 and track the outstanding miss in the L1D MSHRs.
-        let l1 = if is_inst {
-            &mut self.l1i
-        } else {
-            &mut self.l1d
-        };
-        if let Some(ev) = l1.fill(addr, is_write) {
-            if ev.dirty {
-                // Inclusive-ish: push dirty L1 victims down into the LLC.
-                // When the LLC still holds the line, `fill` on the resident
-                // copy is a dirty-merge: it ORs in the dirty bit and
-                // promotes to MRU without allocating a second way (pinned
-                // by `cache::tests::fill_on_resident_line_merges`).
-                if self.llc.probe(ev.line_addr) {
-                    self.llc.fill(ev.line_addr, true);
-                } else {
-                    self.writeback(ev.line_addr, now);
-                }
-            }
-        }
-        if !is_inst {
-            self.l1d_mshr.try_alloc(line, now, ready_at);
-        }
-
-        AccessResult::Done(AccessOutcome { ready_at, level })
+        self.sys.access(0, addr, kind, now, wrong_path, 0)
     }
 
     /// Issues a runahead prefetch of the line containing `addr` into the
-    /// LLC. Runahead loads bypass the L1D MSHRs (they fill the LLC only, as
-    /// PRE's prefetches do) but still consume LLC MSHRs and DRAM bandwidth.
-    /// Returns whether a DRAM read was actually issued.
+    /// LLC; see [`MultiCoreMemory::runahead_prefetch`]. Returns whether a
+    /// DRAM read was actually issued.
     pub fn runahead_prefetch(&mut self, addr: u64, now: u64) -> bool {
-        self.issue_prefetch(line_addr(addr), now, true)
-    }
-
-    fn issue_prefetch(&mut self, pf_addr: u64, now: u64, runahead: bool) -> bool {
-        let line = line_addr(pf_addr);
-        if self.llc.probe(line) || self.llc_mshr.outstanding(line, now).is_some() {
-            return false;
-        }
-        if self.llc_mshr.len(now) >= self.llc_mshr.capacity() {
-            return false; // prefetches are dropped, never queued
-        }
-        // Unified issue-time model: every DRAM-bound request — demand or
-        // prefetch — traverses the L1 + LLC lookup path before reaching
-        // the memory controller, so prefetches get no unphysical head
-        // start over the demand misses that triggered them.
-        let done = self
-            .dram
-            .read(line, now + self.cfg.l1_latency + self.cfg.llc_latency);
-        self.llc_mshr.try_alloc(line, now, done);
-        if runahead {
-            self.stats.runahead_reads += 1;
-            // Runahead loads count toward measured MLP (the paper's Fig. 14
-            // explicitly includes PRE's wrong-path/runahead loads in MLP).
-            self.demand_outstanding.note(done, now);
-        } else {
-            self.stats.prefetch_reads += 1;
-        }
-        // Runahead fills are tagged `prefetched` too: both speculative fill
-        // kinds count as a prefetch hit on first demand use (FDP feedback).
-        if let Some(ev) = self.llc.fill_tagged(line, false, true) {
-            self.evict_inclusive(ev.line_addr, ev.dirty, now);
-        }
-        true
-    }
-
-    /// Evicts a line from the LLC under inclusion: dirty inner (L1) copies
-    /// are folded into the writeback decision before being invalidated.
-    fn evict_inclusive(&mut self, victim_line: u64, llc_dirty: bool, now: u64) {
-        let l1_dirty = self.l1d.invalidate(victim_line) == Some(true);
-        self.l1i.invalidate(victim_line);
-        if llc_dirty || l1_dirty {
-            self.writeback(victim_line, now);
-        }
-    }
-
-    fn writeback(&mut self, victim_line: u64, now: u64) {
-        self.dram.write(victim_line, now);
-        self.stats.writebacks += 1;
+        self.sys.runahead_prefetch(0, addr, now)
     }
 
     /// Whether the line containing `addr` is resident in the LLC or closer
     /// (used by the retire stage to classify a load as an "LLC miss" for the
     /// Critical Count Tables without disturbing cache state).
     pub fn probe_cached(&self, addr: u64) -> bool {
-        self.l1d.probe(addr) || self.llc.probe(addr)
+        self.sys.probe_cached(0, addr)
     }
 
     /// Number of demand LLC misses still outstanding at `now` — the quantity
-    /// averaged for the paper's MLP figure (Fig. 14). Takes `&mut self`
-    /// because the event-driven model retires completed entries here
-    /// instead of rescanning them on every sample.
+    /// averaged for the paper's MLP figure (Fig. 14).
     pub fn outstanding_demand_misses(&mut self, now: u64) -> usize {
-        self.demand_outstanding.outstanding(now)
+        self.sys.outstanding_demand_misses(0, now)
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> &MemStats {
-        &self.stats
+        self.sys.core_stats(0)
     }
 
     /// DRAM statistics (the memory-traffic figure reads `total()`).
     pub fn dram_stats(&self) -> &DramStats {
-        self.dram.stats()
+        self.sys.dram_stats()
     }
 
     /// `(hits, misses)` of the L1D.
     pub fn l1d_stats(&self) -> (u64, u64) {
-        self.l1d.stats()
+        self.sys.l1d_stats(0)
     }
 
     /// `(hits, misses)` of the LLC.
     pub fn llc_stats(&self) -> (u64, u64) {
-        self.llc.stats()
+        self.sys.llc_stats()
     }
 
     /// The prefetcher (read-only view for reports).
     pub fn prefetcher(&self) -> &StreamPrefetcher {
-        &self.prefetcher
+        self.sys.prefetcher(0)
     }
 
     /// Enables host-side timing of the MSHR and MLP bookkeeping structures
     /// (see [`crate::prof`]). Idempotent; never changes simulated state.
     pub fn enable_prof(&mut self) {
-        for mshr in [&mut self.l1d_mshr, &mut self.llc_mshr] {
-            if mshr.prof.is_none() {
-                mshr.prof = Some(Box::default());
-            }
-        }
-        if self.demand_outstanding.prof.is_none() {
-            self.demand_outstanding.prof = Some(Box::default());
-        }
+        self.sys.enable_heap_prof();
     }
 
     /// Detaches and returns the host timers (`None` when profiling was
     /// never enabled), summed across both MSHR files.
     pub fn take_prof(&mut self) -> Option<MemProfReport> {
-        let l1d = self.l1d_mshr.prof.take();
-        let llc = self.llc_mshr.prof.take();
-        let mlp = self.demand_outstanding.prof.take();
-        if l1d.is_none() && llc.is_none() && mlp.is_none() {
-            return None;
-        }
-        let mut r = MemProfReport::default();
-        for p in [l1d, llc].into_iter().flatten() {
-            r.mshr.merge(&p);
-        }
-        if let Some(p) = mlp {
-            r.mlp = *p;
-        }
-        Some(r)
+        self.sys.take_prof()
     }
 }
 

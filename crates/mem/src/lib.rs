@@ -18,6 +18,11 @@
 //! retry replays cleanly (each logical access is counted once and trains
 //! the prefetcher once).
 //!
+//! One access algorithm serves every configuration: [`MultiCoreMemory`]
+//! implements it for N cores with private L1s in front of a shared LLC,
+//! LLC MSHR pool and DRAM, and the private [`MemoryHierarchy`] a single
+//! core talks to is that system with one core.
+//!
 //! Outstanding-miss bookkeeping comes in two runtime-selectable, bit-
 //! identical implementations ([`MemModelKind`]): the lazy reference
 //! (`HashMap`/`Vec` rescanned against `now` on every query) and the

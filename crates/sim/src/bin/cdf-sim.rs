@@ -115,7 +115,7 @@ equiv options:
   --mem              compare the memory-model pair (event-driven vs lazy
                      reference) instead of the scheduler pair
   --boundary         compare the core-memory boundary pair (request/
-                     response vs direct-call reference)
+                     response vs direct-call reference); not with --mem
   --report FILE      write the cdf-equiv/1 JSON report to FILE";
 
 const CAMPAIGN_RUN: &str = "\
@@ -203,12 +203,12 @@ fn run_fuzz_command(a: &Args) {
 
 fn run_equiv_command(a: &Args) {
     let mut cfg = cdf_sim::EquivConfig::default();
-    if a.has("--mem") {
-        cfg.axis = cdf_sim::EquivAxis::MemModel;
-    }
-    if a.has("--boundary") {
-        cfg.axis = cdf_sim::EquivAxis::Boundary;
-    }
+    cfg.axis = match (a.has("--mem"), a.has("--boundary")) {
+        (true, true) => a.fail("--mem and --boundary select different campaigns; run each alone"),
+        (true, false) => cdf_sim::EquivAxis::MemModel,
+        (false, true) => cdf_sim::EquivAxis::Boundary,
+        (false, false) => cdf_sim::EquivAxis::Scheduler,
+    };
     cfg.seeds = a.get("--seeds").unwrap_or(cfg.seeds);
     cfg.start_seed = a.get("--start").unwrap_or(cfg.start_seed);
     cfg.threads = a.get("--threads").unwrap_or(cfg.threads);

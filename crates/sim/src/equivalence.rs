@@ -15,7 +15,7 @@
 //!    also checked against the functional executor. The two runs must
 //!    agree on the FNV retirement digest, the per-uop comparison count,
 //!    and the complete final [`CoreStats`] struct, field for field.
-//! 2. **Workload windows** ([`workload_equivalence`]): full warmup+measure
+//! 2. **Workload windows** ([`workload_equivalence_axis`]): full warmup+measure
 //!    windows over the registry kernels, compared [`Measurement`] for
 //!    [`Measurement`] (which folds in DRAM traffic and energy, so a
 //!    variant that perturbed the memory-system event order would show up
@@ -25,13 +25,16 @@
 //! subcommand and the CI equivalence job.
 //!
 //! [`OracleLockstep`]: cdf_core::OracleLockstep
+//! [`CoreStats`]: cdf_core::CoreStats
+//! [`Measurement`]: crate::Measurement
 
 use crate::fuzz::{run_lockstep_full, LockstepOutcome};
 use crate::json::{field, Json};
-use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::run::{EvalConfig, Mechanism};
 use crate::sweep::{parallel_map, run_cell};
-use cdf_core::{BoundaryKind, CoreStats, MemModelKind, SchedulerKind};
+use cdf_core::{BoundaryKind, MemModelKind, SchedulerKind};
 use cdf_workloads::fuzz::FuzzSpec;
+use std::fmt::Debug;
 
 /// Schema tag of the equivalence report document.
 pub use crate::schema::EQUIV as EQUIV_SCHEMA;
@@ -213,10 +216,12 @@ impl EquivReport {
     }
 }
 
-/// Renders the first differing [`CoreStats`] field between two runs, or
-/// `None` when they are identical. Works off the pretty `Debug` rendering so
-/// it stays complete as fields are added.
-pub fn stats_divergence(a: &CoreStats, b: &CoreStats) -> Option<String> {
+/// Renders the first differing field of two runs' results (`what` names
+/// them: a [`CoreStats`](cdf_core::CoreStats) field, a
+/// [`Measurement`](crate::Measurement)), or `None` when they are
+/// identical. Works off the pretty `Debug` rendering so it stays complete
+/// as fields are added.
+pub fn divergence<T: PartialEq + Debug>(what: &str, a: &T, b: &T) -> Option<String> {
     if a == b {
         return None;
     }
@@ -225,13 +230,13 @@ pub fn stats_divergence(a: &CoreStats, b: &CoreStats) -> Option<String> {
     for (la, lb) in fa.lines().zip(fb.lines()) {
         if la != lb {
             return Some(format!(
-                "stats field diverged: event `{}` vs scan `{}`",
+                "{what} diverged: event `{}` vs scan `{}`",
                 la.trim().trim_end_matches(','),
                 lb.trim().trim_end_matches(',')
             ));
         }
     }
-    Some("stats differ but Debug renderings agree (non-Debug field?)".to_string())
+    Some(format!("{what} differs but the Debug renderings agree"))
 }
 
 /// Runs one fuzz seed under every mechanism with both variants of `axis`
@@ -274,7 +279,7 @@ pub fn check_seed(
                 } else if ec != sc_n {
                     fail(format!("checked-uop count: event {ec} vs scan {sc_n}"));
                 } else if let (Some(a), Some(b)) = (&ev_stats, &sc_stats) {
-                    if let Some(d) = stats_divergence(a, b) {
+                    if let Some(d) = divergence("stats field", a, b) {
                         fail(d);
                     }
                 }
@@ -324,39 +329,10 @@ pub fn run_equivalence(cfg: &EquivConfig) -> EquivReport {
     }
 }
 
-/// Renders the first differing [`Measurement`] field, or `None` on identity.
-fn measurement_divergence(a: &Measurement, b: &Measurement) -> Option<String> {
-    if a == b {
-        return None;
-    }
-    let fa = format!("{a:#?}");
-    let fb = format!("{b:#?}");
-    for (la, lb) in fa.lines().zip(fb.lines()) {
-        if la != lb {
-            return Some(format!(
-                "measurement diverged: event `{}` vs scan `{}`",
-                la.trim().trim_end_matches(','),
-                lb.trim().trim_end_matches(',')
-            ));
-        }
-    }
-    Some("measurements differ".to_string())
-}
-
 /// Runs full warmup+measure windows over `workloads × mechanisms` under both
-/// schedulers and compares the complete [`Measurement`]s. Returns every
-/// disagreement (empty = bit-identical end to end, including DRAM traffic
-/// and energy).
-pub fn workload_equivalence(
-    workloads: &[&str],
-    mechanisms: &[Mechanism],
-    cfg: &EvalConfig,
-) -> Vec<EquivMismatch> {
-    workload_equivalence_axis(workloads, mechanisms, cfg, EquivAxis::Scheduler)
-}
-
-/// [`workload_equivalence`] over an explicit [`EquivAxis`]: full windows
-/// under both variants of the chosen implementation pair.
+/// variants of `axis` and compares the complete
+/// [`Measurement`](crate::Measurement)s. Returns every disagreement (empty
+/// = bit-identical end to end, including DRAM traffic and energy).
 pub fn workload_equivalence_axis(
     workloads: &[&str],
     mechanisms: &[Mechanism],
@@ -380,7 +356,7 @@ pub fn workload_equivalence_axis(
         let ev = run_cell(w, m, m.mode(), &event_cfg, false);
         let sc = run_cell(w, m, m.mode(), &scan_cfg, false);
         match (ev.result, sc.result) {
-            (Ok(a), Ok(b)) => measurement_divergence(&a, &b).map(|d| EquivMismatch {
+            (Ok(a), Ok(b)) => divergence("measurement", &a, &b).map(|d| EquivMismatch {
                 seed: cfg.gen.seed,
                 mechanism: format!("{w}/{}", m.label()),
                 detail: d,
@@ -403,16 +379,17 @@ pub fn workload_equivalence_axis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdf_core::CoreStats;
 
     #[test]
-    fn stats_divergence_reports_field() {
+    fn divergence_reports_field() {
         let a = CoreStats::default();
-        assert!(stats_divergence(&a, &CoreStats::default()).is_none());
+        assert!(divergence("stats field", &a, &CoreStats::default()).is_none());
         let b = CoreStats {
             cycles: 7,
             ..CoreStats::default()
         };
-        let d = stats_divergence(&a, &b).expect("differs");
+        let d = divergence("stats field", &a, &b).expect("differs");
         assert!(d.contains("cycles"), "diff names the field: {d}");
     }
 

@@ -157,26 +157,14 @@ impl LockstepOutcome {
 /// Runs one generated program on one mechanism with per-retired-uop oracle
 /// checking, a final architectural state comparison, and panic isolation.
 pub fn run_lockstep(fp: &FuzzProgram, mechanism: Mechanism) -> LockstepOutcome {
-    run_lockstep_with(fp, mechanism, SchedulerKind::default()).0
-}
-
-/// [`run_lockstep`] with an explicit scheduler implementation, also returning
-/// the final [`CoreStats`] when the run did not panic. This is the primitive
-/// the scheduler-equivalence harness builds on: running the same program
-/// under [`SchedulerKind::EventDriven`] and [`SchedulerKind::ReferenceScan`]
-/// must produce bit-identical stats and retirement digests.
-pub fn run_lockstep_with(
-    fp: &FuzzProgram,
-    mechanism: Mechanism,
-    scheduler: SchedulerKind,
-) -> (LockstepOutcome, Option<CoreStats>) {
     run_lockstep_full(
         fp,
         mechanism,
-        scheduler,
+        SchedulerKind::default(),
         MemModelKind::default(),
         BoundaryKind::default(),
     )
+    .0
 }
 
 /// The fully explicit lockstep primitive: scheduler, memory-model, and

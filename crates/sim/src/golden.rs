@@ -265,7 +265,7 @@ pub fn diff_golden(current: &[GoldenCell], blessed: &Json) -> Vec<String> {
                 c.workload, c.mechanism
             )),
             Some(b) => {
-                if let Some(d) = crate::equivalence::stats_divergence(&c.stats, &b) {
+                if let Some(d) = crate::equivalence::divergence("stats field", &c.stats, &b) {
                     diffs.push(format!(
                         "{}/{}: {}",
                         c.workload,

@@ -92,15 +92,14 @@ pub use compare::{
     MetricDelta, COMPARE_SCHEMA, DEFAULT_WALL_TOLERANCE,
 };
 pub use equivalence::{
-    run_equivalence, workload_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig,
-    EquivMismatch, EquivReport, EQUIV_SCHEMA,
+    run_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig, EquivMismatch, EquivReport,
+    EQUIV_SCHEMA,
 };
 pub use error::{SimError, WatchdogPhase};
 pub use explain::{diagnostics_json, run_explain, ExplainConfig, ExplainReport, EXPLAIN_SCHEMA};
 pub use fuzz::{
-    minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, run_lockstep_with,
-    FailureKind, FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA,
-    FUZZ_SCHEMA,
+    minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, FailureKind,
+    FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA, FUZZ_SCHEMA,
 };
 pub use golden::{
     collect as collect_golden, diff_golden, golden_to_json, GoldenConfig, GOLDEN_SCHEMA,

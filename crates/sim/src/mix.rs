@@ -62,10 +62,10 @@ pub struct MixConfig {
     pub cycle_budget: u64,
     /// Attach the host-side self-profiler to every core (`cdf-sim mix
     /// --profile`): per-core collectors merge into one mix-level
-    /// [`HostProfile`], with the shared-system timers (shared LLC, pooled
-    /// MSHR heaps) drained once from the shared memory system. Like the
-    /// sweep flag, it lives outside [`EvalConfig`] so config hashes are
-    /// unchanged, and it never perturbs measured results.
+    /// [`HostProfile`], with the shared memory system's timer (its
+    /// `shared_llc` access path) drained once. Like the sweep flag, it
+    /// lives outside [`EvalConfig`] so config hashes are unchanged, and it
+    /// never perturbs measured results.
     pub profile: bool,
 }
 
@@ -214,9 +214,9 @@ pub fn run_mix(cfg: &MixConfig) -> Result<MixReport, SimError> {
                 merged.merge(&p);
             }
         }
-        // The shared system's timers (shared LLC path, pooled MSHR/MLP
-        // heaps) belong to the whole mix, so they are drained exactly once
-        // here rather than attributed to whichever core asked first.
+        // The shared system's timer (its shared-LLC access path) belongs
+        // to the whole mix, so it is drained exactly once here rather than
+        // attributed to whichever core asked first.
         if let Some(m) = mc.shared().borrow_mut().take_prof() {
             merged.fold_mem(&m);
         }

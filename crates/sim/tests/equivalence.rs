@@ -12,7 +12,9 @@
 //! [`CoreStats`]: cdf_core::CoreStats
 
 use cdf_core::ExecPorts;
-use cdf_sim::{run_equivalence, workload_equivalence, EquivConfig, EvalConfig, Mechanism};
+use cdf_sim::{
+    run_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig, EvalConfig, Mechanism,
+};
 
 #[test]
 fn bounded_fuzz_equivalence_all_mechanisms() {
@@ -62,10 +64,11 @@ fn workload_windows_bit_identical_across_schedulers() {
         ),
     ];
     for (workloads, cfg) in &cases {
-        let mismatches = workload_equivalence(
+        let mismatches = workload_equivalence_axis(
             workloads,
             &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
             cfg,
+            EquivAxis::Scheduler,
         );
         assert!(mismatches.is_empty(), "windows diverged: {mismatches:#?}");
     }

@@ -397,6 +397,11 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
         ("sweep --profiel", "unknown flag `--profiel`"),
         ("fuzz --minimise", "unknown flag `--minimise`"),
         ("equiv --boundry", "unknown flag `--boundry`"),
+        // Flags that each select a different campaign.
+        (
+            "equiv --mem --boundary --seeds 1",
+            "--mem and --boundary select different campaigns",
+        ),
         ("compare astar_like --fsat", "unknown flag `--fsat`"),
         // A value-taking flag with no value, or a `--` argument, after it.
         (

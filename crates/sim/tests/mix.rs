@@ -1,15 +1,17 @@
-//! Multi-core mix test battery: metamorphic contention properties,
-//! shared-MSHR conservation invariants over fuzz programs, the
+//! Multi-core mix test battery: a one-core `MultiCore` against a private
+//! `Core`, metamorphic contention properties, shared-MSHR conservation
+//! invariants over fuzz programs and under the lazy memory model, the
 //! (core, chain) namespacing regression for shared-LLC diagnostics, and
-//! scheduler equivalence through the shared memory system.
+//! scheduler and memory-model equivalence through the shared memory system.
 //!
 //! The metamorphic properties pin what contention **may** and **may not**
 //! change: co-runners may slow a core down (timing), but never alter its
 //! architectural execution (retired uops, branch outcomes), and bandwidth
 //! pressure must hurt monotonically.
 
-use cdf_core::{CoreConfig, MultiCore, SchedulerKind};
-use cdf_sim::{run_mix, Measurement, Mechanism, MixConfig};
+use cdf_core::{Core, CoreConfig, MemModelKind, MultiCore, SchedulerKind};
+use cdf_sim::sweep::parallel_map;
+use cdf_sim::{run_mix, GoldenConfig, Measurement, Mechanism, MixConfig, MixReport};
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::registry;
 use proptest::prelude::*;
@@ -45,6 +47,45 @@ fn run_halting(workloads: &[&str], mech: Mechanism, iters: u64) -> Vec<Measureme
         .into_iter()
         .map(|c| c.measurement)
         .collect()
+}
+
+/// A private hierarchy is the one-core memory system, so a one-core
+/// `MultiCore` is a private `Core`: every registry workload × {base, CDF,
+/// PRE} at golden-grid sizing agrees on the core's stats, its memory
+/// traffic, DRAM, and L1D/LLC hit counts.
+#[test]
+fn one_core_multicore_equals_private_core() {
+    let golden = GoldenConfig::default();
+    let jobs: Vec<(&str, Mechanism)> = registry::NAMES
+        .iter()
+        .flat_map(|&w| FUZZ_MODES.map(|m| (w, m)))
+        .collect();
+    let diverged = parallel_map(&jobs, golden.threads, |&(name, mech)| {
+        let w = registry::lookup(name, &golden.gen).expect("registry workload");
+        let cfg = CoreConfig {
+            mode: mech.mode(),
+            ..CoreConfig::default()
+        };
+        let mut core = Core::new(&w.program, w.memory.clone(), cfg.clone());
+        let stats = core.run_bounded(golden.max_instructions, golden.cycle_budget);
+        let h = core.hierarchy();
+        let mut mc = MultiCore::new(vec![(&w.program, w.memory.clone(), cfg)]);
+        let out = mc.run(golden.max_instructions, golden.cycle_budget);
+        let shared = mc.shared_report();
+        let l1d = mc.shared().borrow().l1d_stats(0);
+        let same = out[0].stats == stats
+            && out[0].mem == *h.stats()
+            && shared.mem == *h.stats()
+            && shared.dram == *h.dram_stats()
+            && l1d == h.l1d_stats()
+            && shared.llc == h.llc_stats();
+        (!same).then(|| format!("{name}/{}", mech.label()))
+    });
+    let diverged: Vec<String> = diverged.into_iter().flatten().collect();
+    assert!(
+        diverged.is_empty(),
+        "one-core mix != private core: {diverged:?}"
+    );
 }
 
 /// Metamorphic: duplicating the same workload on two symmetric cores never
@@ -235,6 +276,24 @@ fn mixed_mechanisms_run_deterministically() {
     assert_eq!(a.channel_utilization, b.channel_utilization);
 }
 
+/// Asserts that two runs of one mix agree on every per-core and shared
+/// counter.
+fn assert_same_mix(a: &MixReport, b: &MixReport, axis: &str) {
+    for (x, y) in a.cores.iter().zip(&b.cores) {
+        let what = format!("{axis}: core {} ({})", x.core, x.workload);
+        assert_eq!(x.measurement, y.measurement, "{what}: measurement");
+        assert_eq!(x.share, y.share, "{what}: shared-resource attribution");
+        assert_eq!(x.llc_occupancy, y.llc_occupancy, "{what}: LLC occupancy");
+    }
+    assert_eq!(a.shared, b.shared, "{axis}: shared totals");
+}
+
+fn run_with(cfg: &MixConfig, set: impl Fn(&mut CoreConfig)) -> MixReport {
+    let mut cfg = cfg.clone();
+    set(&mut cfg.eval.core);
+    run_mix(&cfg).unwrap_or_else(|e| panic!("mix {:?} failed: {e}", cfg.workloads))
+}
+
 /// Scheduler equivalence through the shared memory system: each mix runs
 /// under the event-driven and the reference scan scheduler, and every
 /// per-core and shared counter must agree. The first mix is the
@@ -252,25 +311,64 @@ fn mixes_bit_identical_across_schedulers() {
         quick_mix(&["mcf_like", "stream_hog"], Mechanism::Pre),
     ];
     for cfg in mixes {
-        let run_with = |scheduler| {
-            let mut cfg = cfg.clone();
-            cfg.eval.core.scheduler = scheduler;
-            run_mix(&cfg).unwrap_or_else(|e| panic!("mix {:?} failed: {e}", cfg.workloads))
-        };
-        let event = run_with(SchedulerKind::EventDriven);
-        let scan = run_with(SchedulerKind::ReferenceScan);
-        for (a, b) in event.cores.iter().zip(&scan.cores) {
-            let what = format!("{:?} core {} ({})", cfg.workloads, a.core, a.workload);
-            assert_eq!(a.measurement, b.measurement, "{what}: measurement");
-            assert_eq!(a.share, b.share, "{what}: shared-resource attribution");
-            assert_eq!(a.llc_occupancy, b.llc_occupancy, "{what}: LLC occupancy");
-        }
-        assert_eq!(
-            event.shared, scan.shared,
-            "{:?}: shared totals",
-            cfg.workloads
-        );
+        let event = run_with(&cfg, |c| c.scheduler = SchedulerKind::EventDriven);
+        let scan = run_with(&cfg, |c| c.scheduler = SchedulerKind::ReferenceScan);
+        assert_same_mix(&event, &scan, "scheduler");
     }
+}
+
+/// Memory-model equivalence through the shared memory system: a mix runs
+/// the first core's `mem_model`, and the lazy reference agrees with the
+/// event-driven default on every per-core and shared counter.
+#[test]
+fn mixes_bit_identical_across_mem_models() {
+    let mixes = [
+        quick_mix(
+            &["mcf_like", "astar_like", "lbm_like", "stream_hog"],
+            Mechanism::Baseline,
+        ),
+        quick_mix(&["mcf_like", "stream_hog"], Mechanism::Cdf),
+        quick_mix(&["astar_like", "ptr_chase"], Mechanism::Pre),
+    ];
+    for cfg in mixes {
+        let event = run_with(&cfg, |c| c.mem_model = MemModelKind::EventDriven);
+        let lazy = run_with(&cfg, |c| c.mem_model = MemModelKind::ReferenceLazy);
+        assert_same_mix(&event, &lazy, "mem model");
+    }
+}
+
+/// The shared-pool conservation asserts, checked after every round-robin
+/// sweep, hold on the lazy MSHR file too.
+#[test]
+fn lazy_model_mix_conserves_the_shared_pool() {
+    let gen = cdf_workloads::GenConfig {
+        scale: 1.0 / 16.0,
+        ..cdf_workloads::GenConfig::default()
+    };
+    let loaded: Vec<_> = ["mcf_like", "stream_hog", "astar_like"]
+        .iter()
+        .map(|n| registry::lookup(n, &gen).expect("registry workload"))
+        .collect();
+    let cores = loaded
+        .iter()
+        .zip(FUZZ_MODES)
+        .map(|(w, mech)| {
+            let cfg = CoreConfig {
+                mode: mech.mode(),
+                mem_model: MemModelKind::ReferenceLazy,
+                ..CoreConfig::default()
+            };
+            (&w.program, w.memory.clone(), cfg)
+        })
+        .collect();
+    let mut mc = MultiCore::new(cores);
+    assert_eq!(mc.shared().borrow().model(), MemModelKind::ReferenceLazy);
+    let out = mc.run_checked(20_000, 5_000_000);
+    assert!(out.iter().all(|o| o.stats.retired >= 20_000));
+    assert!(
+        mc.shared_report().mem.rejections > 0,
+        "the pool must have backpressured for the asserts to bite"
+    );
 }
 
 #[test]
