@@ -141,7 +141,9 @@ struct TaggedEntry {
     useful: u8,
 }
 
-/// TAGE-SC-L predictor. See the [module docs](self) and [`TageConfig`].
+/// TAGE-SC-L predictor at a reduced size: a bimodal base table, partially
+/// tagged tables indexed with geometrically increasing history lengths, a
+/// loop predictor and a statistical corrector, sized by [`TageConfig`].
 #[derive(Clone, Debug)]
 pub struct TageScL {
     cfg: TageConfig,

@@ -335,11 +335,6 @@ impl<'p> Core<'p> {
         self.cdf.as_ref().map(|c| &c.masks)
     }
 
-    /// The runahead engine (PRE statistics).
-    pub fn runahead(&self) -> &RunaheadState {
-        &self.runahead
-    }
-
     /// Pre-installs compiler-provided critical chains (the §6 augmentation;
     /// see [`crate::static_chains`]): the static backward slices of `seeds`
     /// go straight into the Mask Cache and Critical Uop Cache, so CDF mode
@@ -409,11 +404,6 @@ impl<'p> Core<'p> {
         self.telemetry = Some(crate::telemetry::Telemetry::new(cfg));
     }
 
-    /// The telemetry collected so far, if enabled.
-    pub fn telemetry(&self) -> Option<&crate::telemetry::Telemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Detaches and returns the telemetry collectors (disabling further
     /// collection) — the harness calls this once the run is over.
     pub fn take_telemetry(&mut self) -> Option<crate::telemetry::Telemetry> {
@@ -437,11 +427,6 @@ impl<'p> Core<'p> {
     /// series.
     pub fn enable_diagnostics_with(&mut self, cfg: crate::diag::DiagConfig) {
         self.diag = Some(crate::diag::CdfDiagnostics::with_config(cfg));
-    }
-
-    /// The diagnostics collected so far, if enabled.
-    pub fn diagnostics(&self) -> Option<&crate::diag::CdfDiagnostics> {
-        self.diag.as_ref()
     }
 
     /// Detaches and returns the diagnostics (disabling further collection),
@@ -510,23 +495,6 @@ impl<'p> Core<'p> {
         observer: Box<dyn crate::observer::RetireObserver + 'p>,
     ) {
         self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the retirement observer, if one was attached.
-    pub fn take_retire_observer(
-        &mut self,
-    ) -> Option<Box<dyn crate::observer::RetireObserver + 'p>> {
-        self.observer.take()
-    }
-
-    /// Frontend introspection for diagnostics: `(critical fetch lookahead in
-    /// sequence numbers, DBQ occupancy, critical fetch active)`.
-    pub fn frontend_state(&self) -> (i64, usize, bool) {
-        (
-            self.crit_seq_cursor as i64 - self.next_seq as i64,
-            self.cdf.as_ref().map(|c| c.dbq.len()).unwrap_or(0),
-            self.crit_fetch_active,
-        )
     }
 
     /// The retired architectural state: register values read through the RAT

@@ -299,34 +299,26 @@ impl MemSide {
         }
     }
 
-    /// Uniform counter snapshot for the energy report.
+    /// Uniform counter snapshot for the energy report: this core's slice
+    /// of its memory system. A private hierarchy is core 0 of a one-core
+    /// system, whose DRAM traffic is all core 0's.
     pub fn view(&self) -> MemView {
         match self {
-            MemSide::Direct(h) => hierarchy_view(h),
-            MemSide::Message(port) => hierarchy_view(&port.hierarchy),
-            MemSide::Shared(p) => {
-                let sys = p.sys.borrow();
-                let (_, l1d_misses) = sys.l1d_stats(p.core);
-                let share = sys.core_share(p.core);
-                MemView {
-                    stats: *sys.core_stats(p.core),
-                    l1d_misses,
-                    dram_reads: share.dram_reads,
-                    dram_writes: share.dram_writes,
-                }
-            }
+            MemSide::Direct(h) => core_view(h.system(), 0),
+            MemSide::Message(port) => core_view(port.hierarchy.system(), 0),
+            MemSide::Shared(p) => core_view(&p.sys.borrow(), p.core),
         }
     }
 }
 
-fn hierarchy_view(h: &MemoryHierarchy) -> MemView {
-    let (_, l1d_misses) = h.l1d_stats();
-    let d = h.dram_stats();
+fn core_view(sys: &MultiCoreMemory, core: usize) -> MemView {
+    let (_, l1d_misses) = sys.l1d_stats(core);
+    let share = sys.core_share(core);
     MemView {
-        stats: *h.stats(),
+        stats: *sys.core_stats(core),
         l1d_misses,
-        dram_reads: d.reads,
-        dram_writes: d.writes,
+        dram_reads: share.dram_reads,
+        dram_writes: share.dram_writes,
     }
 }
 

@@ -94,11 +94,6 @@ impl<'p> MultiCore<'p> {
         MultiCore { cores, sys }
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// The shared memory system (invariant checks, diagnostics).
     pub fn shared(&self) -> &Rc<RefCell<MultiCoreMemory>> {
         &self.sys

@@ -240,11 +240,6 @@ impl<'p> OracleLockstep<'p> {
     pub fn log(&self) -> Rc<RefCell<LockstepLog>> {
         Rc::clone(&self.log)
     }
-
-    /// The oracle's architectural state (for final-state comparisons).
-    pub fn oracle_state(&self) -> &cdf_isa::ArchState {
-        self.exec.state()
-    }
 }
 
 fn diverge(uop: &RetiredUop, kind: DivergenceKind, expected: String, actual: String) -> Divergence {

@@ -1,7 +1,7 @@
 //! Cycle-accounting telemetry: interval time series, occupancy histograms,
 //! top-down cycle attribution, and a structured event sink.
 //!
-//! The simulator's end-of-run [`CoreStats`](crate::CoreStats) aggregates say
+//! The simulator's end-of-run [`CoreStats`] aggregates say
 //! *how much* happened; this module says *when*. Four collectors, all owned
 //! by one [`Telemetry`] value attached to a core via
 //! [`Core::enable_telemetry`](crate::Core::enable_telemetry):

@@ -561,13 +561,6 @@ impl MultiCoreMemory {
         self.stats.writebacks += 1;
     }
 
-    /// Whether the line containing `addr` is resident in `core`'s L1D or
-    /// the shared LLC, without disturbing cache state.
-    pub fn probe_cached(&self, core: usize, addr: u64) -> bool {
-        let addr = Self::phys(core, addr);
-        self.cores[core].l1d.probe(addr) || self.llc.probe(addr)
-    }
-
     /// `core`'s demand LLC misses still outstanding at `now` (its MLP
     /// sample). Takes `&mut self` because the event-driven model retires
     /// completed entries here instead of rescanning them on every sample.
@@ -891,9 +884,11 @@ mod tests {
             },
         });
         let victim = 0x0u64;
+        let phys0 = MultiCoreMemory::phys(0, victim);
+        let phys1 = MultiCoreMemory::phys(1, victim);
         m.access(0, victim, AccessKind::Load, 0, false, 0);
         m.access(1, victim, AccessKind::Load, 1000, false, 0);
-        assert!(m.probe_cached(0, victim) && m.probe_cached(1, victim));
+        assert!(m.llc.probe(phys0) && m.llc.probe(phys1));
         assert_eq!(
             m.llc_occupancy(0) + m.llc_occupancy(1),
             2,
@@ -905,8 +900,6 @@ mod tests {
             m.access(0, victim + i * 2048 * 64, AccessKind::Load, now, false, 0);
             now += 10_000;
         }
-        let phys0 = MultiCoreMemory::phys(0, victim);
-        let phys1 = MultiCoreMemory::phys(1, victim);
         assert!(
             !m.llc.probe(phys0),
             "core 0's victim must have been evicted"

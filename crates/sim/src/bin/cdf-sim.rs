@@ -6,9 +6,9 @@
 use cdf_core::{CoreConfig, Provenance, TelemetryConfig};
 use cdf_sim::cli::{or_exit, Args, Cli};
 use cdf_sim::{
-    accounting_table, profile_json, profile_table, profile_trace_json, run, run_explain, run_sweep,
-    table1_text, telemetry_json, trace_events_json, EvalConfig, ExplainConfig, Mechanism,
-    ResultRecord, ResultStore, SweepConfig,
+    accounting_table, explain, profile_json, profile_table, profile_trace_json, run, run_sweep,
+    table1_text, telemetry_json, trace_events_json, EvalConfig, Mechanism, ResultRecord,
+    ResultStore, SweepConfig,
 };
 use cdf_workloads::registry;
 use std::path::PathBuf;
@@ -278,25 +278,54 @@ fn store_path(a: &Args) -> PathBuf {
     PathBuf::from(a.value("--store").unwrap_or(cdf_sim::DEFAULT_STORE_PATH))
 }
 
-/// With `--record`, appends one run built by `build` under the
-/// provenance `prov` gives to the `--store` store (or exits 1), and says on
-/// stderr that it recorded `n` `what`.
+/// Appends one run built by `build` under `prov` to the `--store` store,
+/// or exits 1 naming it. Returns the run id and the records.
+fn append_run(
+    a: &Args,
+    prov: &Provenance,
+    build: impl FnOnce(&str, &Provenance) -> Vec<ResultRecord>,
+) -> (String, Vec<ResultRecord>) {
+    let path = store_path(a);
+    or_exit(
+        ResultStore::open(&path)
+            .append_run(prov, |id| build(id, prov))
+            .map_err(|e| format!("recording to {}: {e}", path.display())),
+    )
+}
+
+/// With `--record`, [`append_run`]s and says on stderr that it recorded
+/// `n` `what`.
 fn record_run(
     a: &Args,
-    prov: impl FnOnce() -> Provenance,
+    prov: &Provenance,
     (n, what): (usize, &str),
     build: impl FnOnce(&str, &Provenance) -> Vec<ResultRecord>,
 ) {
     if a.has("--record") {
-        let (prov, store) = (prov(), ResultStore::open(store_path(a)));
-        let path = store.path().display();
-        let (run_id, _) = or_exit(
-            store
-                .append_run(&prov, |id| build(id, &prov))
-                .map_err(|e| format!("recording to {path}: {e}")),
-        );
-        eprintln!("recorded {n} {what} to {path} as run {run_id}");
+        let (run_id, _) = append_run(a, prov, build);
+        let path = store_path(a);
+        eprintln!("recorded {n} {what} to {} as run {run_id}", path.display());
     }
+}
+
+/// The grid the [`GRID`] flags ask for, at sizing `eval`.
+fn grid(a: &Args, eval: EvalConfig) -> SweepConfig {
+    let mut cfg = SweepConfig::full_grid(eval);
+    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
+    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
+    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
+    cfg
+}
+
+/// `sweep` and `record`: the grid with the observers `--telemetry`,
+/// `--explain` and `--profile` attach.
+fn observed_grid(a: &Args) -> SweepConfig {
+    let mut eval = parse_eval(a);
+    eval.telemetry = telemetry_flag(a);
+    eval.diagnostics = a.has("--explain");
+    let mut cfg = grid(a, eval);
+    cfg.profile = a.has("--profile");
+    cfg
 }
 
 /// `run`, `report`, `telemetry` and `profile`: one cell of `<workload>` on
@@ -371,45 +400,40 @@ fn run_profile_command(a: &Args) {
     }
 }
 
+/// `explain`: the grid with diagnostics attached, rendered as the
+/// provenance table, document and chain spans. Its cells are clock-free
+/// (`wall_ms` 0), so a repeat run reproduces its store rows byte for byte.
 fn run_explain_command(a: &Args) {
-    let mut cfg = ExplainConfig::full_grid(parse_eval(a));
-    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
-    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
-    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
-    cfg.chain_limit = a.get("--chains").unwrap_or(cfg.chain_limit);
-    let report = run_explain(&cfg);
-    print!("{}", report.render_summary());
+    let mut eval = parse_eval(a);
+    eval.diagnostics = true;
+    let chains = a.get("--chains").unwrap_or(explain::DEFAULT_CHAIN_LIMIT);
+    let mut sweep = run_sweep(&grid(a, eval));
+    sweep.cells.iter_mut().for_each(|c| c.wall_ms = 0);
+    print!("{}", explain::render_summary(&sweep));
     if let Some(path) = a.value("--out") {
-        write_out(path, report.to_json().render_pretty(), "");
+        write_out(path, explain::to_json(&sweep, chains).render_pretty(), "");
     }
     if let Some(path) = a.value("--trace-out") {
-        write_out(path, report.chain_trace_events().render(), "chain spans");
+        let spans = explain::chain_trace_events(&sweep).render();
+        write_out(path, spans, "chain spans");
     }
-    let n = report.cells.len();
-    record_run(a, Provenance::capture, (n, "cell(s)"), |id, prov| {
-        cdf_sim::records_from_cells(id, prov, &report.config.eval, &report.cells)
+    let n = (sweep.cells.len(), "cell(s)");
+    record_run(a, &sweep.provenance, n, |id, prov| {
+        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
     });
-    if report.counts().1 > 0 {
+    if sweep.counts().1 > 0 {
         exit(3);
     }
 }
 
 fn run_sweep_command(a: &Args) {
-    let mut eval = parse_eval(a);
-    eval.telemetry = telemetry_flag(a);
-    eval.diagnostics = a.has("--explain");
-    let mut cfg = SweepConfig::full_grid(eval);
-    cfg.profile = a.has("--profile");
-    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
-    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
-    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
-    let sweep = run_sweep(&cfg);
+    let sweep = run_sweep(&observed_grid(a));
     print!("{}", sweep.render_summary());
     if let Some(path) = a.value("--out") {
         write_out(path, sweep.to_json().render_pretty(), "");
     }
-    let prov = || sweep.provenance.clone();
-    record_run(a, prov, (sweep.cells.len(), "cell(s)"), |id, prov| {
+    let n = (sweep.cells.len(), "cell(s)");
+    record_run(a, &sweep.provenance, n, |id, prov| {
         cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
     });
     // Failed cells are recorded, not fatal — but reflect them in the exit
@@ -481,39 +505,30 @@ fn run_mix_command(a: &Args) {
     }
     // One record per core, plus the profile row of a profiled mix.
     let n = report.cores.len() + usize::from(report.profile.is_some());
-    let prov = || report.provenance.clone();
-    record_run(a, prov, (n, "core(s)"), |id, prov| {
+    record_run(a, &report.provenance, (n, "core(s)"), |id, prov| {
         cdf_sim::records_from_mix(id, prov, &report)
     });
 }
 
+/// `record`: the grid, `--filter`ed, appended to the store as one run.
 fn run_record_command(a: &Args) {
-    let mut eval = parse_eval(a);
-    eval.telemetry = telemetry_flag(a);
-    eval.diagnostics = a.has("--explain");
-    let mut cfg = cdf_sim::RecordConfig::full_grid(eval);
-    cfg.profile = a.has("--profile");
-    cfg.workloads = a.list("--workloads").unwrap_or(cfg.workloads);
-    cfg.mechanisms = mechs(a).unwrap_or(cfg.mechanisms);
-    cfg.threads = a.get("--threads").unwrap_or(cfg.threads);
+    let mut cfg = observed_grid(a);
     cfg.filter = a.get("--filter");
-    cfg.store_path = store_path(a);
-    let run = or_exit(
-        cdf_sim::run_record(&cfg)
-            .map_err(|e| format!("recording to {}: {e}", cfg.store_path.display())),
-    );
+    let sweep = run_sweep(&cfg);
+    let (run_id, records) = append_run(a, &sweep.provenance, |id, prov| {
+        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
+    });
+    let failed = records.iter().filter(|r| !r.is_ok()).count();
     println!(
-        "recorded {} cell(s) to {} as run {} ({} failed)",
-        run.records.len(),
-        cfg.store_path.display(),
-        run.run_id,
-        run.failed
+        "recorded {} cell(s) to {} as run {run_id} ({failed} failed)",
+        records.len(),
+        store_path(a).display(),
     );
-    if run.records.is_empty() {
+    if records.is_empty() {
         eprintln!("the filter matched no cells");
         exit(2);
     }
-    if run.failed > 0 {
+    if failed > 0 {
         exit(3);
     }
 }

@@ -120,11 +120,6 @@ impl CellOutcome {
     pub fn is_ok(&self) -> bool {
         !matches!(self, CellOutcome::Failed { .. })
     }
-
-    /// Whether the cell found a divergence (fuzz/equiv cells only).
-    pub fn is_divergent(&self) -> bool {
-        matches!(self, CellOutcome::Checked { clean: false, .. })
-    }
 }
 
 /// One completed cell as journaled by its shard.

@@ -31,7 +31,7 @@
 use crate::fuzz::{run_lockstep_full, LockstepOutcome};
 use crate::json::{field, Json};
 use crate::run::{EvalConfig, Mechanism};
-use crate::sweep::{parallel_map, run_cell};
+use crate::sweep::{parallel_map, run_sweep, SweepConfig};
 use cdf_core::{BoundaryKind, MemModelKind, SchedulerKind};
 use cdf_workloads::fuzz::FuzzSpec;
 use std::fmt::Debug;
@@ -89,6 +89,18 @@ impl EquivAxis {
             ],
         }
     }
+
+    /// The names of the two sides of [`pair`](Self::pair), in the same
+    /// order: the `as_str` of the implementation kind this axis flips
+    /// (`event`/`scan`, `mem-event`/`mem-lazy`, `msg`/`direct`).
+    pub fn labels(self) -> [&'static str; 2] {
+        let [a, b] = self.pair();
+        match self {
+            EquivAxis::Scheduler => [a.0.as_str(), b.0.as_str()],
+            EquivAxis::MemModel => [a.1.as_str(), b.1.as_str()],
+            EquivAxis::Boundary => [a.2.as_str(), b.2.as_str()],
+        }
+    }
 }
 
 /// Configuration of a fuzz-seed equivalence campaign.
@@ -118,7 +130,7 @@ impl Default for EquivConfig {
     }
 }
 
-/// One disagreement between the two schedulers.
+/// One disagreement between the two variants of an axis.
 #[derive(Clone, Debug)]
 pub struct EquivMismatch {
     /// Fuzz seed (or the workload generator seed for window runs).
@@ -218,10 +230,15 @@ impl EquivReport {
 
 /// Renders the first differing field of two runs' results (`what` names
 /// them: a [`CoreStats`](cdf_core::CoreStats) field, a
-/// [`Measurement`](crate::Measurement)), or `None` when they are
-/// identical. Works off the pretty `Debug` rendering so it stays complete
-/// as fields are added.
-pub fn divergence<T: PartialEq + Debug>(what: &str, a: &T, b: &T) -> Option<String> {
+/// [`Measurement`](crate::Measurement); `sides` names the run of `a` and
+/// the run of `b`), or `None` when they are identical. Works off the pretty
+/// `Debug` rendering so it stays complete as fields are added.
+pub fn divergence<T: PartialEq + Debug>(
+    what: &str,
+    [side_a, side_b]: [&str; 2],
+    a: &T,
+    b: &T,
+) -> Option<String> {
     if a == b {
         return None;
     }
@@ -230,7 +247,7 @@ pub fn divergence<T: PartialEq + Debug>(what: &str, a: &T, b: &T) -> Option<Stri
     for (la, lb) in fa.lines().zip(fb.lines()) {
         if la != lb {
             return Some(format!(
-                "{what} diverged: event `{}` vs scan `{}`",
+                "{what} diverged: {side_a} `{}` vs {side_b} `{}`",
                 la.trim().trim_end_matches(','),
                 lb.trim().trim_end_matches(',')
             ));
@@ -248,6 +265,7 @@ pub fn check_seed(
 ) -> (u64, Vec<EquivMismatch>) {
     let fp = FuzzSpec::from_seed(seed).build();
     let [(ev_sched, ev_mem, ev_bound), (sc_sched, sc_mem, sc_bound)] = axis.pair();
+    let sides @ [la, lb] = axis.labels();
     let mut checked_total = 0u64;
     let mut mismatches = Vec::new();
     for &mech in mechanisms {
@@ -274,27 +292,21 @@ pub fn check_seed(
                 checked_total += ec;
                 if ed != sd {
                     fail(format!(
-                        "retirement digest: event {ed:#018x} vs scan {sd:#018x}"
+                        "retirement digest: {la} {ed:#018x} vs {lb} {sd:#018x}"
                     ));
                 } else if ec != sc_n {
-                    fail(format!("checked-uop count: event {ec} vs scan {sc_n}"));
+                    fail(format!("checked-uop count: {la} {ec} vs {lb} {sc_n}"));
                 } else if let (Some(a), Some(b)) = (&ev_stats, &sc_stats) {
-                    if let Some(d) = divergence("stats field", a, b) {
+                    if let Some(d) = divergence("stats field", sides, a, b) {
                         fail(d);
                     }
                 }
             }
             (LockstepOutcome::Fail { kind, detail }, _) => {
-                fail(format!(
-                    "event variant failed ({}): {detail}",
-                    kind.as_str()
-                ));
+                fail(format!("{la} variant failed ({}): {detail}", kind.as_str()));
             }
             (_, LockstepOutcome::Fail { kind, detail }) => {
-                fail(format!(
-                    "reference variant failed ({}): {detail}",
-                    kind.as_str()
-                ));
+                fail(format!("{lb} variant failed ({}): {detail}", kind.as_str()));
             }
         }
     }
@@ -330,50 +342,44 @@ pub fn run_equivalence(cfg: &EquivConfig) -> EquivReport {
 }
 
 /// Runs full warmup+measure windows over `workloads × mechanisms` under both
-/// variants of `axis` and compares the complete
-/// [`Measurement`](crate::Measurement)s. Returns every disagreement (empty
-/// = bit-identical end to end, including DRAM traffic and energy).
+/// variants of `axis`, as one sweep per variant, and compares the complete
+/// [`Measurement`](crate::Measurement)s cell by cell. Returns every
+/// disagreement (empty = bit-identical end to end, including DRAM traffic
+/// and energy).
 pub fn workload_equivalence_axis(
     workloads: &[&str],
     mechanisms: &[Mechanism],
     cfg: &EvalConfig,
     axis: EquivAxis,
 ) -> Vec<EquivMismatch> {
-    let [(ev_sched, ev_mem, ev_bound), (sc_sched, sc_mem, sc_bound)] = axis.pair();
-    let mut event_cfg = cfg.clone();
-    event_cfg.core.scheduler = ev_sched;
-    event_cfg.core.mem_model = ev_mem;
-    event_cfg.core.boundary = ev_bound;
-    let mut scan_cfg = cfg.clone();
-    scan_cfg.core.scheduler = sc_sched;
-    scan_cfg.core.mem_model = sc_mem;
-    scan_cfg.core.boundary = sc_bound;
-    let jobs: Vec<(&str, Mechanism)> = workloads
-        .iter()
-        .flat_map(|&w| mechanisms.iter().map(move |&m| (w, m)))
-        .collect();
-    let results = parallel_map(&jobs, 0, |&(w, m)| {
-        let ev = run_cell(w, m, m.mode(), &event_cfg, false);
-        let sc = run_cell(w, m, m.mode(), &scan_cfg, false);
-        match (ev.result, sc.result) {
-            (Ok(a), Ok(b)) => divergence("measurement", &a, &b).map(|d| EquivMismatch {
-                seed: cfg.gen.seed,
-                mechanism: format!("{w}/{}", m.label()),
-                detail: d,
-            }),
-            (Err(e), _) => Some(EquivMismatch {
-                seed: cfg.gen.seed,
-                mechanism: format!("{w}/{}", m.label()),
-                detail: format!("event variant window failed: {e}"),
-            }),
-            (_, Err(e)) => Some(EquivMismatch {
-                seed: cfg.gen.seed,
-                mechanism: format!("{w}/{}", m.label()),
-                detail: format!("reference variant window failed: {e}"),
-            }),
-        }
+    let [a, b] = axis.pair().map(|(scheduler, mem_model, boundary)| {
+        let mut eval = cfg.clone();
+        eval.core.scheduler = scheduler;
+        eval.core.mem_model = mem_model;
+        eval.core.boundary = boundary;
+        run_sweep(&SweepConfig::new(
+            workloads.iter().copied(),
+            mechanisms.to_vec(),
+            eval,
+        ))
     });
-    results.into_iter().flatten().collect()
+    let sides @ [la, lb] = axis.labels();
+    a.cells
+        .iter()
+        .zip(&b.cells)
+        .filter_map(|(x, y)| {
+            let detail = match (&x.result, &y.result) {
+                (Ok(p), Ok(q)) => divergence("measurement", sides, p, q)?,
+                (Err(e), _) => format!("{la} variant window failed: {e}"),
+                (_, Err(e)) => format!("{lb} variant window failed: {e}"),
+            };
+            Some(EquivMismatch {
+                seed: cfg.gen.seed,
+                mechanism: format!("{}/{}", x.workload, x.mechanism.label()),
+                detail,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -383,14 +389,50 @@ mod tests {
 
     #[test]
     fn divergence_reports_field() {
+        let sides = EquivAxis::Scheduler.labels();
         let a = CoreStats::default();
-        assert!(divergence("stats field", &a, &CoreStats::default()).is_none());
+        assert!(divergence("stats field", sides, &a, &CoreStats::default()).is_none());
         let b = CoreStats {
             cycles: 7,
             ..CoreStats::default()
         };
-        let d = divergence("stats field", &a, &b).expect("differs");
+        let d = divergence("stats field", sides, &a, &b).expect("differs");
         assert!(d.contains("cycles"), "diff names the field: {d}");
+    }
+
+    #[test]
+    fn every_axis_names_its_own_two_sides() {
+        let cases = [
+            (
+                EquivAxis::Scheduler,
+                "event `cycles: 0` vs scan `cycles: 7`",
+            ),
+            (
+                EquivAxis::MemModel,
+                "mem-event `cycles: 0` vs mem-lazy `cycles: 7`",
+            ),
+            (EquivAxis::Boundary, "msg `cycles: 0` vs direct `cycles: 7`"),
+        ];
+        let b = CoreStats {
+            cycles: 7,
+            ..CoreStats::default()
+        };
+        for (axis, wording) in cases {
+            let d = divergence("stats field", axis.labels(), &CoreStats::default(), &b);
+            assert_eq!(d, Some(format!("stats field diverged: {wording}")));
+            // A window that cannot run names the variant that failed.
+            let [first, _] = axis.labels();
+            let mm = workload_equivalence_axis(
+                &["no_such_kernel"],
+                &[Mechanism::Baseline],
+                &EvalConfig::quick(),
+                axis,
+            );
+            assert_eq!(mm.len(), 1, "{mm:?}");
+            assert_eq!(mm[0].mechanism, "no_such_kernel/base");
+            let prefix = format!("{first} variant window failed: unknown workload");
+            assert!(mm[0].detail.starts_with(&prefix), "{}", mm[0].detail);
+        }
     }
 
     #[test]

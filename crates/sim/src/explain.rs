@@ -3,10 +3,11 @@
 //! document, a human-readable table, and Perfetto async spans (one per
 //! chain).
 //!
-//! Where the sweep answers *how fast*, explain answers *why*: it runs every
-//! cell through the sweep's [`run_cell`] with [`CdfDiagnostics`] attached
-//! and reports the three metric families the prefetching literature uses to
-//! justify a mechanism —
+//! Where the sweep answers *how fast*, explain answers *why*. It is the same
+//! grid: `cdf-sim explain` runs [`run_sweep`](crate::run_sweep) with
+//! [`EvalConfig::diagnostics`](crate::EvalConfig) on, and the renderers here
+//! read the finished [`Sweep`]. They report the three metric families the
+//! prefetching literature uses to justify a mechanism —
 //!
 //! * **coverage** — of the retired LLC-miss loads / mispredicted H2P
 //!   branches, how many had a live CUC trace covering that very uop;
@@ -20,11 +21,10 @@
 //! `crates/sim/tests/explain.rs`).
 
 use crate::json::{field, Json};
+use crate::provenance::provenance_json;
 use crate::report::Table;
-use crate::run::{EvalConfig, Mechanism};
-use crate::sweep::{measurement_json, parallel_map, run_cell, SweepCell};
+use crate::sweep::{cell_json, gen_json, Sweep};
 use cdf_core::{CdfDiagnostics, ChainRecord, Coverage, Histogram};
-use cdf_workloads::registry;
 
 /// The JSON schema tag stamped on every emitted explain document.
 pub use crate::schema::EXPLAIN as EXPLAIN_SCHEMA;
@@ -33,256 +33,138 @@ pub use crate::schema::EXPLAIN as EXPLAIN_SCHEMA;
 /// aggregate counters always cover every chain.
 pub const DEFAULT_CHAIN_LIMIT: usize = 32;
 
-/// The grid and sizing of one explain run.
-#[derive(Clone, Debug)]
-pub struct ExplainConfig {
-    /// Workload names (rows of the grid).
-    pub workloads: Vec<String>,
-    /// Mechanisms (columns of the grid).
-    pub mechanisms: Vec<Mechanism>,
-    /// Shared evaluation sizing; `diagnostics` is forced on per cell.
-    pub eval: EvalConfig,
-    /// Worker threads; `0` means one per available hardware thread.
-    pub threads: usize,
-    /// Chain records embedded per cell in the JSON document.
-    pub chain_limit: usize,
-}
-
-impl ExplainConfig {
-    /// An explain run over the given workloads and mechanisms.
-    pub fn new<I, S>(workloads: I, mechanisms: Vec<Mechanism>, eval: EvalConfig) -> ExplainConfig
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        ExplainConfig {
-            workloads: workloads.into_iter().map(Into::into).collect(),
-            mechanisms,
-            eval,
-            threads: 0,
-            chain_limit: DEFAULT_CHAIN_LIMIT,
-        }
-    }
-
-    /// The full default grid: every registry workload × every mechanism.
-    pub fn full_grid(eval: EvalConfig) -> ExplainConfig {
-        ExplainConfig::new(
-            registry::NAMES.iter().copied(),
-            Mechanism::ALL.to_vec(),
-            eval,
-        )
-    }
-}
-
-/// A completed explain run over the whole grid.
-#[derive(Clone, Debug)]
-pub struct ExplainReport {
-    /// The configuration that produced this report, with
-    /// `eval.diagnostics` forced on as the cells ran.
-    pub config: ExplainConfig,
-    /// Results in deterministic grid order (workload-major). Every
-    /// successful cell carries its diagnostics; `wall_ms` is 0 throughout,
-    /// so the document and its store rows are clock-free.
-    pub cells: Vec<SweepCell>,
-}
-
-/// Runs the explain grid: every cell goes through [`run_cell`] with
-/// diagnostics attached, in parallel, with per-cell fault isolation (a
-/// failing cell is recorded, never fatal).
-pub fn run_explain(config: &ExplainConfig) -> ExplainReport {
-    let mut config = config.clone();
-    config.eval.diagnostics = true;
-    let jobs: Vec<(&str, Mechanism)> = config
-        .workloads
-        .iter()
-        .flat_map(|w| config.mechanisms.iter().map(move |&m| (w.as_str(), m)))
-        .collect();
-    let cells = parallel_map(&jobs, config.threads, |&(w, m)| SweepCell {
-        wall_ms: 0,
-        ..run_cell(w, m, m.mode(), &config.eval, false)
-    });
-    ExplainReport { config, cells }
-}
-
-impl ExplainReport {
-    /// The cell for one grid point, if it was in the grid.
-    pub fn cell(&self, workload: &str, mechanism: Mechanism) -> Option<&SweepCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.mechanism == mechanism)
-    }
-
-    /// The diagnostics for one grid point, if the cell ran and succeeded.
-    pub fn diagnostics(&self, workload: &str, mechanism: Mechanism) -> Option<&CdfDiagnostics> {
-        self.cell(workload, mechanism)
-            .and_then(|c| c.diagnostics.as_ref())
-    }
-
-    /// `(succeeded, failed)` cell counts.
-    pub fn counts(&self) -> (usize, usize) {
-        let failed = self.cells.iter().filter(|c| c.result.is_err()).count();
-        (self.cells.len() - failed, failed)
-    }
-
-    /// The full report as a JSON document (schema [`EXPLAIN_SCHEMA`]).
-    pub fn to_json(&self) -> Json {
-        let gen = &self.config.eval.gen;
-        Json::Obj(vec![
-            field("schema", EXPLAIN_SCHEMA),
-            field(
-                "provenance",
-                crate::provenance::provenance_json(&cdf_core::Provenance::capture()),
+/// The explain document (schema [`EXPLAIN_SCHEMA`]) of a finished sweep:
+/// its provenance, sizing and grid, then one record per cell with the
+/// `chain_limit` busiest chains of its diagnostics. Cells carry no wall
+/// time, and a cell that ran without diagnostics has no `diagnostics`
+/// section.
+pub fn to_json(sweep: &Sweep, chain_limit: usize) -> Json {
+    let eval = &sweep.config.eval;
+    let [workloads, mechanisms] = sweep.config.axes_json();
+    Json::Obj(vec![
+        field("schema", EXPLAIN_SCHEMA),
+        field("provenance", provenance_json(&sweep.provenance)),
+        field("gen", gen_json(&eval.gen)),
+        field(
+            "eval",
+            Json::Obj(vec![
+                field("warmup_instructions", eval.warmup_instructions),
+                field("measure_instructions", eval.measure_instructions),
+                field("max_cycles", eval.max_cycles),
+            ]),
+        ),
+        workloads,
+        mechanisms,
+        field(
+            "cells",
+            Json::Arr(
+                sweep
+                    .cells
+                    .iter()
+                    .map(|c| cell_json(c, None, chain_limit))
+                    .collect(),
             ),
+        ),
+    ])
+}
+
+/// Chrome/Perfetto trace-event JSON with one async span per recorded
+/// chain (`ph:"b"`/`ph:"e"`, spanning install → last lifecycle event),
+/// grouped by grid cell. Load into Perfetto to see chain lifetimes laid
+/// out against each other.
+pub fn chain_trace_events(sweep: &Sweep) -> Json {
+    let mut events = Vec::new();
+    for (tid, c) in sweep.cells.iter().enumerate() {
+        let Some(d) = &c.diagnostics else { continue };
+        let tid = tid as u64 + 1;
+        events.push(Json::Obj(vec![
+            field("name", "thread_name"),
+            field("ph", "M"),
+            field("pid", 1u64),
+            field("tid", tid),
             field(
-                "gen",
+                "args",
+                Json::Obj(vec![field(
+                    "name",
+                    format!("{} / {}", c.workload, c.mechanism.label()),
+                )]),
+            ),
+        ]));
+        for ch in d.chains() {
+            let name = format!("chain {} @pc{}", ch.id, ch.block_start.index());
+            let common = |ph: &str, ts: u64| {
+                vec![
+                    field("name", name.as_str()),
+                    field("cat", "chain"),
+                    field("ph", ph),
+                    field("id", ch.id),
+                    field("ts", ts),
+                    field("pid", 1u64),
+                    field("tid", tid),
+                ]
+            };
+            let mut begin = common("b", ch.installed_at);
+            begin.push(field(
+                "args",
                 Json::Obj(vec![
-                    field("seed", gen.seed),
-                    field("scale", gen.scale),
-                    field("iters", gen.iters),
+                    field("crit_uops", ch.crit_uops),
+                    field("cuc_hits", ch.cuc_hits),
+                    field("fetched", ch.uops_fetched),
+                    field("consumed", ch.uops_consumed),
+                    field("poisoned", ch.uops_poisoned),
+                    field("squashed", ch.uops_squashed),
+                    field("wasted", ch.uops_wasted()),
                 ]),
-            ),
-            field(
-                "eval",
-                Json::Obj(vec![
-                    field("warmup_instructions", self.config.eval.warmup_instructions),
-                    field(
-                        "measure_instructions",
-                        self.config.eval.measure_instructions,
-                    ),
-                    field("max_cycles", self.config.eval.max_cycles),
-                ]),
-            ),
-            field(
-                "workloads",
-                Json::Arr(
-                    self.config
-                        .workloads
-                        .iter()
-                        .map(|w| w.as_str().into())
-                        .collect(),
-                ),
-            ),
-            field(
-                "mechanisms",
-                Json::Arr(
-                    self.config
-                        .mechanisms
-                        .iter()
-                        .map(|m| m.label().into())
-                        .collect(),
-                ),
-            ),
-            field(
-                "cells",
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| cell_json(c, self.config.chain_limit))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Chrome/Perfetto trace-event JSON with one async span per recorded
-    /// chain (`ph:"b"`/`ph:"e"`, spanning install → last lifecycle event),
-    /// grouped by grid cell. Load into Perfetto to see chain lifetimes laid
-    /// out against each other.
-    pub fn chain_trace_events(&self) -> Json {
-        let mut events = Vec::new();
-        for (tid, c) in self.cells.iter().enumerate() {
-            let Some(d) = &c.diagnostics else { continue };
-            let tid = tid as u64 + 1;
-            events.push(Json::Obj(vec![
-                field("name", "thread_name"),
-                field("ph", "M"),
-                field("pid", 1u64),
-                field("tid", tid),
-                field(
-                    "args",
-                    Json::Obj(vec![field(
-                        "name",
-                        format!("{} / {}", c.workload, c.mechanism.label()),
-                    )]),
-                ),
-            ]));
-            for ch in d.chains() {
-                let name = format!("chain {} @pc{}", ch.id, ch.block_start.index());
-                let common = |ph: &str, ts: u64| {
-                    vec![
-                        field("name", name.as_str()),
-                        field("cat", "chain"),
-                        field("ph", ph),
-                        field("id", ch.id),
-                        field("ts", ts),
-                        field("pid", 1u64),
-                        field("tid", tid),
-                    ]
-                };
-                let mut begin = common("b", ch.installed_at);
-                begin.push(field(
-                    "args",
-                    Json::Obj(vec![
-                        field("crit_uops", ch.crit_uops),
-                        field("cuc_hits", ch.cuc_hits),
-                        field("fetched", ch.uops_fetched),
-                        field("consumed", ch.uops_consumed),
-                        field("poisoned", ch.uops_poisoned),
-                        field("squashed", ch.uops_squashed),
-                        field("wasted", ch.uops_wasted()),
-                    ]),
-                ));
-                events.push(Json::Obj(begin));
-                events.push(Json::Obj(common("e", ch.last_event.max(ch.installed_at))));
-            }
+            ));
+            events.push(Json::Obj(begin));
+            events.push(Json::Obj(common("e", ch.last_event.max(ch.installed_at))));
         }
-        Json::Arr(events)
     }
+    Json::Arr(events)
+}
 
-    /// The human-readable per-cell table: coverage, accuracy, and lead-time
-    /// summaries side by side.
-    pub fn render_summary(&self) -> String {
-        let headers = [
-            "workload",
-            "mechanism",
-            "chains",
-            "ld-cov",
-            "br-cov",
-            "accuracy",
-            "fetched",
-            "wasted",
-            "lead-mean",
-            "lead-p50",
-        ];
-        let mut t = Table::new(&headers);
-        for c in &self.cells {
-            let mut row = vec![c.workload.clone(), c.mechanism.label().to_string()];
-            match (&c.result, &c.diagnostics) {
-                (Ok(_), Some(d)) => row.extend([
-                    format!("{}", d.chains().len()),
-                    pct(&d.load_coverage),
-                    pct(&d.branch_coverage),
-                    format!("{:.1}%", d.accuracy() * 100.0),
-                    format!("{}", d.critical_uops_fetched),
-                    format!("{}", d.critical_uops_wasted()),
-                    format!("{:.0}", d.lead_time.mean()),
-                    format!("{}", histogram_p50(&d.lead_time)),
-                ]),
-                (Err(e), _) => {
-                    row.push(format!("ERROR({})", e.kind()));
-                    row.resize(headers.len(), "-".into());
-                }
-                (Ok(_), None) => unreachable!("run_explain attaches diagnostics to every cell"),
-            }
-            t.row(&row);
+/// The human-readable per-cell table: coverage, accuracy, and lead-time
+/// summaries side by side. A failed cell reads `ERROR(kind)`; a cell with
+/// no diagnostics reads `-` throughout.
+pub fn render_summary(sweep: &Sweep) -> String {
+    let headers = [
+        "workload",
+        "mechanism",
+        "chains",
+        "ld-cov",
+        "br-cov",
+        "accuracy",
+        "fetched",
+        "wasted",
+        "lead-mean",
+        "lead-p50",
+    ];
+    let mut t = Table::new(&headers);
+    for c in &sweep.cells {
+        let mut row = vec![c.workload.clone(), c.mechanism.label().to_string()];
+        match (&c.result, &c.diagnostics) {
+            (Ok(_), Some(d)) => row.extend([
+                format!("{}", d.chains().len()),
+                pct(&d.load_coverage),
+                pct(&d.branch_coverage),
+                format!("{:.1}%", d.accuracy() * 100.0),
+                format!("{}", d.critical_uops_fetched),
+                format!("{}", d.critical_uops_wasted()),
+                format!("{:.0}", d.lead_time.mean()),
+                format!("{}", histogram_p50(&d.lead_time)),
+            ]),
+            (Err(e), _) => row.push(format!("ERROR({})", e.kind())),
+            (Ok(_), None) => {}
         }
-        let (ok, failed) = self.counts();
-        format!(
-            "Explain — CUC coverage / accuracy / lead time per (workload × mechanism); \
-             {ok} ok, {failed} failed\n{}",
-            t.render()
-        )
+        row.resize(headers.len(), "-".into());
+        t.row(&row);
     }
+    let (ok, failed) = sweep.counts();
+    format!(
+        "Explain — CUC coverage / accuracy / lead time per (workload × mechanism); \
+         {ok} ok, {failed} failed\n{}",
+        t.render()
+    )
 }
 
 fn pct(c: &Coverage) -> String {
@@ -308,30 +190,6 @@ fn histogram_p50(h: &Histogram) -> u64 {
         }
     }
     0
-}
-
-fn cell_json(c: &SweepCell, chain_limit: usize) -> Json {
-    let mut fields = vec![
-        field("workload", c.workload.as_str()),
-        field("mechanism", c.mechanism.label()),
-        field("status", if c.result.is_ok() { "ok" } else { "error" }),
-    ];
-    match &c.result {
-        Ok(m) => {
-            fields.push(field("measurement", measurement_json(m)));
-            if let Some(d) = &c.diagnostics {
-                fields.push(field("diagnostics", diagnostics_json(d, chain_limit)));
-            }
-        }
-        Err(e) => fields.push(field(
-            "error",
-            Json::Obj(vec![
-                field("kind", e.kind()),
-                field("message", e.to_string()),
-            ]),
-        )),
-    }
-    Json::Obj(fields)
 }
 
 /// Serializes one [`CdfDiagnostics`] collector: lifecycle counters, the
@@ -473,6 +331,8 @@ fn chain_json(c: &ChainRecord) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{EvalConfig, Mechanism};
+    use crate::sweep::{run_sweep, SweepConfig};
 
     fn tiny_eval() -> EvalConfig {
         EvalConfig {
@@ -487,13 +347,20 @@ mod tests {
         }
     }
 
+    /// The sweep `cdf-sim explain` runs: the grid with diagnostics on.
+    fn explain_sweep<const N: usize>(workloads: [&str; N], mechanisms: Vec<Mechanism>) -> Sweep {
+        let eval = EvalConfig {
+            diagnostics: true,
+            ..tiny_eval()
+        };
+        run_sweep(&SweepConfig::new(workloads, mechanisms, eval))
+    }
+
     #[test]
     fn explain_run_collects_cdf_provenance() {
-        let cfg = ExplainConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
-        let report = run_explain(&cfg);
-        assert!(report.config.eval.diagnostics, "diagnostics forced on");
-        let c = &report.cells[0];
-        assert_eq!(c.wall_ms, 0, "explain cells are clock-free");
+        let sweep = explain_sweep(["astar_like"], vec![Mechanism::Cdf]);
+        assert!(sweep.config.eval.diagnostics, "diagnostics on");
+        let c = &sweep.cells[0];
         let m = c.result.as_ref().expect("cell runs");
         let d = c.diagnostics.as_ref().expect("diagnostics attached");
         assert!(m.critical_uops > 0, "CDF must engage");
@@ -505,18 +372,15 @@ mod tests {
             "lead-time totality"
         );
         assert!(!d.chains().is_empty());
+        let doc = to_json(&sweep, DEFAULT_CHAIN_LIMIT).render();
+        assert!(!doc.contains("wall_ms"), "explain cells are clock-free");
     }
 
     #[test]
     fn report_json_is_valid_and_tagged() {
-        let cfg = ExplainConfig::new(
-            ["astar_like"],
-            vec![Mechanism::Baseline, Mechanism::Cdf],
-            tiny_eval(),
-        );
-        let report = run_explain(&cfg);
-        assert_eq!(report.counts(), (2, 0));
-        let text = report.to_json().render_pretty();
+        let sweep = explain_sweep(["astar_like"], vec![Mechanism::Baseline, Mechanism::Cdf]);
+        assert_eq!(sweep.counts(), (2, 0));
+        let text = to_json(&sweep, DEFAULT_CHAIN_LIMIT).render_pretty();
         let doc = Json::parse(&text).expect("emitted JSON parses");
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
@@ -530,29 +394,41 @@ mod tests {
                 assert!(diag.get(family).is_some(), "{family} present");
             }
         }
-        assert!(report.render_summary().contains("accuracy"));
+        assert!(render_summary(&sweep).contains("accuracy"));
     }
 
     #[test]
     fn failed_cells_are_recorded_not_fatal() {
-        let cfg = ExplainConfig::new(
-            ["no_such_kernel", "astar_like"],
-            vec![Mechanism::Baseline],
-            tiny_eval(),
-        );
-        let report = run_explain(&cfg);
-        assert_eq!(report.counts(), (1, 1));
-        let bad = report.cell("no_such_kernel", Mechanism::Baseline).unwrap();
+        let sweep = explain_sweep(["no_such_kernel", "astar_like"], vec![Mechanism::Baseline]);
+        assert_eq!(sweep.counts(), (1, 1));
+        let bad = sweep.cell("no_such_kernel", Mechanism::Baseline).unwrap();
         assert_eq!(bad.result.as_ref().unwrap_err().kind(), "unknown_workload");
-        assert!(report.to_json().render().contains("\"status\":\"error\""));
-        assert!(report.render_summary().contains("ERROR(unknown_workload)"));
+        let doc = to_json(&sweep, DEFAULT_CHAIN_LIMIT).render();
+        assert!(doc.contains("\"status\":\"error\""));
+        assert!(render_summary(&sweep).contains("ERROR(unknown_workload)"));
+    }
+
+    #[test]
+    fn renderers_accept_cells_without_diagnostics() {
+        let cfg = SweepConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
+        let sweep = run_sweep(&cfg);
+        assert!(sweep.cells[0].diagnostics.is_none());
+        let table = render_summary(&sweep);
+        let row = table.lines().last().expect("one row");
+        assert!(row.starts_with("astar_like"), "{table}");
+        assert_eq!(row.split_whitespace().filter(|&f| f == "-").count(), 8);
+        let doc = Json::parse(&to_json(&sweep, DEFAULT_CHAIN_LIMIT).render()).unwrap();
+        let cell = &doc.get("cells").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(cell.get("status").and_then(Json::as_str), Some("ok"));
+        assert!(cell.get("measurement").is_some());
+        assert!(cell.get("diagnostics").is_none());
+        assert_eq!(chain_trace_events(&sweep).render(), "[]");
     }
 
     #[test]
     fn chain_spans_balance_begin_end() {
-        let cfg = ExplainConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
-        let report = run_explain(&cfg);
-        let doc = Json::parse(&report.chain_trace_events().render()).expect("valid JSON");
+        let sweep = explain_sweep(["astar_like"], vec![Mechanism::Cdf]);
+        let doc = Json::parse(&chain_trace_events(&sweep).render()).expect("valid JSON");
         let events = doc.as_arr().unwrap();
         let count = |ph: &str| {
             events

@@ -265,13 +265,10 @@ pub fn diff_golden(current: &[GoldenCell], blessed: &Json) -> Vec<String> {
                 c.workload, c.mechanism
             )),
             Some(b) => {
-                if let Some(d) = crate::equivalence::divergence("stats field", &c.stats, &b) {
-                    diffs.push(format!(
-                        "{}/{}: {}",
-                        c.workload,
-                        c.mechanism,
-                        d.replace("event ", "current ").replace("scan ", "blessed ")
-                    ));
+                let sides = ["current", "blessed"];
+                if let Some(d) = crate::equivalence::divergence("stats field", sides, &c.stats, &b)
+                {
+                    diffs.push(format!("{}/{}: {d}", c.workload, c.mechanism));
                 }
             }
         }
@@ -322,7 +319,14 @@ mod tests {
         tweaked[0].stats.cycles += 1;
         let diffs = diff_golden(&tweaked, &reparsed);
         assert_eq!(diffs.len(), 1, "{diffs:?}");
-        assert!(diffs[0].contains("cycles"), "{diffs:?}");
+        let (now, then) = (tweaked[0].stats.cycles, cells[0].stats.cycles);
+        assert_eq!(
+            diffs[0],
+            format!(
+                "astar_like/base: stats field diverged: current `cycles: {now}` vs \
+                 blessed `cycles: {then}`"
+            )
+        );
 
         let fewer = &cells[..1];
         let diffs = diff_golden(fewer, &reparsed);

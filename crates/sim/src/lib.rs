@@ -10,14 +10,17 @@
 //! observers [`EvalConfig`] asks for (plus the host profiler on request),
 //! runs the warmup and measurement windows, and returns a [`RunOutput`].
 //! [`run_cell`] adds the registry lookup, panic isolation and wall time;
-//! sweep, record, explain and campaign cells all go through it.
+//! it has two callers, [`run_sweep`] and the campaign's cell runner.
 //! [`simulate`] is the by-name convenience that panics on failure.
 //!
-//! The [`sweep`] module is the parallel experiment harness: it executes a
-//! (workload × mechanism) grid across worker threads with per-cell fault
-//! isolation (a failed cell is a recorded [`SimError`], never a process
-//! abort), a per-run cycle-fuel watchdog, and stamped JSON result emission.
-//! Sweep results are bit-identical to running the grid serially.
+//! The [`sweep`] module is the one grid runner: [`run_sweep`] executes a
+//! (workload × mechanism) [`SweepConfig`] grid, optionally filtered, across
+//! worker threads with per-cell fault isolation (a failed cell is a
+//! recorded [`SimError`], never a process abort), a per-run cycle-fuel
+//! watchdog, and stamped JSON result emission. Sweep results are
+//! bit-identical to running the grid serially. `cdf-sim sweep`, `record`
+//! and `explain` all run their grid here and differ only in what they
+//! attach and how they render the [`Sweep`].
 //!
 //! The [`telemetry`] module serializes the core's observation-only telemetry
 //! (cycle accounting, interval series, occupancy histograms, event sink —
@@ -25,8 +28,8 @@
 //! Chrome/Perfetto trace-event documents; enable collection per run via
 //! [`EvalConfig::telemetry`].
 //!
-//! The [`explain`] module is the criticality-provenance report: it runs a
-//! grid with [`cdf_core::CdfDiagnostics`] attached and emits `cdf-explain/1`
+//! The [`explain`] module is the criticality-provenance report: it renders
+//! a sweep run with [`cdf_core::CdfDiagnostics`] attached as `cdf-explain/1`
 //! JSON plus a human table answering *why* a mechanism wins — CUC coverage
 //! of the retired miss triggers, accuracy of the fetched critical uops, and
 //! the lead-time distribution of critical miss initiations.
@@ -96,7 +99,7 @@ pub use equivalence::{
     EQUIV_SCHEMA,
 };
 pub use error::{SimError, WatchdogPhase};
-pub use explain::{diagnostics_json, run_explain, ExplainConfig, ExplainReport, EXPLAIN_SCHEMA};
+pub use explain::{diagnostics_json, EXPLAIN_SCHEMA};
 pub use fuzz::{
     minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, FailureKind,
     FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA, FUZZ_SCHEMA,
@@ -115,8 +118,8 @@ pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, RunOutput};
 pub use store::{
     record_from_json, record_json, records_for_run, records_from_cells, resolve_ref, run_ids,
-    run_record, throughput_record, DiagSummary, RecordConfig, RecordPayload, RecordRun, ResultKey,
-    ResultRecord, ResultStore, StoreError, TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
+    throughput_record, DiagSummary, RecordPayload, ResultKey, ResultRecord, ResultStore,
+    StoreError, TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
 };
 pub use sweep::{eval_config_hash, run_cell, run_sweep, Sweep, SweepCell, SweepConfig};
 pub use table1::table1_text;

@@ -28,14 +28,14 @@
 use crate::error::{SimError, WatchdogPhase};
 use crate::json::{field, Json};
 use crate::provenance::provenance_json;
-use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::run::{EvalConfig, Measurement, Mechanism, Reading};
 use crate::schema;
 use crate::store::{measurement_from_json, RecordPayload, ResultKey, ResultRecord};
 use crate::sweep::{eval_config_hash, measurement_json};
 use crate::telemetry::telemetry_json;
 use cdf_core::{
-    Core, CoreOutcome, CoreShareStats, HostProf, HostProfile, MultiCore, Provenance,
-    SharedStatsReport, Telemetry,
+    Core, CoreShareStats, HostProf, HostProfile, MultiCore, Provenance, SharedStatsReport,
+    Telemetry,
 };
 use cdf_workloads::registry;
 use cdf_workloads::Workload;
@@ -228,17 +228,25 @@ pub fn run_mix(cfg: &MixConfig) -> Result<MixReport, SimError> {
         .enumerate()
         .zip(telemetries)
         .map(|((id, o), telemetry)| {
+            // The whole run from cycle 0, with the core's own slice of the
+            // shared DRAM traffic (from the per-core fairness ledger), so
+            // mix cells attribute bandwidth to the core that caused it.
             let e = mc.cores()[id].energy_report();
+            let end = Reading {
+                stats: o.stats.clone(),
+                dram_lines: o.share.dram_reads + o.share.dram_writes,
+                energy_nj: e.total_nj(),
+                cdf_energy_nj: e.cdf_structures_nj(),
+            };
             MixCoreResult {
                 core: id,
                 workload: cfg.workloads[id].clone(),
                 mechanism: cfg.mechanisms[id],
-                measurement: measurement_from_outcome(
+                measurement: Measurement::between(
                     &cfg.workloads[id],
                     cfg.mechanisms[id].label(),
-                    o,
-                    e.total_nj(),
-                    e.cdf_structures_nj(),
+                    &Reading::default(),
+                    &end,
                 ),
                 share: o.share,
                 llc_occupancy: o.llc_occupancy,
@@ -266,50 +274,6 @@ pub fn run_mix(cfg: &MixConfig) -> Result<MixReport, SimError> {
         channel_utilization,
         profile,
     })
-}
-
-/// Folds one core's [`CoreOutcome`] into the standard [`Measurement`]
-/// shape over the whole-run window. The DRAM-line count is the core's own
-/// slice of the shared traffic (from the per-core fairness ledger), so
-/// mix cells attribute bandwidth to the core that caused it.
-pub(crate) fn measurement_from_outcome(
-    workload: &str,
-    mechanism: &str,
-    o: &CoreOutcome,
-    energy_nj: f64,
-    cdf_energy_nj: f64,
-) -> Measurement {
-    let s = &o.stats;
-    let per_kilo = |n: u64| {
-        if s.retired == 0 {
-            0.0
-        } else {
-            n as f64 * 1000.0 / s.retired as f64
-        }
-    };
-    Measurement {
-        workload: workload.to_string(),
-        mechanism: mechanism.to_string(),
-        instructions: s.retired,
-        cycles: s.cycles,
-        ipc: s.ipc(),
-        mlp: if s.mlp_cycles == 0 {
-            0.0
-        } else {
-            s.mlp_sum as f64 / s.mlp_cycles as f64
-        },
-        dram_lines: o.share.dram_reads + o.share.dram_writes,
-        energy_nj,
-        cdf_energy_nj,
-        branch_mpki: per_kilo(s.mispredicts),
-        llc_mpki: per_kilo(s.llc_miss_loads),
-        rob_critical_fraction: s.rob_mix.critical_fraction(),
-        full_window_stall_cycles: s.full_window_stall_cycles,
-        cdf_mode_cycles: s.cdf_mode_cycles,
-        critical_uops: s.critical_uops_issued,
-        runahead_uops: s.runahead_uops,
-        dependence_violations: s.dependence_violations,
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 use crate::error::{SimError, WatchdogPhase};
 use cdf_core::{
-    CdfConfig, CdfDiagnostics, Core, CoreConfig, CoreMode, HostProfile, PreConfig, Telemetry,
-    TelemetryConfig,
+    CdfConfig, CdfDiagnostics, Core, CoreConfig, CoreMode, CoreStats, HostProfile, PreConfig,
+    Telemetry, TelemetryConfig,
 };
 use cdf_workloads::{registry, GenConfig, Workload};
 use std::time::Instant;
@@ -209,48 +209,79 @@ pub struct Measurement {
     pub dependence_violations: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Snapshot {
-    cycles: u64,
-    retired: u64,
-    mispredicts: u64,
-    mlp_sum: u64,
-    mlp_cycles: u64,
-    llc_miss_loads: u64,
-    dram_total: u64,
-    energy_nj: f64,
-    cdf_energy_nj: f64,
-    rob_critical: u64,
-    rob_non_critical: u64,
-    full_window_stall_cycles: u64,
-    cdf_mode_cycles: u64,
-    critical_uops: u64,
-    runahead_uops: u64,
-    dependence_violations: u64,
+/// The cumulative counters of one core at one instant: its statistics
+/// plus the DRAM lines and energy charged to it. A [`Measurement`] is the
+/// difference of two readings ([`Measurement::between`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Reading {
+    pub(crate) stats: CoreStats,
+    pub(crate) dram_lines: u64,
+    pub(crate) energy_nj: f64,
+    pub(crate) cdf_energy_nj: f64,
 }
 
-impl Snapshot {
-    fn take(core: &Core<'_>, cycles: u64, retired_override: Option<u64>) -> Snapshot {
-        let s = core.stats();
-        let d = core.hierarchy().dram_stats();
+impl Reading {
+    /// Reads a core with a private memory hierarchy, whose `stats` the
+    /// last run window returned.
+    fn take(core: &Core<'_>, stats: CoreStats) -> Reading {
         let e = core.energy_report();
-        Snapshot {
-            cycles,
-            retired: retired_override.unwrap_or(s.retired),
-            mispredicts: s.mispredicts,
-            mlp_sum: s.mlp_sum,
-            mlp_cycles: s.mlp_cycles,
-            llc_miss_loads: s.llc_miss_loads,
-            dram_total: d.total(),
+        Reading {
+            stats,
+            dram_lines: core.hierarchy().dram_stats().total(),
             energy_nj: e.total_nj(),
             cdf_energy_nj: e.cdf_structures_nj(),
-            rob_critical: s.rob_mix.critical,
-            rob_non_critical: s.rob_mix.non_critical,
-            full_window_stall_cycles: s.full_window_stall_cycles,
-            cdf_mode_cycles: s.cdf_mode_cycles,
-            critical_uops: s.critical_uops_issued,
-            runahead_uops: s.runahead_uops,
-            dependence_violations: s.dependence_violations,
+        }
+    }
+}
+
+impl Measurement {
+    /// The measurement of the window from `start` to `end`: every count is
+    /// the difference of the two readings, and every ratio is taken over
+    /// the window. A whole run from cycle 0 starts at
+    /// [`Reading::default`].
+    pub(crate) fn between(
+        workload: &str,
+        mechanism: &str,
+        start: &Reading,
+        end: &Reading,
+    ) -> Measurement {
+        let (s0, s1) = (&start.stats, &end.stats);
+        let instructions = s1.retired - s0.retired;
+        let cycles = s1.cycles - s0.cycles;
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
+        let per_kilo = |n: u64| {
+            if instructions == 0 {
+                0.0
+            } else {
+                n as f64 * 1000.0 / instructions as f64
+            }
+        };
+        let rob_critical = s1.rob_mix.critical - s0.rob_mix.critical;
+        let rob_non_critical = s1.rob_mix.non_critical - s0.rob_mix.non_critical;
+        Measurement {
+            workload: workload.to_string(),
+            mechanism: mechanism.to_string(),
+            instructions,
+            cycles,
+            ipc: ratio(instructions, cycles),
+            mlp: ratio(s1.mlp_sum - s0.mlp_sum, s1.mlp_cycles - s0.mlp_cycles),
+            dram_lines: end.dram_lines - start.dram_lines,
+            energy_nj: end.energy_nj - start.energy_nj,
+            cdf_energy_nj: end.cdf_energy_nj - start.cdf_energy_nj,
+            branch_mpki: per_kilo(s1.mispredicts - s0.mispredicts),
+            llc_mpki: per_kilo(s1.llc_miss_loads - s0.llc_miss_loads),
+            rob_critical_fraction: ratio(rob_critical, rob_critical + rob_non_critical),
+            full_window_stall_cycles: s1.full_window_stall_cycles - s0.full_window_stall_cycles,
+            cdf_mode_cycles: s1.cdf_mode_cycles - s0.cdf_mode_cycles,
+            critical_uops: s1.critical_uops_issued - s0.critical_uops_issued,
+            runahead_uops: s1.runahead_uops - s0.runahead_uops,
+            dependence_violations: s1.dependence_violations - s0.dependence_violations,
         }
     }
 }
@@ -330,7 +361,7 @@ pub fn run(
             retired: warm.retired,
         });
     }
-    let start = Snapshot::take(&core, warm.cycles, Some(warm.retired));
+    let start = Reading::take(&core, warm);
 
     // Measurement window. A stall stops the core for good, so a warmup
     // stall ends this window at once and is reported here.
@@ -346,54 +377,9 @@ pub fn run(
             retired: end_stats.retired,
         });
     }
-    let end = Snapshot::take(&core, end_stats.cycles, Some(end_stats.retired));
-
-    let cycles = end.cycles - start.cycles;
-    let instructions = end.retired - start.retired;
-    let mlp_cycles = end.mlp_cycles - start.mlp_cycles;
-    let mlp_sum = end.mlp_sum - start.mlp_sum;
-    let rob_c = end.rob_critical - start.rob_critical;
-    let rob_n = end.rob_non_critical - start.rob_non_critical;
+    let end = Reading::take(&core, end_stats);
     Ok(RunOutput {
-        measurement: Measurement {
-            workload: w.name.to_string(),
-            mechanism: label.to_string(),
-            instructions,
-            cycles,
-            ipc: if cycles == 0 {
-                0.0
-            } else {
-                instructions as f64 / cycles as f64
-            },
-            mlp: if mlp_cycles == 0 {
-                0.0
-            } else {
-                mlp_sum as f64 / mlp_cycles as f64
-            },
-            dram_lines: end.dram_total - start.dram_total,
-            energy_nj: end.energy_nj - start.energy_nj,
-            cdf_energy_nj: end.cdf_energy_nj - start.cdf_energy_nj,
-            branch_mpki: if instructions == 0 {
-                0.0
-            } else {
-                (end.mispredicts - start.mispredicts) as f64 * 1000.0 / instructions as f64
-            },
-            llc_mpki: if instructions == 0 {
-                0.0
-            } else {
-                (end.llc_miss_loads - start.llc_miss_loads) as f64 * 1000.0 / instructions as f64
-            },
-            rob_critical_fraction: if rob_c + rob_n == 0 {
-                0.0
-            } else {
-                rob_c as f64 / (rob_c + rob_n) as f64
-            },
-            full_window_stall_cycles: end.full_window_stall_cycles - start.full_window_stall_cycles,
-            cdf_mode_cycles: end.cdf_mode_cycles - start.cdf_mode_cycles,
-            critical_uops: end.critical_uops - start.critical_uops,
-            runahead_uops: end.runahead_uops - start.runahead_uops,
-            dependence_violations: end.dependence_violations - start.dependence_violations,
-        },
+        measurement: Measurement::between(w.name, label, &start, &end),
         telemetry: core.take_telemetry(),
         diagnostics: core.take_diagnostics(),
         profile: wall_start.and_then(|t0| core.take_profile(t0.elapsed().as_nanos() as u64)),

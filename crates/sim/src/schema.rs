@@ -5,7 +5,7 @@
 //! constants next to each serializer; this module is the single source of
 //! truth — the per-module `*_SCHEMA` constants are re-exports of these —
 //! and `crates/sim/tests/store.rs` checks that every serializer/parser pair
-//! round-trips its tag through the repo's own [`Json`](crate::Json) parser.
+//! round-trips its tag through the repo's own [`Json`] parser.
 //!
 //! Bump a version (`/1` → `/2`) whenever a format changes incompatibly;
 //! parsers reject tags they do not recognize rather than guessing.

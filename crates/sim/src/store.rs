@@ -21,9 +21,10 @@
 //! Records enter the store three ways:
 //!
 //! * `cdf-sim record` — runs the full (workload × mechanism) grid, or a
-//!   `--filter` subset, and appends one record per cell ([`run_record`]).
-//! * `cdf-sim sweep --record` / `explain --record` — tee the cells of a
-//!   normal sweep/explain run into the store ([`records_from_cells`]).
+//!   `--filter` subset, as a sweep and appends one record per cell.
+//! * `cdf-sim sweep --record` / `explain --record` / `mix --record` — tee
+//!   the cells of a normal run into the store. Grid cells become records
+//!   through [`records_from_cells`], whichever command ran them.
 //! * `throughput-gate --record` — perf rows land in the same store (kind
 //!   `"throughput"`), so stats history and perf history live together.
 //!
@@ -33,11 +34,11 @@
 
 use crate::json::{field, Json};
 use crate::provenance::{provenance_from_json, provenance_json};
-use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::run::{EvalConfig, Measurement};
 use crate::schema;
-use crate::sweep::{eval_config_hash, measurement_json, parallel_map, run_cell, SweepCell};
+use crate::sweep::{eval_config_hash, gen_json, measurement_json, SweepCell};
 use cdf_core::{CdfDiagnostics, Coverage, Provenance, Telemetry};
-use cdf_workloads::{registry, GenConfig};
+use cdf_workloads::GenConfig;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -250,11 +251,6 @@ impl ResultStore {
     /// Opens (without touching the filesystem) the store at `path`.
     pub fn open(path: impl Into<PathBuf>) -> ResultStore {
         ResultStore { path: path.into() }
-    }
-
-    /// The store at the default location.
-    pub fn default_store() -> ResultStore {
-        ResultStore::open(DEFAULT_STORE_PATH)
     }
 
     /// The file backing this store.
@@ -480,84 +476,6 @@ pub fn records_for_run<'a>(records: &'a [ResultRecord], run_id: &str) -> Vec<&'a
 // Producing records.
 // ---------------------------------------------------------------------------
 
-/// Configuration of one `cdf-sim record` invocation.
-#[derive(Clone, Debug)]
-pub struct RecordConfig {
-    /// Workloads to run (default: the full registry).
-    pub workloads: Vec<String>,
-    /// Mechanisms to run (default: all seven).
-    pub mechanisms: Vec<Mechanism>,
-    /// Per-cell evaluation sizing (also determines the scheduler/mem-model
-    /// axis and whether telemetry/diagnostics summaries are captured).
-    pub eval: EvalConfig,
-    /// Worker threads (0 = machine-sized).
-    pub threads: usize,
-    /// Substring filter over `workload/mechanism` cell labels.
-    pub filter: Option<String>,
-    /// Store file to append to.
-    pub store_path: PathBuf,
-    /// Attach the host-side self-profiler to every cell and append one
-    /// extra `"profile"` record per successful cell (`record --profile`),
-    /// so host-perf regressions are caught by the same `compare` pass that
-    /// guards the simulated stats. Kept out of [`EvalConfig`] so the
-    /// per-cell config hash is unchanged whether or not profiling rode
-    /// along.
-    pub profile: bool,
-}
-
-impl RecordConfig {
-    /// The full registry grid at the given sizing, default store path.
-    pub fn full_grid(eval: EvalConfig) -> RecordConfig {
-        RecordConfig {
-            workloads: registry::NAMES.iter().map(|s| s.to_string()).collect(),
-            mechanisms: Mechanism::ALL.to_vec(),
-            eval,
-            threads: 0,
-            filter: None,
-            store_path: PathBuf::from(DEFAULT_STORE_PATH),
-            profile: false,
-        }
-    }
-}
-
-/// Outcome of one `record` invocation.
-#[derive(Clone, Debug)]
-pub struct RecordRun {
-    /// The run id the appended records share.
-    pub run_id: String,
-    /// The appended records, in grid order.
-    pub records: Vec<ResultRecord>,
-    /// How many cells failed (their failures are recorded too).
-    pub failed: usize,
-}
-
-/// Runs the configured grid (filtered) and appends one record per cell to
-/// the store. Cells run in parallel with per-cell fault isolation, exactly
-/// like a sweep.
-pub fn run_record(cfg: &RecordConfig) -> Result<RecordRun, StoreError> {
-    let jobs: Vec<(String, Mechanism)> = cfg
-        .workloads
-        .iter()
-        .flat_map(|w| cfg.mechanisms.iter().map(move |&m| (w.clone(), m)))
-        .filter(|(w, m)| match &cfg.filter {
-            Some(f) => format!("{w}/{}", m.label()).contains(f.as_str()),
-            None => true,
-        })
-        .collect();
-    let cells = parallel_map(&jobs, cfg.threads, |(w, m)| {
-        run_cell(w, *m, m.mode(), &cfg.eval, cfg.profile)
-    });
-    let prov = Provenance::capture();
-    let (run_id, records) = ResultStore::open(&cfg.store_path)
-        .append_run(&prov, |id| records_from_cells(id, &prov, &cfg.eval, &cells))?;
-    let failed = records.iter().filter(|r| !r.is_ok()).count();
-    Ok(RecordRun {
-        run_id,
-        records,
-        failed,
-    })
-}
-
 /// Converts finished cells (sweep, record or explain) into store records,
 /// hashing `eval` — the config the cells actually ran under — into each
 /// row's `config_hash`.
@@ -680,14 +598,7 @@ pub fn record_json(r: &ResultRecord) -> Json {
         field("config_hash", r.config_hash.as_str()),
     ];
     if let Some(gen) = &r.gen {
-        fields.push(field(
-            "gen",
-            Json::Obj(vec![
-                field("seed", gen.seed),
-                field("scale", gen.scale),
-                field("iters", gen.iters),
-            ]),
-        ));
+        fields.push(field("gen", gen_json(gen)));
     }
     fields.push(field(
         "key",

@@ -4,9 +4,9 @@
 //! threads. Three properties make it a harness rather than a loop:
 //!
 //! * **Determinism** — every cell rebuilds its workload from the sweep's
-//!   [`GenConfig`](cdf_workloads::GenConfig) seed and simulates it in a
-//!   private core, so results are bit-identical no matter the thread count
-//!   or scheduling order (asserted by the crate's tests).
+//!   [`GenConfig`] seed and simulates it in a private core, so results are
+//!   bit-identical no matter the thread count or scheduling order (asserted
+//!   by the crate's tests).
 //! * **Fault isolation** — a cell that fails (unknown workload, watchdog
 //!   expiry, even a simulator panic) is recorded as a [`SimError`] in its
 //!   [`SweepCell`]; the other cells run to completion and the process never
@@ -18,7 +18,7 @@
 //!   experiment that produced it.
 
 use crate::error::SimError;
-use crate::explain::diagnostics_json;
+use crate::explain::{diagnostics_json, DEFAULT_CHAIN_LIMIT};
 use crate::json::{field, Json};
 use crate::prof::profile_json;
 use crate::provenance::provenance_json;
@@ -26,7 +26,7 @@ use crate::report::Table;
 use crate::run::{run, EvalConfig, Measurement, Mechanism};
 use crate::telemetry::telemetry_json;
 use cdf_core::{CdfDiagnostics, CoreMode, HostProfile, Provenance, Telemetry};
-use cdf_workloads::registry;
+use cdf_workloads::{registry, GenConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -53,6 +53,10 @@ pub struct SweepConfig {
     /// campaign grids). Like `threads`, it is excluded from the sweep's
     /// config hash.
     pub profile: bool,
+    /// Run only the cells whose `workload/mechanism` label contains this
+    /// substring (`cdf-sim record --filter`); `None` runs the whole grid.
+    /// The cells that run keep their grid order.
+    pub filter: Option<String>,
 }
 
 impl SweepConfig {
@@ -68,6 +72,7 @@ impl SweepConfig {
             eval,
             threads: 0,
             profile: false,
+            filter: None,
         }
     }
 
@@ -78,6 +83,20 @@ impl SweepConfig {
             Mechanism::ALL.to_vec(),
             eval,
         )
+    }
+
+    /// The grid's `workloads` and `mechanisms` document fields.
+    pub(crate) fn axes_json(&self) -> [(String, Json); 2] {
+        [
+            field(
+                "workloads",
+                Json::Arr(self.workloads.iter().map(|w| w.as_str().into()).collect()),
+            ),
+            field(
+                "mechanisms",
+                Json::Arr(self.mechanisms.iter().map(|m| m.label().into()).collect()),
+            ),
+        ]
     }
 }
 
@@ -118,7 +137,8 @@ pub struct Sweep {
     /// The configuration that produced this sweep.
     pub config: SweepConfig,
     /// Results in deterministic grid order: for each workload in
-    /// `config.workloads`, one cell per mechanism in `config.mechanisms`.
+    /// `config.workloads`, one cell per mechanism in `config.mechanisms`
+    /// that `config.filter` keeps.
     pub cells: Vec<SweepCell>,
     /// Worker threads actually used.
     pub threads_used: usize,
@@ -129,13 +149,22 @@ pub struct Sweep {
     pub provenance: Provenance,
 }
 
-/// Runs the sweep. Results are identical — stat for stat — to running every
+/// Runs the sweep: every grid cell the filter keeps, through [`run_cell`].
+/// This is the one grid runner: `cdf-sim sweep`, `record` and `explain`,
+/// the figure drivers and the equivalence workload axis all run their
+/// grids here. Results are identical — stat for stat — to running every
 /// cell serially, regardless of `config.threads`.
 pub fn run_sweep(config: &SweepConfig) -> Sweep {
     let jobs: Vec<(&str, Mechanism)> = config
         .workloads
         .iter()
         .flat_map(|w| config.mechanisms.iter().map(move |&m| (w.as_str(), m)))
+        .filter(|(w, m)| {
+            config
+                .filter
+                .as_deref()
+                .is_none_or(|f| format!("{w}/{}", m.label()).contains(f))
+        })
         .collect();
     let threads_used = effective_threads(config.threads, jobs.len());
     let cells = parallel_map(&jobs, config.threads, |&(w, m)| {
@@ -235,20 +264,13 @@ impl Sweep {
 
     /// The full sweep as a JSON document (schema [`SWEEP_SCHEMA`]).
     pub fn to_json(&self) -> Json {
-        let gen = &self.config.eval.gen;
+        let [workloads, mechanisms] = self.config.axes_json();
         Json::Obj(vec![
             field("schema", SWEEP_SCHEMA),
             field("config_hash", self.config_hash.as_str()),
             field("provenance", provenance_json(&self.provenance)),
             field("threads", self.threads_used),
-            field(
-                "gen",
-                Json::Obj(vec![
-                    field("seed", gen.seed),
-                    field("scale", gen.scale),
-                    field("iters", gen.iters),
-                ]),
-            ),
+            field("gen", gen_json(&self.config.eval.gen)),
             field(
                 "eval",
                 Json::Obj(vec![
@@ -274,29 +296,16 @@ impl Sweep {
                     field("profile", self.config.profile),
                 ]),
             ),
-            field(
-                "workloads",
-                Json::Arr(
-                    self.config
-                        .workloads
-                        .iter()
-                        .map(|w| w.as_str().into())
-                        .collect(),
-                ),
-            ),
-            field(
-                "mechanisms",
-                Json::Arr(
-                    self.config
-                        .mechanisms
-                        .iter()
-                        .map(|m| m.label().into())
-                        .collect(),
-                ),
-            ),
+            workloads,
+            mechanisms,
             field(
                 "cells",
-                Json::Arr(self.cells.iter().map(cell_json).collect()),
+                Json::Arr(
+                    self.cells
+                        .iter()
+                        .map(|c| cell_json(c, Some(c.wall_ms), DEFAULT_CHAIN_LIMIT))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -331,13 +340,26 @@ impl Sweep {
     }
 }
 
-fn cell_json(c: &SweepCell) -> Json {
+/// The `gen` object of a document or store row: the workload generation
+/// parameters.
+pub(crate) fn gen_json(gen: &GenConfig) -> Json {
+    Json::Obj(vec![
+        field("seed", gen.seed),
+        field("scale", gen.scale),
+        field("iters", gen.iters),
+    ])
+}
+
+/// One cell's document record: its grid point, status and (when given)
+/// wall time, then its measurement and every observer it carries — the
+/// diagnostics with their `chain_limit` busiest chains — or its error.
+pub(crate) fn cell_json(c: &SweepCell, wall_ms: Option<u64>, chain_limit: usize) -> Json {
     let mut fields = vec![
         field("workload", c.workload.as_str()),
         field("mechanism", c.mechanism.label()),
         field("status", if c.result.is_ok() { "ok" } else { "error" }),
-        field("wall_ms", c.wall_ms),
     ];
+    fields.extend(wall_ms.map(|ms| field("wall_ms", ms)));
     match &c.result {
         Ok(m) => {
             fields.push(field("measurement", measurement_json(m)));
@@ -345,10 +367,7 @@ fn cell_json(c: &SweepCell) -> Json {
                 fields.push(field("telemetry", telemetry_json(tel)));
             }
             if let Some(d) = &c.diagnostics {
-                fields.push(field(
-                    "diagnostics",
-                    diagnostics_json(d, crate::explain::DEFAULT_CHAIN_LIMIT),
-                ));
+                fields.push(field("diagnostics", diagnostics_json(d, chain_limit)));
             }
             if let Some(p) = &c.profile {
                 fields.push(field(
@@ -525,6 +544,41 @@ mod tests {
     }
 
     #[test]
+    fn a_filter_runs_exactly_the_matching_cells_in_grid_order() {
+        let mechs = vec![Mechanism::Baseline, Mechanism::Cdf];
+        let full = SweepConfig::new(["libq_like", "astar_like"], mechs, tiny_eval());
+        let mut cfg = full.clone();
+        cfg.filter = Some("CDF".to_string());
+        let sweep = run_sweep(&cfg);
+        let ran: Vec<(&str, Mechanism)> = sweep
+            .cells
+            .iter()
+            .map(|c| (c.workload.as_str(), c.mechanism))
+            .collect();
+        assert_eq!(
+            ran,
+            [
+                ("libq_like", Mechanism::Cdf),
+                ("astar_like", Mechanism::Cdf)
+            ]
+        );
+        let unfiltered = run_sweep(&full);
+        for c in &sweep.cells {
+            let same = unfiltered.cell(&c.workload, c.mechanism).unwrap();
+            assert_eq!(c.result, same.result, "{}", c.workload);
+        }
+        let summary = sweep.render_summary();
+        for w in ["libq_like", "astar_like"] {
+            let row = summary.lines().find(|l| l.starts_with(w)).unwrap();
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cols[1], "-", "{summary}");
+            assert!(cols[2].parse::<f64>().is_ok(), "{summary}");
+        }
+        cfg.filter = Some("nomatch".to_string());
+        assert!(run_sweep(&cfg).cells.is_empty());
+    }
+
+    #[test]
     fn failing_cell_does_not_poison_the_sweep() {
         let cfg = SweepConfig::new(
             ["libq_like", "no_such_kernel", "astar_like"],
@@ -584,7 +638,7 @@ mod tests {
         assert!(plain.telemetry.is_none());
         let tel = telem.telemetry.as_ref().expect("collector returned");
         assert_eq!(tel.accounting.total(), tel.observed_cycles());
-        let json = cell_json(&telem).render();
+        let json = cell_json(&telem, Some(telem.wall_ms), DEFAULT_CHAIN_LIMIT).render();
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("cdf-telemetry/1"));
     }
@@ -604,7 +658,7 @@ mod tests {
             p.total_wall_ns,
             "totality invariant"
         );
-        let json = cell_json(&prof).render();
+        let json = cell_json(&prof, Some(prof.wall_ms), DEFAULT_CHAIN_LIMIT).render();
         assert!(json.contains("\"profile\""));
         assert!(json.contains("cdf-profile/1"));
         let mut cfg = SweepConfig::new(["libq_like"], vec![Mechanism::Cdf], eval);
@@ -628,7 +682,7 @@ mod tests {
         assert!(plain.diagnostics.is_none());
         let d = diag.diagnostics.as_ref().expect("collector returned");
         assert!(d.walks > 0, "CDF ran walks in this window");
-        let json = cell_json(&diag).render();
+        let json = cell_json(&diag, Some(diag.wall_ms), DEFAULT_CHAIN_LIMIT).render();
         assert!(json.contains("\"diagnostics\""));
         assert!(json.contains("\"coverage\""));
         assert!(json.contains("\"accuracy\""));

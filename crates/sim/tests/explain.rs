@@ -23,7 +23,7 @@ use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
 use cdf_sim::json::Json;
 use cdf_sim::{
-    diagnostics_json, run, run_explain, EvalConfig, ExplainConfig, Mechanism, EXPLAIN_SCHEMA,
+    diagnostics_json, explain, run, run_sweep, EvalConfig, Mechanism, SweepConfig, EXPLAIN_SCHEMA,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::{registry, GenConfig};
@@ -277,14 +277,16 @@ fn full_grid_emits_valid_explain_json_for_every_cell() {
         warmup_instructions: 5_000,
         measure_instructions: 8_000,
         gen: small_gen(),
+        diagnostics: true,
         ..EvalConfig::quick()
     };
-    let report = run_explain(&ExplainConfig::full_grid(eval));
+    let sweep = run_sweep(&SweepConfig::full_grid(eval));
     let expected = registry::NAMES.len() * Mechanism::ALL.len();
-    assert_eq!(report.cells.len(), expected);
-    assert_eq!(report.counts(), (expected, 0), "every cell must succeed");
+    assert_eq!(sweep.cells.len(), expected);
+    assert_eq!(sweep.counts(), (expected, 0), "every cell must succeed");
 
-    let doc = Json::parse(&report.to_json().render_pretty()).expect("document parses");
+    let text = explain::to_json(&sweep, explain::DEFAULT_CHAIN_LIMIT).render_pretty();
+    let doc = Json::parse(&text).expect("document parses");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some(EXPLAIN_SCHEMA)
@@ -494,6 +496,36 @@ fn usage_lists_every_accepted_flag_under_its_subcommand() {
         assert!(synopsis(name).contains("[--max-cycles N]"), "{name}");
     }
     assert!(!synopsis("compare <refA>").contains("--max-cycles"));
+}
+
+/// `explain` cells are clock-free: the document carries no wall time and
+/// the store rows `explain --record` appends carry `wall_ms` 0, so a repeat
+/// run reproduces both byte for byte.
+#[test]
+fn explain_documents_and_store_rows_are_clock_free() {
+    let dir = std::env::temp_dir().join(format!("cdf-explain-clock-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (doc, store) = (dir.join("e.json"), dir.join("s.jsonl"));
+    let (doc_arg, store_arg) = (doc.to_str().unwrap(), store.to_str().unwrap());
+    let out = cdf_sim(&[
+        "explain",
+        "--workloads",
+        "astar_like",
+        "--mechs",
+        "base,cdf",
+        "--fast",
+        "--out",
+        doc_arg,
+        "--record",
+        "--store",
+        store_arg,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(!std::fs::read_to_string(&doc).unwrap().contains("wall_ms"));
+    let rows = std::fs::read_to_string(&store).unwrap();
+    assert_eq!(rows.lines().count(), 2, "{rows}");
+    assert!(rows.lines().all(|r| r.contains("\"wall_ms\":0,")), "{rows}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Positionals may come anywhere: a flag before the workload runs the same

@@ -524,12 +524,18 @@ fn every_serializer_emits_a_registered_roundtripping_tag() {
         cdf_sim::run_equivalence(&equiv_cfg).to_json(),
     ));
 
-    let mut explain_cfg = cdf_sim::ExplainConfig::full_grid(eval.clone());
-    explain_cfg.workloads = vec!["astar_like".to_string()];
-    explain_cfg.mechanisms = vec![cdf_sim::Mechanism::Cdf];
+    let explain_eval = cdf_sim::EvalConfig {
+        diagnostics: true,
+        ..eval.clone()
+    };
+    let explain_cfg =
+        cdf_sim::SweepConfig::new(["astar_like"], vec![cdf_sim::Mechanism::Cdf], explain_eval);
     docs.push((
         schema::EXPLAIN,
-        cdf_sim::run_explain(&explain_cfg).to_json(),
+        cdf_sim::explain::to_json(
+            &cdf_sim::run_sweep(&explain_cfg),
+            cdf_sim::explain::DEFAULT_CHAIN_LIMIT,
+        ),
     ));
 
     let golden_cfg = cdf_sim::GoldenConfig {
