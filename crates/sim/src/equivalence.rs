@@ -31,7 +31,7 @@
 use crate::fuzz::{run_lockstep_full, LockstepOutcome};
 use crate::json::{field, Json};
 use crate::run::{EvalConfig, Mechanism};
-use crate::sweep::{parallel_map, run_sweep, SweepConfig};
+use crate::sweep::{parallel_map, sweep_cells, SweepConfig};
 use cdf_core::{BoundaryKind, MemModelKind, SchedulerKind};
 use cdf_workloads::fuzz::FuzzSpec;
 use std::fmt::Debug;
@@ -357,16 +357,15 @@ pub fn workload_equivalence_axis(
         eval.core.scheduler = scheduler;
         eval.core.mem_model = mem_model;
         eval.core.boundary = boundary;
-        run_sweep(&SweepConfig::new(
+        sweep_cells(&SweepConfig::new(
             workloads.iter().copied(),
             mechanisms.to_vec(),
             eval,
         ))
     });
     let sides @ [la, lb] = axis.labels();
-    a.cells
-        .iter()
-        .zip(&b.cells)
+    a.iter()
+        .zip(&b)
         .filter_map(|(x, y)| {
             let detail = match (&x.result, &y.result) {
                 (Ok(p), Ok(q)) => divergence("measurement", sides, p, q)?,

@@ -347,7 +347,9 @@ mod tests {
         }
     }
 
-    /// The sweep `cdf-sim explain` runs: the grid with diagnostics on.
+    /// The sweep `cdf-sim explain` runs: the grid with diagnostics on
+    /// (that the command turns them on is checked on the binary, in
+    /// `tests/explain.rs`).
     fn explain_sweep<const N: usize>(workloads: [&str; N], mechanisms: Vec<Mechanism>) -> Sweep {
         let eval = EvalConfig {
             diagnostics: true,
@@ -359,7 +361,6 @@ mod tests {
     #[test]
     fn explain_run_collects_cdf_provenance() {
         let sweep = explain_sweep(["astar_like"], vec![Mechanism::Cdf]);
-        assert!(sweep.config.eval.diagnostics, "diagnostics on");
         let c = &sweep.cells[0];
         let m = c.result.as_ref().expect("cell runs");
         let d = c.diagnostics.as_ref().expect("diagnostics attached");

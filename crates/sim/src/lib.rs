@@ -10,7 +10,8 @@
 //! observers [`EvalConfig`] asks for (plus the host profiler on request),
 //! runs the warmup and measurement windows, and returns a [`RunOutput`].
 //! [`run_cell`] adds the registry lookup, panic isolation and wall time;
-//! it has two callers, [`run_sweep`] and the campaign's cell runner.
+//! it has two callers, the cell loop of [`run_sweep`] and the campaign's
+//! cell runner.
 //! [`simulate`] is the by-name convenience that panics on failure.
 //!
 //! The [`sweep`] module is the one grid runner: [`run_sweep`] executes a

@@ -150,11 +150,26 @@ pub struct Sweep {
 }
 
 /// Runs the sweep: every grid cell the filter keeps, through [`run_cell`].
-/// This is the one grid runner: `cdf-sim sweep`, `record` and `explain`,
-/// the figure drivers and the equivalence workload axis all run their
-/// grids here. Results are identical — stat for stat — to running every
-/// cell serially, regardless of `config.threads`.
+/// This is the one grid runner: `cdf-sim sweep`, `record` and `explain`
+/// and the figure drivers run their grids here, and the equivalence
+/// workload axis runs its two grids through its cell loop. Results are
+/// identical — stat for stat — to running every cell serially, regardless
+/// of `config.threads`.
 pub fn run_sweep(config: &SweepConfig) -> Sweep {
+    let cells = sweep_cells(config);
+    Sweep {
+        config: config.clone(),
+        threads_used: effective_threads(config.threads, cells.len()),
+        cells,
+        config_hash: config_hash(config),
+        provenance: Provenance::capture(),
+    }
+}
+
+/// The cells of [`run_sweep`] in grid order, without the provenance it
+/// captures (which spawns `git` and `rustc`): the equivalence workload
+/// axis compares two grids' cells and reads nothing else.
+pub(crate) fn sweep_cells(config: &SweepConfig) -> Vec<SweepCell> {
     let jobs: Vec<(&str, Mechanism)> = config
         .workloads
         .iter()
@@ -166,17 +181,9 @@ pub fn run_sweep(config: &SweepConfig) -> Sweep {
                 .is_none_or(|f| format!("{w}/{}", m.label()).contains(f))
         })
         .collect();
-    let threads_used = effective_threads(config.threads, jobs.len());
-    let cells = parallel_map(&jobs, config.threads, |&(w, m)| {
+    parallel_map(&jobs, config.threads, |&(w, m)| {
         run_cell(w, m, m.mode(), &config.eval, config.profile)
-    });
-    Sweep {
-        config: config.clone(),
-        cells,
-        threads_used,
-        config_hash: config_hash(config),
-        provenance: Provenance::capture(),
-    }
+    })
 }
 
 /// Runs one grid cell: looks the workload up, [`run`]s it on `mode` (which

@@ -13,6 +13,8 @@
 //! * the full (workload × mechanism) explain grid emits a valid
 //!   `cdf-explain/1` document for every cell (validated with the crate's
 //!   own parser, no `jq`);
+//! * `cdf-sim explain` turns diagnostics on for every cell of its table,
+//!   document and store rows, and keeps them clock-free;
 //! * every `cdf-sim` subcommand rejects mistyped, repeated and unparsable
 //!   flags, flags missing their value, and stray or missing positionals
 //!   with a hard usage error instead of silently running the default
@@ -498,15 +500,17 @@ fn usage_lists_every_accepted_flag_under_its_subcommand() {
     assert!(!synopsis("compare <refA>").contains("--max-cycles"));
 }
 
-/// `explain` cells are clock-free: the document carries no wall time and
-/// the store rows `explain --record` appends carry `wall_ms` 0, so a repeat
-/// run reproduces both byte for byte.
+/// `explain` turns diagnostics on (off by default in `EvalConfig`), and
+/// its cells are clock-free: every cell of the document has a `diagnostics`
+/// section and no wall time, every column of the summary table has a
+/// figure, and every row `explain --record` appends carries its
+/// diagnostics summary and `wall_ms` 0, so a repeat run reproduces the
+/// document and the store byte for byte.
 #[test]
-fn explain_documents_and_store_rows_are_clock_free() {
+fn explain_attaches_diagnostics_and_is_clock_free() {
     let dir = std::env::temp_dir().join(format!("cdf-explain-clock-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let (doc, store) = (dir.join("e.json"), dir.join("s.jsonl"));
-    let (doc_arg, store_arg) = (doc.to_str().unwrap(), store.to_str().unwrap());
+    let (doc_path, store_path) = (dir.join("e.json"), dir.join("s.jsonl"));
     let out = cdf_sim(&[
         "explain",
         "--workloads",
@@ -515,16 +519,38 @@ fn explain_documents_and_store_rows_are_clock_free() {
         "base,cdf",
         "--fast",
         "--out",
-        doc_arg,
+        doc_path.to_str().unwrap(),
         "--record",
         "--store",
-        store_arg,
+        store_path.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(!std::fs::read_to_string(&doc).unwrap().contains("wall_ms"));
-    let rows = std::fs::read_to_string(&store).unwrap();
-    assert_eq!(rows.lines().count(), 2, "{rows}");
-    assert!(rows.lines().all(|r| r.contains("\"wall_ms\":0,")), "{rows}");
+    let table = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<&str> = table
+        .lines()
+        .filter(|l| l.starts_with("astar_like"))
+        .collect();
+    assert_eq!(rows.len(), 2, "{table}");
+    for row in rows {
+        assert!(!row.split_whitespace().any(|f| f == "-"), "{table}");
+    }
+    let text = std::fs::read_to_string(&doc_path).unwrap();
+    assert!(!text.contains("wall_ms"), "{text}");
+    let doc = Json::parse(&text).expect("document parses");
+    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells");
+    assert_eq!(cells.len(), 2, "{text}");
+    for cell in cells {
+        let d = cell.get("diagnostics").expect("diagnostics section");
+        assert!(d.get("coverage").is_some(), "{text}");
+    }
+    let store = std::fs::read_to_string(&store_path).unwrap();
+    assert_eq!(store.lines().count(), 2, "{store}");
+    for row in store.lines() {
+        let r = Json::parse(row).expect("store row parses");
+        assert_eq!(r.get("wall_ms").and_then(Json::as_u64), Some(0), "{row}");
+        let d = r.get("diagnostics").expect("diagnostics summary");
+        assert!(d.get("load_coverage").is_some(), "{row}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
