@@ -12,8 +12,6 @@
 
 #![deny(missing_docs)]
 
-pub mod throughput;
-
 use cdf_sim::{EvalConfig, Sweep};
 
 /// The evaluation sizing used by every figure bench: the default window, or

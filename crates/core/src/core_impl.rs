@@ -2845,4 +2845,46 @@ mod tests {
         );
         assert!(s2.ipc() < s1.ipc());
     }
+
+    /// Event-driven select against the reference scan, counted instead of
+    /// timed, on a window full of waiting uops: a hashed load that misses
+    /// the LLC, then a 60-deep add chain on its value, looped. The scan
+    /// walks every RS entry on every cycle; select pops only queued tokens.
+    /// The scan's count is the RS occupancy entering each cycle's select.
+    /// Select's is the tokens queued when each cycle begins plus the uops
+    /// it issues, which covers the woken tokens it pops in the same cycle.
+    #[test]
+    fn select_pops_a_fraction_of_the_rs_entries_the_scan_walks() {
+        let mut b = ProgramBuilder::new();
+        b.movi(R1, 1 << 20);
+        b.movi(R12, 0x9E37_79B9);
+        b.movi(R9, (1 << 20) - 1);
+        let top = b.label("top");
+        b.bind(top).unwrap();
+        b.mul(R10, R1, R12);
+        b.alu(cdf_isa::AluOp::And, R10, R10, R9);
+        b.load_abs(R5, R10, 8, 0x1000_0000);
+        for _ in 0..60 {
+            b.alu(cdf_isa::AluOp::Add, R6, R6, R5);
+        }
+        b.addi(R1, R1, -1);
+        b.brnz(R1, top);
+        b.halt();
+        let program = b.build().expect("assembles");
+        let mut core = Core::new(&program, MemoryImage::new(), CoreConfig::default());
+        assert!(core.event_sched, "the default core selects event-driven");
+        let (mut scanned, mut popped) = (0u64, 0u64);
+        while core.stats.retired < 30_000 {
+            let issued = core.energy.count(Activity::RsOp);
+            scanned += core.rs.len() as u64;
+            popped += core.sched.ready_len() as u64;
+            core.step();
+            popped += core.energy.count(Activity::RsOp) - issued;
+        }
+        assert!(
+            scanned >= 3 * popped,
+            "scan walks {scanned} RS entries, select pops {popped} tokens over {} cycles",
+            core.now
+        );
+    }
 }

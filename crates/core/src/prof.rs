@@ -171,7 +171,7 @@ static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 /// increments per allocation, so per-stage heap churn can be attributed by
 /// snapshotting [`alloc_counts`] at stage boundaries.
 ///
-/// Install it in a *binary* (`cdf-sim` and the throughput gate do):
+/// Install it in a *binary* (`cdf-sim` and `perfbench` do):
 ///
 /// ```ignore
 /// #[global_allocator]

@@ -340,4 +340,61 @@ mod tests {
         assert_eq!(s.outstanding(19), 2);
         assert_eq!(s.outstanding(20), 0);
     }
+
+    /// The two MSHR files against each other, counted instead of timed, on
+    /// a stream of independent hashed misses into 128-entry files: up to
+    /// two a cycle, each outstanding 200–263 cycles, so the files sit full
+    /// and a rejected miss waits for the retry hint. Each miss makes the
+    /// calls an L1D miss makes (merge lookup, occupancy check, then the
+    /// retry hint or the allocation) on both files in lockstep. The lazy
+    /// file walks its whole map in every `retain` (`try_alloc`) and filter
+    /// (`len`, `earliest_release`); the event file pops expired entries and
+    /// peeks once per call.
+    #[test]
+    fn lazy_file_walks_more_entries_than_the_event_file_pops() {
+        const CAPACITY: usize = 128;
+        let mut lazy = Mshr::new(CAPACITY);
+        let mut event = EventMshr::new(CAPACITY);
+        // Entries in the lazy map: only `try_alloc` changes it, leaving
+        // exactly the entries outstanding at its `now`.
+        let mut lazy_entries = 0u64;
+        let (mut walked, mut heap_ops) = (0u64, 0u64);
+        let (mut miss, mut retry_at) = (0u64, 0u64);
+        for now in 0..20_000u64 {
+            for _port in 0..2 {
+                if now < retry_at {
+                    break;
+                }
+                let line = (miss.wrapping_mul(0x9E37_79B9) & ((1 << 22) - 1)) & !63;
+                let done = now + 200 + (line >> 6) % 64;
+                // The first call at `now` pops what expired; later calls at
+                // the same `now` only peek.
+                let queued = event.expiry.len();
+                let merge = lazy.outstanding(line, now);
+                assert_eq!(event.outstanding(line, now), merge);
+                heap_ops += 1 + (queued - event.expiry.len()) as u64;
+                let occupied = lazy.len(now);
+                assert_eq!(event.len(now), occupied);
+                walked += lazy_entries;
+                heap_ops += 1;
+                if merge.is_none() && occupied >= CAPACITY {
+                    retry_at = lazy.earliest_release(now).expect("a full file");
+                    assert_eq!(event.earliest_release(now), Some(retry_at));
+                    walked += lazy_entries;
+                    heap_ops += 1;
+                    break;
+                }
+                let outcome = lazy.try_alloc(line, now, done);
+                assert_eq!(event.try_alloc(line, now, done), outcome);
+                walked += lazy_entries;
+                heap_ops += 1;
+                lazy_entries = lazy.len(now) as u64;
+                miss += 1;
+            }
+        }
+        assert!(
+            10 * walked >= 12 * heap_ops,
+            "lazy walks {walked} entries, event pops and peeks {heap_ops} over {miss} misses"
+        );
+    }
 }

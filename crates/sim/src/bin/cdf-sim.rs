@@ -515,19 +515,19 @@ fn run_record_command(a: &Args) {
     let mut cfg = observed_grid(a);
     cfg.filter = a.get("--filter");
     let sweep = run_sweep(&cfg);
-    let (run_id, records) = append_run(a, &sweep.provenance, |id, prov| {
-        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
-    });
-    let failed = records.iter().filter(|r| !r.is_ok()).count();
-    println!(
-        "recorded {} cell(s) to {} as run {run_id} ({failed} failed)",
-        records.len(),
-        store_path(a).display(),
-    );
-    if records.is_empty() {
+    if sweep.cells.is_empty() {
         eprintln!("the filter matched no cells");
         exit(2);
     }
+    let (run_id, _) = append_run(a, &sweep.provenance, |id, prov| {
+        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
+    });
+    let failed = sweep.counts().1;
+    println!(
+        "recorded {} cell(s) to {} as run {run_id} ({failed} failed)",
+        sweep.cells.len(),
+        store_path(a).display(),
+    );
     if failed > 0 {
         exit(3);
     }

@@ -1,4 +1,4 @@
-//! The one command-line parser of `cdf-sim` and `throughput-gate`.
+//! The one command-line parser of `cdf-sim`.
 //!
 //! A [`Cli`] declares each command once: a synopsis head (its words, then
 //! its `<positional>`s) and flag blocks, each written as its usage text (a
@@ -10,8 +10,8 @@ use std::fmt::Display;
 use std::process::exit;
 use std::str::FromStr;
 
-/// One command (or form of one): its synopsis head, e.g. `run <workload>`
-/// (empty for a program without subcommands), and its flag blocks.
+/// One command (or form of one): its synopsis head, e.g. `run <workload>`,
+/// and its flag blocks.
 pub type Command = (&'static str, &'static [&'static str]);
 
 /// A program: the one declaration its parser and its usage read.
@@ -74,8 +74,8 @@ impl Cli {
         let mut out = String::from("usage:\n");
         for &(command, blocks) in self.commands {
             let head = format!("  {} {command}", self.program);
-            let (indent, mut width) = (head.trim_end().len(), head.trim_end().len());
-            out += head.trim_end();
+            let (indent, mut width) = (head.len(), head.len());
+            out += &head;
             for flag in flags(blocks) {
                 if width > indent && width + flag.len() + 3 > 80 {
                     out += &format!("\n{:indent$}", "");

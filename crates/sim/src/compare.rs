@@ -7,13 +7,13 @@
 //! this repo:
 //!
 //! * **Deterministic metrics** (cycles, retired instructions, IPC, MLP,
-//!   DRAM lines, energy, coverage/accuracy, simulated throughput-case
-//!   cycles) are machine-independent, so they are compared with **exact
-//!   equality** — any drift is a real behavioral change.
+//!   DRAM lines, energy, coverage/accuracy, the simulated cycles of a
+//!   host-throughput row) are machine-independent, so they are compared
+//!   with **exact equality** — any drift is a real behavioral change.
 //! * **Wall-clock metrics** carry machine noise. For grid cells `wall_ms`
-//!   is purely informational (never classifies). For throughput rows,
-//!   `cycles_per_sec` classifies with a **configurable relative
-//!   tolerance** (default ±25%, mirroring the throughput gate).
+//!   is purely informational (never classifies). For host-throughput
+//!   (`"profile"`) rows, `cycles_per_sec` classifies with a
+//!   **configurable relative tolerance** (default ±25%).
 //! * A metric with no preferred direction (retired instructions should
 //!   simply not move at fixed config) classifies any change as a
 //!   regression — unexplained deterministic drift is a bug until argued
@@ -45,7 +45,7 @@ pub const DEFAULT_WALL_TOLERANCE: f64 = 0.25;
 #[derive(Clone, Copy, Debug)]
 pub struct CompareConfig {
     /// Relative tolerance applied to wall-clock-derived metrics
-    /// (`cycles_per_sec` on throughput rows).
+    /// (`cycles_per_sec` on host-throughput rows).
     pub wall_tolerance: f64,
 }
 

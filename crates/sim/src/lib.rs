@@ -119,8 +119,8 @@ pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, RunOutput};
 pub use store::{
     record_from_json, record_json, records_for_run, records_from_cells, resolve_ref, run_ids,
-    throughput_record, DiagSummary, RecordPayload, ResultKey, ResultRecord, ResultStore,
-    StoreError, TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
+    DiagSummary, RecordPayload, ResultKey, ResultRecord, ResultStore, StoreError, TelemetrySummary,
+    DEFAULT_STORE_PATH, RESULT_SCHEMA,
 };
 pub use sweep::{eval_config_hash, run_cell, run_sweep, Sweep, SweepCell, SweepConfig};
 pub use table1::table1_text;

@@ -27,8 +27,6 @@ pub const EQUIV: &str = "cdf-equiv/1";
 pub const EXPLAIN: &str = "cdf-explain/1";
 /// Blessed golden `CoreStats` snapshots (`crates/sim/tests/golden.rs`).
 pub const GOLDEN: &str = "cdf-golden/1";
-/// Throughput-gate baselines (`crates/bench/baseline/throughput.json`).
-pub const THROUGHPUT: &str = "cdf-throughput/1";
 /// One durable result record (one line of the append-only JSONL store).
 pub const RESULT: &str = "cdf-result/1";
 /// Cross-run comparison reports (`cdf-sim compare`).
@@ -48,9 +46,6 @@ pub const MIX: &str = "cdf-mix/1";
 /// Host-side self-profiles (`cdf-sim profile`): stage-level wall-clock
 /// attribution, subsystem timers, and host throughput denominators.
 pub const PROFILE: &str = "cdf-profile/1";
-/// A batch of host self-profiles, one per throughput-suite case
-/// (`throughput-gate --profile-out`).
-pub const PROFILE_SET: &str = "cdf-profile-set/1";
 
 /// Every schema tag the workspace emits, for exhaustiveness checks.
 pub const ALL: &[&str] = &[
@@ -61,7 +56,6 @@ pub const ALL: &[&str] = &[
     EQUIV,
     EXPLAIN,
     GOLDEN,
-    THROUGHPUT,
     RESULT,
     COMPARE,
     CAMPAIGN,
@@ -69,7 +63,6 @@ pub const ALL: &[&str] = &[
     CAMPAIGN_JOURNAL,
     MIX,
     PROFILE,
-    PROFILE_SET,
 ];
 
 /// Checks that `doc` is an object whose `"schema"` field equals `tag`.

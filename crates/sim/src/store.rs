@@ -18,15 +18,16 @@
 //! machine-independent; only `wall_ms` / `wall_seconds` carry machine
 //! noise, and the compare engine treats them accordingly.
 //!
-//! Records enter the store three ways:
+//! Records enter the store two ways:
 //!
 //! * `cdf-sim record` — runs the full (workload × mechanism) grid, or a
 //!   `--filter` subset, as a sweep and appends one record per cell.
 //! * `cdf-sim sweep --record` / `explain --record` / `mix --record` — tee
 //!   the cells of a normal run into the store. Grid cells become records
 //!   through [`records_from_cells`], whichever command ran them.
-//! * `throughput-gate --record` — perf rows land in the same store (kind
-//!   `"throughput"`), so stats history and perf history live together.
+//!
+//! With `--profile`, each cell also lands a host-performance row (kind
+//! `"profile"`), so stats history and perf history live together.
 //!
 //! The file is append-only by construction: [`ResultStore::append`] opens
 //! with `O_APPEND` and never rewrites existing lines, so the store is also
@@ -55,14 +56,15 @@ pub const DEFAULT_STORE_PATH: &str = ".cdf-results/results.jsonl";
 /// classified regression), not as a silently missing cell.
 #[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct ResultKey {
-    /// Record kind: `"cell"` (a grid measurement), `"throughput"` (a
-    /// perf-gate row), or `"profile"` (a host-perf row produced by
-    /// `record --profile`; same wall-tolerant comparison as throughput).
+    /// Record kind: `"cell"` (a grid measurement) or `"profile"` (a
+    /// host-perf row produced by `--profile`). Stores written by earlier
+    /// versions may also hold `"throughput"` rows, which load and compare
+    /// like profile rows.
     pub kind: String,
-    /// Workload (or throughput-case) name.
+    /// Workload name (a benchmark case name on `"throughput"` rows).
     pub workload: String,
-    /// Mechanism label (throughput rows use the variant label, e.g.
-    /// `"event"` / `"mem-lazy"`).
+    /// Mechanism label (a variant label, e.g. `"event"`, on
+    /// `"throughput"` rows).
     pub mechanism: String,
     /// Scheduler axis label ([`cdf_core::SchedulerKind::as_str`]).
     pub scheduler: String,
@@ -140,7 +142,7 @@ impl TelemetrySummary {
     }
 }
 
-/// What a record measured: a grid-cell measurement, a throughput-gate row,
+/// What a record measured: a grid-cell measurement, a host-throughput row,
 /// or the cell's failure.
 // The `Cell` variant dominates both the size and the population of real
 // stores, so boxing it would add an allocation to the common case to slim
@@ -157,7 +159,8 @@ pub enum RecordPayload {
         /// Telemetry summary, when the run had telemetry enabled.
         telemetry: Option<TelemetrySummary>,
     },
-    /// A throughput-gate perf row.
+    /// A host-throughput row: a `"profile"` row (or an older store's
+    /// `"throughput"` row), serialized under the `"throughput"` key.
     Throughput {
         /// Simulated cycles the case executed (deterministic).
         simulated_cycles: u64,
@@ -184,8 +187,8 @@ pub struct ResultRecord {
     pub seq: u64,
     /// The uniform provenance header.
     pub provenance: Provenance,
-    /// FNV-1a hash of the cell's full [`EvalConfig`] (or of the gate
-    /// configuration for throughput rows).
+    /// FNV-1a hash of the cell's full [`EvalConfig`] (an older store's
+    /// `"throughput"` rows carry a sizing tag here instead).
     pub config_hash: String,
     /// Workload generation parameters, for cell records.
     pub gen: Option<GenConfig>,
@@ -548,39 +551,6 @@ fn cell_key(workload: &str, mechanism: &str, eval: &EvalConfig) -> ResultKey {
         mechanism: mechanism.to_string(),
         scheduler: eval.core.scheduler.as_str().to_string(),
         mem_model: eval.core.mem_model.as_str().to_string(),
-    }
-}
-
-/// Builds a throughput record (used by `throughput-gate --record`).
-#[allow(clippy::too_many_arguments)]
-pub fn throughput_record(
-    run_id: &str,
-    seq: u64,
-    prov: &Provenance,
-    config_hash: &str,
-    case: &str,
-    variant: &str,
-    simulated_cycles: u64,
-    wall_seconds: f64,
-) -> ResultRecord {
-    ResultRecord {
-        run_id: run_id.to_string(),
-        seq,
-        provenance: prov.clone(),
-        config_hash: config_hash.to_string(),
-        gen: None,
-        key: ResultKey {
-            kind: "throughput".to_string(),
-            workload: case.to_string(),
-            mechanism: variant.to_string(),
-            scheduler: String::new(),
-            mem_model: String::new(),
-        },
-        wall_ms: (wall_seconds * 1000.0) as u64,
-        payload: RecordPayload::Throughput {
-            simulated_cycles,
-            wall_seconds,
-        },
     }
 }
 

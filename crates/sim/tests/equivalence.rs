@@ -36,7 +36,8 @@ fn bounded_fuzz_equivalence_all_mechanisms() {
 /// retirement stream. The second case is port-starved — one port per class
 /// and four L1D MSHRs — so int, fp, load and store ports run out in
 /// different orders within a cycle, and select must skip spent classes
-/// while younger uops of other classes still issue.
+/// while younger uops of other classes still issue. The third runs the
+/// Fig. 17 512-entry window, whose larger RS the scan walks every cycle.
 #[test]
 fn workload_windows_bit_identical_across_schedulers() {
     let mut cfg = EvalConfig::quick();
@@ -50,7 +51,9 @@ fn workload_windows_bit_identical_across_schedulers() {
         store: 1,
     };
     starved.core.mem.l1d_mshrs = 4;
-    let cases: [(&[&str], EvalConfig); 2] = [
+    let mut wide = cfg.clone();
+    wide.core = wide.core.with_scaled_window(512);
+    let cases: [(&[&str], EvalConfig); 3] = [
         (&["astar_like", "mcf_like", "libq_like", "sphinx_like"], cfg),
         (
             &[
@@ -62,6 +65,7 @@ fn workload_windows_bit_identical_across_schedulers() {
             ],
             starved,
         ),
+        (&["astar_like", "mcf_like"], wide),
     ];
     for (workloads, cfg) in &cases {
         let mismatches = workload_equivalence_axis(

@@ -35,19 +35,30 @@ fn bounded_fuzz_mem_equivalence_all_mechanisms() {
 /// Full warmup+measure windows compared [`cdf_sim::Measurement`]-for-
 /// measurement under both memory models: DRAM line traffic and energy are
 /// folded in, so a model that reordered memory-system events would fail
-/// here even with a clean retirement stream.
+/// here even with a clean retirement stream. The second case inflates the
+/// MSHR files to 128 L1D and 256 LLC entries, the high-MLP regime where
+/// the lazy files rescan the most entries per access.
 #[test]
 fn workload_windows_bit_identical_across_mem_models() {
     let mut cfg = EvalConfig::quick();
     cfg.warmup_instructions = 5_000;
     cfg.measure_instructions = 10_000;
-    let mismatches = workload_equivalence_axis(
-        &["astar_like", "mcf_like", "libq_like", "sphinx_like"],
-        &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
-        &cfg,
-        EquivAxis::MemModel,
-    );
-    assert!(mismatches.is_empty(), "windows diverged: {mismatches:#?}");
+    let mut inflated = cfg.clone();
+    inflated.core.mem.l1d_mshrs = 128;
+    inflated.core.mem.llc_mshrs = 256;
+    let cases: [(&[&str], EvalConfig); 2] = [
+        (&["astar_like", "mcf_like", "libq_like", "sphinx_like"], cfg),
+        (&["mcf_like", "lbm_like"], inflated),
+    ];
+    for (workloads, cfg) in &cases {
+        let mismatches = workload_equivalence_axis(
+            workloads,
+            &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
+            cfg,
+            EquivAxis::MemModel,
+        );
+        assert!(mismatches.is_empty(), "windows diverged: {mismatches:#?}");
+    }
 }
 
 /// The complete golden grid (every workload × every mechanism), collected

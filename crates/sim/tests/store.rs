@@ -467,6 +467,40 @@ fn record_twice_compares_unchanged_and_perturbed_config_exits_4() {
     );
     assert_eq!(out.status.code(), Some(2));
 
+    // `--profile` adds one host-throughput row per cell; the line counts
+    // the cells, not the rows.
+    let out = record(&["--profile"], "commit-cc");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("recorded 2 cell(s)"));
+    let rows = std::fs::read_to_string(&store).expect("store written");
+    assert_eq!(rows.matches("\"kind\":\"profile\"").count(), 2);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--filter` that matches no cell is rejected before anything is
+/// recorded: no run id is reserved, no store is written, and stdout claims
+/// no recording.
+#[test]
+fn record_filter_matching_nothing_writes_nothing_and_exits_2() {
+    let dir = std::env::temp_dir().join(format!("cdf-store-nomatch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = dir.join("results.jsonl");
+    let mut args = vec!["record", "--filter", "nomatch"];
+    args.extend_from_slice(SIZING);
+    args.extend_from_slice(&["--store", store.to_str().expect("utf-8 path")]);
+    let out = cdf_sim(&args, "commit-aa");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("the filter matched no cells"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(!store.exists(), "store file created");
+    assert!(!dir.join("results.jsonl.runs").exists(), "run id reserved");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -476,10 +510,9 @@ fn record_store_path_is_reported_and_reused() {
     assert!(PathBuf::from(cdf_sim::DEFAULT_STORE_PATH).is_relative());
 }
 
-/// Satellite: every serializer's version tag round-trips through the
-/// crate's own parser and lives in the central registry. (The fuzz and
-/// fuzz-case documents are exercised the same way in `tests/fuzz.rs`, the
-/// throughput document in `cdf-bench`'s unit tests.)
+/// Every serializer's version tag round-trips through the crate's own
+/// parser and lives in the central registry. (The fuzz and fuzz-case
+/// documents are exercised the same way in `tests/fuzz.rs`.)
 #[test]
 fn every_serializer_emits_a_registered_roundtripping_tag() {
     use cdf_sim::schema;
