@@ -422,13 +422,6 @@ impl<'p> Core<'p> {
         self.diag = Some(crate::diag::CdfDiagnostics::new());
     }
 
-    /// Like [`enable_diagnostics`](Self::enable_diagnostics) but with an
-    /// explicit interval-sampling cadence for the coverage/accuracy time
-    /// series.
-    pub fn enable_diagnostics_with(&mut self, cfg: crate::diag::DiagConfig) {
-        self.diag = Some(crate::diag::CdfDiagnostics::with_config(cfg));
-    }
-
     /// Detaches and returns the diagnostics (disabling further collection),
     /// finalizing open lead-time observations so histogram totality holds —
     /// the harness calls this once the run is over.
@@ -712,10 +705,9 @@ impl<'p> Core<'p> {
         kind: AccessKind,
         now: u64,
         wrong_path: bool,
-        chain: u64,
     ) -> AccessResult {
         let t = self.prof_sub_start(crate::prof::Subsystem::MemPort);
-        let r = self.memsys.access(addr, kind, now, wrong_path, chain);
+        let r = self.memsys.access(addr, kind, now, wrong_path);
         self.prof_sub(crate::prof::Subsystem::MemPort, t);
         r
     }
@@ -804,7 +796,7 @@ impl<'p> Core<'p> {
             self.mem_image.store(addr, data);
             // Commit the write into the memory system (traffic + dirty
             // state); retirement does not wait for it.
-            self.mem_access(addr, AccessKind::Store, self.now, false, uop.chain);
+            self.mem_access(addr, AccessKind::Store, self.now, false);
         }
         let mispredicted = if let Op::Branch(_) = op {
             self.stats.branches += 1;
@@ -1260,11 +1252,7 @@ impl<'p> Core<'p> {
                 // Critical-stream loads are exempt — running ahead of
                 // unresolved non-critical stores is the mechanism (§3.5),
                 // and its mis-speculations have their own recovery.
-                let (is_critical, chain) = self
-                    .pool
-                    .get(seq.0)
-                    .map(|u| (u.critical, u.chain))
-                    .unwrap_or((false, 0));
+                let is_critical = self.pool.get(seq.0).is_some_and(|u| u.critical);
                 if !is_critical
                     && self.mdp[pc.index() & 0xFF] >= 2
                     && self.lsq.older_store_addr_unknown(seq)
@@ -1287,7 +1275,7 @@ impl<'p> Core<'p> {
                         self.lsq.set_load_state(seq, addr, true);
                     }
                     ForwardResult::Miss => {
-                        match self.mem_access(addr, AccessKind::Load, self.now, false, chain) {
+                        match self.mem_access(addr, AccessKind::Load, self.now, false) {
                             AccessResult::Rejected(_) => return, // MSHRs full: retry
                             AccessResult::Done(out) => {
                                 let v = self.mem_image.load(addr);
@@ -1979,13 +1967,7 @@ impl<'p> Core<'p> {
             // I-cache.
             let line = self.byte_addr(pc) / 64;
             if Some(line) != self.last_fetch_line {
-                match self.mem_access(
-                    self.byte_addr(pc),
-                    AccessKind::InstFetch,
-                    self.now,
-                    false,
-                    0,
-                ) {
+                match self.mem_access(self.byte_addr(pc), AccessKind::InstFetch, self.now, false) {
                     AccessResult::Rejected(_) => break,
                     AccessResult::Done(out) => {
                         self.last_fetch_line = Some(line);

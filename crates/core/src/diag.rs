@@ -20,6 +20,9 @@
 //!   replayed the load (log₂ histogram), and how far ahead of the regular
 //!   stream did DBQ-resolved branches flip their entries?
 //!
+//! Coverage and accuracy are also sampled over time: every [`INTERVAL`]
+//! cycles into an [`IntervalSeries`] of [`DiagIntervalSample`]s.
+//!
 //! The collector follows the repo's zero-cost observability contract: it
 //! lives in an `Option<CdfDiagnostics>` sidecar on the core
 //! ([`Core::enable_diagnostics`](crate::Core::enable_diagnostics)), is never
@@ -28,144 +31,50 @@
 //! enabled and disabled runs are bit-identical, which
 //! `crates/sim/tests/explain.rs` enforces across all seven mechanisms.
 
+use crate::series::{interval_sample, IntervalSeries, INTERVAL};
 use crate::telemetry::Histogram;
 use cdf_isa::Pc;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Cap on distinct chain records kept; later chains still feed the aggregate
 /// counters but are not individually recorded (see
 /// [`CdfDiagnostics::chains_dropped`]).
 pub const MAX_CHAIN_RECORDS: usize = 65_536;
 
-/// Sampling cadence for the per-interval diagnostics series (mirrors
-/// [`TelemetryConfig`](crate::telemetry::TelemetryConfig)'s interval ring).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DiagConfig {
-    /// Cycles per interval sample.
-    pub interval: u64,
-    /// Ring capacity; older samples fold into the running totals.
-    pub ring_capacity: usize,
-}
-
-impl Default for DiagConfig {
-    fn default() -> DiagConfig {
-        DiagConfig {
-            interval: 1024,
-            ring_capacity: 512,
-        }
+interval_sample! {
+    /// One interval's worth of coverage/accuracy activity (deltas, not
+    /// cumulative values).
+    pub struct DiagIntervalSample from |now, d: &CdfDiagnostics| {
+        /// Fill-buffer walks in the interval.
+        walks: d.walks,
+        /// CUC installs in the interval.
+        installs: d.installs,
+        /// Critical-fetch CUC hits in the interval.
+        cuc_hits: d.cuc_fetch_hits,
+        /// Critical-fetch CUC misses in the interval.
+        cuc_misses: d.cuc_fetch_misses,
+        /// Critical uops fetched in the interval.
+        fetched: d.critical_uops_fetched,
+        /// Fetched uops consumed by replay in the interval.
+        consumed: d.critical_uops_consumed,
+        /// Fetched uops poisoned in the interval.
+        poisoned: d.critical_uops_poisoned,
+        /// Fetched uops squashed in the interval.
+        squashed: d.critical_uops_squashed,
+        /// Covered retired LLC-miss loads in the interval.
+        loads_covered: d.load_coverage.covered,
+        /// All retired LLC-miss loads in the interval.
+        loads_total: d.load_coverage.total,
+        /// Covered retired mispredicted H2P branches in the interval.
+        branches_covered: d.branch_coverage.covered,
+        /// All retired mispredicted H2P branches in the interval.
+        branches_total: d.branch_coverage.total,
+        /// Critical-stream LLC-miss initiations in the interval.
+        miss_initiations: d.llc_miss_initiations,
     }
-}
-
-/// Point-in-time copy of the cumulative coverage/accuracy counters, used to
-/// form interval deltas.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-struct DiagSnapshot {
-    cycles: u64,
-    walks: u64,
-    installs: u64,
-    cuc_hits: u64,
-    cuc_misses: u64,
-    fetched: u64,
-    consumed: u64,
-    poisoned: u64,
-    squashed: u64,
-    loads_covered: u64,
-    loads_total: u64,
-    branches_covered: u64,
-    branches_total: u64,
-    miss_initiations: u64,
-}
-
-/// One interval's worth of coverage/accuracy activity (deltas, not
-/// cumulative values).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct DiagIntervalSample {
-    /// Cycle the interval started at (previous sample point).
-    pub start_cycle: u64,
-    /// Cycle the interval ended at (this sample point).
-    pub end_cycle: u64,
-    /// Interval width in cycles.
-    pub cycles: u64,
-    /// Fill-buffer walks in the interval.
-    pub walks: u64,
-    /// CUC installs in the interval.
-    pub installs: u64,
-    /// Critical-fetch CUC hits in the interval.
-    pub cuc_hits: u64,
-    /// Critical-fetch CUC misses in the interval.
-    pub cuc_misses: u64,
-    /// Critical uops fetched in the interval.
-    pub fetched: u64,
-    /// Fetched uops consumed by replay in the interval.
-    pub consumed: u64,
-    /// Fetched uops poisoned in the interval.
-    pub poisoned: u64,
-    /// Fetched uops squashed in the interval.
-    pub squashed: u64,
-    /// Covered retired LLC-miss loads in the interval.
-    pub loads_covered: u64,
-    /// All retired LLC-miss loads in the interval.
-    pub loads_total: u64,
-    /// Covered retired mispredicted H2P branches in the interval.
-    pub branches_covered: u64,
-    /// All retired mispredicted H2P branches in the interval.
-    pub branches_total: u64,
-    /// Critical-stream LLC-miss initiations in the interval.
-    pub miss_initiations: u64,
 }
 
 impl DiagIntervalSample {
-    fn delta(prev: &DiagSnapshot, cur: &DiagSnapshot) -> DiagIntervalSample {
-        DiagIntervalSample {
-            start_cycle: prev.cycles,
-            end_cycle: cur.cycles,
-            cycles: cur.cycles - prev.cycles,
-            walks: cur.walks - prev.walks,
-            installs: cur.installs - prev.installs,
-            cuc_hits: cur.cuc_hits - prev.cuc_hits,
-            cuc_misses: cur.cuc_misses - prev.cuc_misses,
-            fetched: cur.fetched - prev.fetched,
-            consumed: cur.consumed - prev.consumed,
-            poisoned: cur.poisoned - prev.poisoned,
-            squashed: cur.squashed - prev.squashed,
-            loads_covered: cur.loads_covered - prev.loads_covered,
-            loads_total: cur.loads_total - prev.loads_total,
-            branches_covered: cur.branches_covered - prev.branches_covered,
-            branches_total: cur.branches_total - prev.branches_total,
-            miss_initiations: cur.miss_initiations - prev.miss_initiations,
-        }
-    }
-
-    fn accumulate(&mut self, other: &DiagIntervalSample) {
-        if self.cycles == 0 {
-            self.start_cycle = other.start_cycle;
-        }
-        self.end_cycle = other.end_cycle;
-        self.cycles += other.cycles;
-        self.walks += other.walks;
-        self.installs += other.installs;
-        self.cuc_hits += other.cuc_hits;
-        self.cuc_misses += other.cuc_misses;
-        self.fetched += other.fetched;
-        self.consumed += other.consumed;
-        self.poisoned += other.poisoned;
-        self.squashed += other.squashed;
-        self.loads_covered += other.loads_covered;
-        self.loads_total += other.loads_total;
-        self.branches_covered += other.branches_covered;
-        self.branches_total += other.branches_total;
-        self.miss_initiations += other.miss_initiations;
-    }
-
-    fn is_zero(&self) -> bool {
-        *self
-            == DiagIntervalSample {
-                start_cycle: self.start_cycle,
-                end_cycle: self.end_cycle,
-                ..DiagIntervalSample::default()
-            }
-    }
-
     /// Accuracy over the interval: consumed / fetched (0 when idle).
     pub fn accuracy(&self) -> f64 {
         if self.fetched == 0 {
@@ -189,82 +98,6 @@ impl DiagIntervalSample {
             covered: self.branches_covered,
             total: self.branches_total,
         }
-    }
-}
-
-/// Ring-buffered coverage/accuracy time series. Samples older than the ring
-/// capacity fold into [`totals`](Self::totals) rather than being lost, so
-/// the series always accounts for the whole run — the same totality
-/// contract as telemetry's [`IntervalSeries`](crate::IntervalSeries),
-/// property-tested in `crates/sim/tests/explain.rs`.
-#[derive(Clone, PartialEq, Debug)]
-pub struct DiagIntervalSeries {
-    ring: VecDeque<DiagIntervalSample>,
-    capacity: usize,
-    evicted: DiagIntervalSample,
-    evicted_count: u64,
-    last: DiagSnapshot,
-}
-
-impl Default for DiagIntervalSeries {
-    fn default() -> DiagIntervalSeries {
-        DiagIntervalSeries::new(DiagConfig::default().ring_capacity)
-    }
-}
-
-impl DiagIntervalSeries {
-    fn new(capacity: usize) -> DiagIntervalSeries {
-        DiagIntervalSeries {
-            ring: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            evicted: DiagIntervalSample::default(),
-            evicted_count: 0,
-            last: DiagSnapshot::default(),
-        }
-    }
-
-    fn sample(&mut self, cur: DiagSnapshot) {
-        let delta = DiagIntervalSample::delta(&self.last, &cur);
-        self.last = cur;
-        if delta.cycles == 0 && delta.is_zero() {
-            return; // zero-width flush (window boundary on an interval edge)
-        }
-        if self.ring.len() == self.capacity {
-            let old = self.ring.pop_front().expect("ring non-empty at capacity");
-            self.evicted.accumulate(&old);
-            self.evicted_count += 1;
-        }
-        self.ring.push_back(delta);
-    }
-
-    /// The retained samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &DiagIntervalSample> {
-        self.ring.iter()
-    }
-
-    /// Retained sample count.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Samples evicted into the running totals.
-    pub fn evicted_count(&self) -> u64 {
-        self.evicted_count
-    }
-
-    /// Sum of **all** deltas since diagnostics were enabled — evicted and
-    /// retained. Equals the end-of-run aggregate counters.
-    pub fn totals(&self) -> DiagIntervalSample {
-        let mut t = self.evicted;
-        for s in &self.ring {
-            t.accumulate(s);
-        }
-        t
     }
 }
 
@@ -382,60 +215,32 @@ pub struct CdfDiagnostics {
     /// LLC-miss initiations still awaiting their replay (seq → issue cycle).
     pending_leads: HashMap<u64, u64>,
 
-    config: DiagConfig,
-    intervals: DiagIntervalSeries,
+    intervals: IntervalSeries<DiagIntervalSample>,
 }
 
 impl CdfDiagnostics {
-    /// A fresh, empty collector with the default sampling cadence.
+    /// A fresh, empty collector. Its coverage/accuracy series samples
+    /// every [`INTERVAL`] cycles into a ring of
+    /// [`RING_CAPACITY`](crate::series::RING_CAPACITY) samples.
     pub fn new() -> CdfDiagnostics {
         CdfDiagnostics::default()
     }
 
-    /// A fresh collector with an explicit interval-sampling cadence.
-    pub fn with_config(config: DiagConfig) -> CdfDiagnostics {
-        CdfDiagnostics {
-            config,
-            intervals: DiagIntervalSeries::new(config.ring_capacity),
-            ..CdfDiagnostics::default()
-        }
-    }
-
-    /// The sampling cadence in effect.
-    pub fn config(&self) -> DiagConfig {
-        self.config
-    }
-
     /// The per-interval coverage/accuracy time series.
-    pub fn intervals(&self) -> &DiagIntervalSeries {
+    pub fn intervals(&self) -> &IntervalSeries<DiagIntervalSample> {
         &self.intervals
     }
 
     /// Whether cycle `now` lands on an interval boundary (the core calls
     /// [`sample_interval`](Self::sample_interval) then).
     pub fn interval_due(&self, now: u64) -> bool {
-        now > 0 && now.is_multiple_of(self.config.interval)
+        now.is_multiple_of(INTERVAL)
     }
 
     /// Closes the current interval at cycle `now` and starts the next one.
     pub fn sample_interval(&mut self, now: u64) {
-        let cur = DiagSnapshot {
-            cycles: now,
-            walks: self.walks,
-            installs: self.installs,
-            cuc_hits: self.cuc_fetch_hits,
-            cuc_misses: self.cuc_fetch_misses,
-            fetched: self.critical_uops_fetched,
-            consumed: self.critical_uops_consumed,
-            poisoned: self.critical_uops_poisoned,
-            squashed: self.critical_uops_squashed,
-            loads_covered: self.load_coverage.covered,
-            loads_total: self.load_coverage.total,
-            branches_covered: self.branch_coverage.covered,
-            branches_total: self.branch_coverage.total,
-            miss_initiations: self.llc_miss_initiations,
-        };
-        self.intervals.sample(cur);
+        let reading = DiagIntervalSample::read(now, self);
+        self.intervals.sample(reading);
     }
 
     /// All chain records, in walk order.
@@ -665,12 +470,12 @@ mod tests {
 
     #[test]
     fn interval_series_totals_equal_cumulative_counters() {
-        let mut d = CdfDiagnostics::with_config(DiagConfig {
-            interval: 10,
-            ring_capacity: 2, // tiny ring: forces evictions into totals
-        });
-        for i in 1..=7u64 {
-            let now = i * 10;
+        // Five samples more than the ring holds: the oldest five fold into
+        // the totals.
+        let samples = crate::series::RING_CAPACITY as u64 + 5;
+        let mut d = CdfDiagnostics::new();
+        for i in 1..=samples {
+            let now = i * INTERVAL;
             d.note_walk();
             d.note_install(i, Pc::new(16 * i as u32), 8, 3, now - 5);
             d.note_cuc_hit(i, 3, now - 4);
@@ -679,9 +484,10 @@ mod tests {
             d.note_h2p_mispredict_retired(true);
             d.note_miss_initiated(100 + i, now - 2);
             assert!(d.interval_due(now));
+            assert!(!d.interval_due(now - 1));
             d.sample_interval(now);
         }
-        assert_eq!(d.intervals().len(), 2);
+        assert_eq!(d.intervals().len(), crate::series::RING_CAPACITY);
         assert_eq!(d.intervals().evicted_count(), 5);
         let t = d.intervals().totals();
         assert_eq!(t.walks, d.walks);
@@ -695,11 +501,11 @@ mod tests {
         assert_eq!(t.branches_total, d.branch_coverage.total);
         assert_eq!(t.miss_initiations, d.llc_miss_initiations);
         assert_eq!(t.start_cycle, 0);
-        assert_eq!(t.end_cycle, 70);
-        assert_eq!(t.cycles, 70);
-        // A zero-width, zero-activity flush is dropped, not double-counted.
-        d.sample_interval(70);
-        assert_eq!(d.intervals().len(), 2);
+        assert_eq!(t.end_cycle, samples * INTERVAL);
+        assert_eq!(t.cycles, samples * INTERVAL);
+        // A zero-width flush is dropped, not double-counted.
+        d.sample_interval(samples * INTERVAL);
+        assert_eq!(d.intervals().len(), crate::series::RING_CAPACITY);
         assert_eq!(d.intervals().totals(), t);
     }
 

@@ -70,6 +70,7 @@ pub mod partition;
 pub mod pre;
 pub mod prof;
 pub mod provenance;
+pub mod series;
 pub mod static_chains;
 pub mod telemetry;
 pub mod trace;
@@ -92,10 +93,7 @@ pub use config::{
     BoundaryKind, CdfConfig, CoreConfig, CoreMode, ExecPorts, PreConfig, SchedulerKind,
 };
 pub use core_impl::Core;
-pub use diag::{
-    CdfDiagnostics, ChainRecord, Coverage, DiagConfig, DiagIntervalSample, DiagIntervalSeries,
-    MAX_CHAIN_RECORDS,
-};
+pub use diag::{CdfDiagnostics, ChainRecord, Coverage, DiagIntervalSample, MAX_CHAIN_RECORDS};
 pub use grid::{ConfigGrid, ConfigPoint};
 pub use memport::{MemReqKind, MemRequest, MemResponse, MemSide, MemView, MessagePort};
 pub use multicore::{CoreOutcome, MultiCore, SharedStatsReport};
@@ -103,13 +101,14 @@ pub use prof::{
     CountingAlloc, HostProf, HostProfile, Stage, StageSample, Subsystem, SubsystemSample,
 };
 pub use provenance::Provenance;
+pub use series::IntervalSeries;
 
 pub use observer::{
     Divergence, DivergenceKind, LockstepLog, OracleLockstep, RetireObserver, RetiredUop,
 };
 pub use stats::{CoreStats, RobMix};
 pub use telemetry::{
-    CycleAccounting, CycleBucket, EventPhase, Histogram, IntervalSample, IntervalSeries,
-    OccupancyHistograms, OccupancySample, Telemetry, TelemetryConfig, TraceEvent,
+    CycleAccounting, CycleBucket, EventPhase, Histogram, IntervalSample, OccupancyHistograms,
+    OccupancySample, Telemetry, TelemetryConfig, TraceEvent,
 };
 pub use types::{PhysReg, Seq};

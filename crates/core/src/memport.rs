@@ -4,7 +4,7 @@
 //! sites (load execute, store retire, instruction fetch, MLP sampling,
 //! runahead prefetch). This module reifies that boundary as an explicit
 //! request/response interface — the core builds a [`MemRequest`] (kind,
-//! address, cycle, wrong-path flag, and criticality-chain provenance) and
+//! address, cycle and wrong-path flag) and
 //! consumes a [`MemResponse`] — so the memory side becomes pluggable:
 //!
 //! * [`MemSide::Direct`] — the reference oracle: the old synchronous call,
@@ -19,7 +19,7 @@
 //!   envelope reorders *code*, not *events*.
 //! * [`MemSide::Shared`] — the same message discipline aimed at a
 //!   [`MultiCoreMemory`] shared by N cores (private L1s, shared
-//!   LLC/MSHR/DRAM), with the chain id namespaced by core on the far side.
+//!   LLC/MSHR/DRAM).
 //!
 //! Behind every variant runs the same access code: a [`MemoryHierarchy`]
 //! is a one-core [`MultiCoreMemory`]. The port is deliberately
@@ -68,9 +68,6 @@ pub struct MemRequest {
     pub now: u64,
     /// The core knows this access sits on a wrong path (PRE accounting).
     pub wrong_path: bool,
-    /// Criticality-chain provenance (0 = none). Shared memory systems
-    /// namespace this by core so chains from different cores never collide.
-    pub chain: u64,
 }
 
 /// The memory system's answer to one [`MemRequest`].
@@ -195,15 +192,12 @@ impl MemSide {
     }
 
     /// Issues one demand access (load/store/inst-fetch) at cycle `now`.
-    /// `chain` is criticality-chain provenance, used by shared diagnostics
-    /// only — private paths produce identical results for any `chain`.
     pub fn access(
         &mut self,
         addr: u64,
         kind: AccessKind,
         now: u64,
         wrong_path: bool,
-        chain: u64,
     ) -> AccessResult {
         match self {
             MemSide::Direct(h) => h.access(addr, kind, now, wrong_path),
@@ -217,7 +211,6 @@ impl MemSide {
                     },
                     now,
                     wrong_path,
-                    chain,
                 });
                 match port.collect(id) {
                     MemResponse::Access(r) => r,
@@ -229,7 +222,7 @@ impl MemSide {
             MemSide::Shared(p) => p
                 .sys
                 .borrow_mut()
-                .access(p.core, addr, kind, now, wrong_path, chain),
+                .access(p.core, addr, kind, now, wrong_path),
         }
     }
 
@@ -243,7 +236,6 @@ impl MemSide {
                     kind: MemReqKind::RunaheadPrefetch,
                     now,
                     wrong_path: false,
-                    chain: 0,
                 });
                 match port.collect(id) {
                     MemResponse::Prefetch { issued } => issued,
@@ -342,8 +334,8 @@ mod tests {
                 _ => AccessKind::Load,
             };
             assert_eq!(
-                direct.access(addr, kind, now, false, i % 4),
-                msg.access(addr, kind, now, false, i % 4),
+                direct.access(addr, kind, now, false),
+                msg.access(addr, kind, now, false),
             );
             if i % 11 == 0 {
                 assert_eq!(
@@ -367,14 +359,12 @@ mod tests {
             kind: MemReqKind::Load,
             now: 0,
             wrong_path: false,
-            chain: 0,
         });
         let b = port.submit(MemRequest {
             addr: 0x2000,
             kind: MemReqKind::RunaheadPrefetch,
             now: 0,
             wrong_path: false,
-            chain: 0,
         });
         assert_eq!(port.pending(), 2);
         assert!(matches!(port.collect(b), MemResponse::Prefetch { .. }));

@@ -6,11 +6,11 @@
 //! by one [`Telemetry`] value attached to a core via
 //! [`Core::enable_telemetry`](crate::Core::enable_telemetry):
 //!
-//! * [`IntervalSeries`] — every `interval` cycles the core snapshots the
+//! * an [`IntervalSeries`] — every `interval` cycles the core samples the
 //!   delta of its key counters (retired, fetched, flushes, CDF residency,
-//!   stall cycles, MLP sums) into a ring-buffered time series. Evicted
-//!   samples fold into a running total, so the invariant *sum of deltas ==
-//!   end-of-run aggregates* holds at any ring capacity (property-tested).
+//!   stall cycles, MLP sums) as an [`IntervalSample`]. Evicted samples fold
+//!   into a running total, so the invariant *sum of deltas == end-of-run
+//!   aggregates* holds at any ring capacity (property-tested).
 //! * [`Histogram`] ×5 — per-cycle ROB/LQ/SQ/RS/MSHR occupancies, binned
 //!   into log₂ buckets so a sample costs one increment.
 //! * [`CycleAccounting`] — every simulated cycle lands in exactly one of six
@@ -28,8 +28,8 @@
 //! enabled run also leaves `CoreStats` untouched — telemetry only ever
 //! *reads* the architectural simulation.
 
+use crate::series::{interval_sample, IntervalSeries};
 use crate::stats::CoreStats;
-use std::collections::VecDeque;
 
 /// Sizing and feature switches for one [`Telemetry`] instance.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -52,8 +52,8 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
-            interval: 1024,
-            ring_capacity: 512,
+            interval: crate::series::INTERVAL,
+            ring_capacity: crate::series::RING_CAPACITY,
             max_events: 65_536,
             uop_events: 256,
         }
@@ -278,109 +278,33 @@ pub struct OccupancySample {
 // Interval sampler.
 // ---------------------------------------------------------------------------
 
-/// The counters the interval sampler tracks, as absolute values at one
-/// point in time (taken from the live [`CoreStats`] plus the core clock).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-struct CounterSnapshot {
-    cycles: u64,
-    retired: u64,
-    fetched_regular: u64,
-    fetched_critical: u64,
-    mispredicts: u64,
-    memory_violations: u64,
-    dependence_violations: u64,
-    full_window_stall_cycles: u64,
-    cdf_mode_cycles: u64,
-    mlp_sum: u64,
-    mlp_cycles: u64,
-}
-
-impl CounterSnapshot {
-    fn take(now: u64, s: &CoreStats) -> CounterSnapshot {
-        CounterSnapshot {
-            cycles: now,
-            retired: s.retired,
-            fetched_regular: s.fetched_regular,
-            fetched_critical: s.fetched_critical,
-            mispredicts: s.mispredicts,
-            memory_violations: s.memory_violations,
-            dependence_violations: s.dependence_violations,
-            full_window_stall_cycles: s.full_window_stall_cycles,
-            cdf_mode_cycles: s.cdf_mode_cycles,
-            mlp_sum: s.mlp_sum,
-            mlp_cycles: s.mlp_cycles,
-        }
+interval_sample! {
+    /// Delta-[`CoreStats`] over one sampling interval.
+    pub struct IntervalSample from |now, s: &CoreStats| {
+        /// Uops retired.
+        retired: s.retired,
+        /// Regular-stream uops fetched.
+        fetched_regular: s.fetched_regular,
+        /// Critical-stream uops fetched.
+        fetched_critical: s.fetched_critical,
+        /// Branch-mispredict flushes.
+        mispredicts: s.mispredicts,
+        /// Memory-ordering flushes.
+        memory_violations: s.memory_violations,
+        /// CDF poison (dependence) flushes.
+        dependence_violations: s.dependence_violations,
+        /// Full-window stall cycles.
+        full_window_stall_cycles: s.full_window_stall_cycles,
+        /// Cycles with CDF fetch mode engaged.
+        cdf_mode_cycles: s.cdf_mode_cycles,
+        /// Sum of outstanding demand misses over the interval (MLP numerator).
+        mlp_sum: s.mlp_sum,
+        /// Cycles with ≥1 outstanding demand miss (MLP denominator).
+        mlp_cycles: s.mlp_cycles,
     }
-}
-
-/// Delta-`CoreStats` over one sampling interval.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct IntervalSample {
-    /// First cycle covered (exclusive of the previous sample's end).
-    pub start_cycle: u64,
-    /// Last cycle covered.
-    pub end_cycle: u64,
-    /// Cycles in the interval (`end_cycle - start_cycle`).
-    pub cycles: u64,
-    /// Uops retired.
-    pub retired: u64,
-    /// Regular-stream uops fetched.
-    pub fetched_regular: u64,
-    /// Critical-stream uops fetched.
-    pub fetched_critical: u64,
-    /// Branch-mispredict flushes.
-    pub mispredicts: u64,
-    /// Memory-ordering flushes.
-    pub memory_violations: u64,
-    /// CDF poison (dependence) flushes.
-    pub dependence_violations: u64,
-    /// Full-window stall cycles.
-    pub full_window_stall_cycles: u64,
-    /// Cycles with CDF fetch mode engaged.
-    pub cdf_mode_cycles: u64,
-    /// Sum of outstanding demand misses over the interval (MLP numerator).
-    pub mlp_sum: u64,
-    /// Cycles with ≥1 outstanding demand miss (MLP denominator).
-    pub mlp_cycles: u64,
 }
 
 impl IntervalSample {
-    fn delta(prev: &CounterSnapshot, cur: &CounterSnapshot) -> IntervalSample {
-        IntervalSample {
-            start_cycle: prev.cycles,
-            end_cycle: cur.cycles,
-            cycles: cur.cycles - prev.cycles,
-            retired: cur.retired - prev.retired,
-            fetched_regular: cur.fetched_regular - prev.fetched_regular,
-            fetched_critical: cur.fetched_critical - prev.fetched_critical,
-            mispredicts: cur.mispredicts - prev.mispredicts,
-            memory_violations: cur.memory_violations - prev.memory_violations,
-            dependence_violations: cur.dependence_violations - prev.dependence_violations,
-            full_window_stall_cycles: cur.full_window_stall_cycles - prev.full_window_stall_cycles,
-            cdf_mode_cycles: cur.cdf_mode_cycles - prev.cdf_mode_cycles,
-            mlp_sum: cur.mlp_sum - prev.mlp_sum,
-            mlp_cycles: cur.mlp_cycles - prev.mlp_cycles,
-        }
-    }
-
-    fn accumulate(&mut self, other: &IntervalSample) {
-        if self.cycles == 0 {
-            self.start_cycle = other.start_cycle;
-        }
-        self.end_cycle = other.end_cycle;
-        self.cycles += other.cycles;
-        self.retired += other.retired;
-        self.fetched_regular += other.fetched_regular;
-        self.fetched_critical += other.fetched_critical;
-        self.mispredicts += other.mispredicts;
-        self.memory_violations += other.memory_violations;
-        self.dependence_violations += other.dependence_violations;
-        self.full_window_stall_cycles += other.full_window_stall_cycles;
-        self.cdf_mode_cycles += other.cdf_mode_cycles;
-        self.mlp_sum += other.mlp_sum;
-        self.mlp_cycles += other.mlp_cycles;
-    }
-
     /// IPC over the interval.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -412,75 +336,6 @@ impl IntervalSample {
     /// Flushes of all kinds in the interval.
     pub fn flushes(&self) -> u64 {
         self.mispredicts + self.memory_violations + self.dependence_violations
-    }
-}
-
-/// The ring-buffered interval time series. Samples older than the ring
-/// capacity are folded into [`totals`](Self::totals) rather than lost, so
-/// the series always accounts for the whole run.
-#[derive(Clone, PartialEq, Debug)]
-pub struct IntervalSeries {
-    ring: VecDeque<IntervalSample>,
-    capacity: usize,
-    evicted: IntervalSample,
-    evicted_count: u64,
-    last: CounterSnapshot,
-}
-
-impl IntervalSeries {
-    fn new(capacity: usize) -> IntervalSeries {
-        IntervalSeries {
-            ring: VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
-            evicted: IntervalSample::default(),
-            evicted_count: 0,
-            last: CounterSnapshot::default(),
-        }
-    }
-
-    fn sample(&mut self, now: u64, stats: &CoreStats) {
-        let cur = CounterSnapshot::take(now, stats);
-        let delta = IntervalSample::delta(&self.last, &cur);
-        self.last = cur;
-        if delta.cycles == 0 {
-            return; // a zero-width flush (window boundary on an interval edge)
-        }
-        if self.ring.len() == self.capacity {
-            let old = self.ring.pop_front().expect("ring non-empty at capacity");
-            self.evicted.accumulate(&old);
-            self.evicted_count += 1;
-        }
-        self.ring.push_back(delta);
-    }
-
-    /// The retained samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &IntervalSample> {
-        self.ring.iter()
-    }
-
-    /// Retained sample count.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Samples evicted into the running totals.
-    pub fn evicted_count(&self) -> u64 {
-        self.evicted_count
-    }
-
-    /// Sum of **all** deltas since telemetry was enabled — evicted and
-    /// retained. Equals the end-of-run aggregate deltas (property-tested).
-    pub fn totals(&self) -> IntervalSample {
-        let mut t = self.evicted;
-        for s in &self.ring {
-            t.accumulate(s);
-        }
-        t
     }
 }
 
@@ -547,7 +402,7 @@ pub struct Telemetry {
     /// Per-cycle structure occupancies.
     pub occupancy: OccupancyHistograms,
     /// The interval time series.
-    pub intervals: IntervalSeries,
+    pub intervals: IntervalSeries<IntervalSample>,
     events: Vec<TraceEvent>,
     events_dropped: u64,
     cdf_since: Option<u64>,
@@ -624,7 +479,7 @@ impl Telemetry {
     /// Called by the core on interval boundaries (and at window ends via
     /// [`flush_window`](Self::flush_window)).
     pub fn sample_interval(&mut self, now: u64, stats: &CoreStats) {
-        self.intervals.sample(now, stats);
+        self.intervals.sample(IntervalSample::read(now, stats));
     }
 
     /// Whether `now` lands on an interval boundary.
@@ -636,59 +491,10 @@ impl Telemetry {
     /// Tracks CDF-mode and full-window-stall episode transitions, emitting
     /// `B`/`E` event pairs.
     pub fn track_episodes(&mut self, now: u64, cdf_active: bool, stall_active: bool) {
-        match (cdf_active, self.cdf_since) {
-            (true, None) => {
-                self.cdf_since = Some(now);
-                self.push_event(TraceEvent {
-                    name: "cdf_mode",
-                    cat: "mode",
-                    ph: EventPhase::Begin,
-                    ts: now,
-                    dur: 0,
-                    tid: 0,
-                    args: vec![],
-                });
-            }
-            (false, Some(start)) => {
-                self.cdf_since = None;
-                self.push_event(TraceEvent {
-                    name: "cdf_mode",
-                    cat: "mode",
-                    ph: EventPhase::End,
-                    ts: now,
-                    dur: 0,
-                    tid: 0,
-                    args: vec![("cycles", now - start)],
-                });
-            }
-            _ => {}
-        }
-        match (stall_active, self.stall_since) {
-            (true, None) => {
-                self.stall_since = Some(now);
-                self.push_event(TraceEvent {
-                    name: "full_window_stall",
-                    cat: "stall",
-                    ph: EventPhase::Begin,
-                    ts: now,
-                    dur: 0,
-                    tid: 1,
-                    args: vec![],
-                });
-            }
-            (false, Some(start)) => {
-                self.stall_since = None;
-                self.push_event(TraceEvent {
-                    name: "full_window_stall",
-                    cat: "stall",
-                    ph: EventPhase::End,
-                    ts: now,
-                    dur: 0,
-                    tid: 1,
-                    args: vec![("cycles", now - start)],
-                });
-            }
-            _ => {}
+        let cdf = transition(&mut self.cdf_since, now, cdf_active, CDF_EPISODE);
+        let stall = transition(&mut self.stall_since, now, stall_active, STALL_EPISODE);
+        for ev in [cdf, stall].into_iter().flatten() {
+            self.push_event(ev);
         }
     }
 
@@ -737,11 +543,38 @@ impl Telemetry {
     /// call repeatedly (resumed runs re-open episodes on the next cycle).
     pub fn flush_window(&mut self, now: u64, stats: &CoreStats) {
         self.sample_interval(now, stats);
-        let (cdf, stall) = (self.cdf_since.is_some(), self.stall_since.is_some());
-        if cdf || stall {
-            self.track_episodes(now, false, false);
-        }
+        self.track_episodes(now, false, false);
     }
+}
+
+/// The `(name, cat, tid)` of CDF-mode episode events.
+const CDF_EPISODE: (&str, &str, u64) = ("cdf_mode", "mode", 0);
+/// The `(name, cat, tid)` of full-window-stall episode events.
+const STALL_EPISODE: (&str, &str, u64) = ("full_window_stall", "stall", 1);
+
+/// One episode kind's `B` event when it starts at `now`, or its `E` event
+/// (with its length) when it ends; `since` holds the open episode's start.
+fn transition(
+    since: &mut Option<u64>,
+    now: u64,
+    active: bool,
+    (name, cat, tid): (&'static str, &'static str, u64),
+) -> Option<TraceEvent> {
+    let (ph, args) = match (active, *since) {
+        (true, None) => (EventPhase::Begin, vec![]),
+        (false, Some(start)) => (EventPhase::End, vec![("cycles", now - start)]),
+        _ => return None,
+    };
+    *since = active.then_some(now);
+    Some(TraceEvent {
+        name,
+        cat,
+        ph,
+        ts: now,
+        dur: 0,
+        tid,
+        args,
+    })
 }
 
 #[cfg(test)]

@@ -259,7 +259,7 @@ impl MemoryHierarchy {
         now: u64,
         wrong_path: bool,
     ) -> AccessResult {
-        self.sys.access(0, addr, kind, now, wrong_path, 0)
+        self.sys.access(0, addr, kind, now, wrong_path)
     }
 
     /// Issues a runahead prefetch of the line containing `addr` into the

@@ -22,9 +22,7 @@
 //!   suffered a *steal*, charged to the core holding the most entries;
 //! * **LLC occupancy share**: every LLC line records the core whose fill
 //!   allocated it;
-//! * **DDR4 channel utilization** from the per-channel busy counters;
-//! * **(core, chain) namespaced** criticality-chain read attribution, so
-//!   chain ids from different cores never collide in shared diagnostics.
+//! * **DDR4 channel utilization** from the per-channel busy counters.
 //!
 //! Inclusion is enforced across *all* cores: an LLC eviction invalidates
 //! every core's L1 copies and folds their dirty bits into the writeback.
@@ -54,7 +52,7 @@ use crate::mshr::MshrOutcome;
 use crate::prefetch::StreamPrefetcher;
 use crate::prof::{HeapProf, MemProfReport, TimerKind};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Configuration of the memory system: one [`MemConfig`] stamps out every
 /// core's private L1 slice *and* the shared LLC/MSHR/DRAM; with `cores: 1`
@@ -129,9 +127,6 @@ pub struct MultiCoreMemory {
     inflight: Vec<usize>,
     /// Expiry heap mirroring `inflight`: `(completion cycle, core)`.
     inflight_expiry: BinaryHeap<Reverse<(u64, u32)>>,
-    /// DRAM reads per `(core, chain)` — chain ids are namespaced by core so
-    /// two cores' criticality chains never collide in shared diagnostics.
-    chain_reads: BTreeMap<(u32, u64), u64>,
     /// Total fairness steals across all cores.
     total_steals: u64,
     /// Optional host timer over whole accesses (see [`crate::prof`]):
@@ -179,7 +174,6 @@ impl MultiCoreMemory {
             stats: MemStats::default(),
             inflight: vec![0; cfg.cores],
             inflight_expiry: BinaryHeap::new(),
-            chain_reads: BTreeMap::new(),
             total_steals: 0,
             prof: None,
             model,
@@ -273,9 +267,7 @@ impl MultiCoreMemory {
 
     /// Performs one access on behalf of `core` at cycle `now`. `wrong_path`
     /// attributes any DRAM read this access causes to wrong-path execution
-    /// in the statistics (the paper's runahead-overhead accounting);
-    /// `chain` attributes it to the `(core, chain)` criticality chain when
-    /// nonzero.
+    /// in the statistics (the paper's runahead-overhead accounting).
     ///
     /// Admission is decided *before* any state changes: a rejected access
     /// leaves the caches, MSHRs, prefetcher, and statistics (other than
@@ -292,10 +284,9 @@ impl MultiCoreMemory {
         kind: AccessKind,
         now: u64,
         wrong_path: bool,
-        chain: u64,
     ) -> AccessResult {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::SharedLlc, now);
-        let r = self.access_inner(core, addr, kind, now, wrong_path, chain);
+        let r = self.access_inner(core, addr, kind, now, wrong_path);
         if let Some(p) = self.prof.as_mut() {
             p.finish(t0);
         }
@@ -309,7 +300,6 @@ impl MultiCoreMemory {
         kind: AccessKind,
         now: u64,
         wrong_path: bool,
-        chain: u64,
     ) -> AccessResult {
         let is_write = kind == AccessKind::Store;
         let is_inst = kind == AccessKind::InstFetch;
@@ -428,9 +418,6 @@ impl MultiCoreMemory {
             } else {
                 let done = self.dram.read(line, issue_at);
                 self.cores[core].share.dram_reads += 1;
-                if chain != 0 {
-                    *self.chain_reads.entry((core as u32, chain)).or_insert(0) += 1;
-                }
                 let outcome = self.llc_mshr.try_alloc(line, now, done);
                 debug_assert_eq!(outcome, MshrOutcome::Allocated);
                 self.note_inflight(core, done);
@@ -625,12 +612,6 @@ impl MultiCoreMemory {
         self.inflight[core]
     }
 
-    /// DRAM reads attributed to `(core, chain)` criticality chains, in
-    /// deterministic key order.
-    pub fn chain_reads(&self) -> &BTreeMap<(u32, u64), u64> {
-        &self.chain_reads
-    }
-
     /// Asserts the shared-pool conservation invariants at `now`:
     ///
     /// * per-core in-flight counts sum to the LLC MSHR pool occupancy,
@@ -715,7 +696,9 @@ mod tests {
     }
 
     /// Deterministic mixed access pattern, shared by several tests.
-    fn drive(f: &mut dyn FnMut(u64, AccessKind, u64, bool, u64)) {
+    /// `f` gets the address, kind, cycle, wrong-path flag, and whether a
+    /// runahead prefetch rides along.
+    fn drive(f: &mut dyn FnMut(u64, AccessKind, u64, bool, bool)) {
         let mut now = 0u64;
         let mut x = 0x9E37_79B9u64;
         for i in 0..3000u64 {
@@ -734,7 +717,7 @@ mod tests {
                 2 => AccessKind::Store,
                 _ => AccessKind::Load,
             };
-            f(addr, kind, now, i % 64 == 9, 1 + i % 3);
+            f(addr, kind, now, i % 64 == 9, i % 3 == 0);
         }
     }
 
@@ -749,8 +732,8 @@ mod tests {
             mem: small_cfg(),
         });
         let mut private = MemoryHierarchy::new(small_cfg());
-        drive(&mut |addr, kind, now, wp, chain| {
-            let a = pair.access(0, addr, kind, now, wp, chain);
+        drive(&mut |addr, kind, now, wp, prefetch| {
+            let a = pair.access(0, addr, kind, now, wp);
             let b = private.access(addr, kind, now, wp);
             assert_eq!(
                 a, b,
@@ -760,7 +743,7 @@ mod tests {
                 pair.outstanding_demand_misses(0, now),
                 private.outstanding_demand_misses(now)
             );
-            if chain == 1 {
+            if prefetch {
                 assert_eq!(
                     pair.runahead_prefetch(0, addr ^ 0x2_0000, now),
                     private.runahead_prefetch(addr ^ 0x2_0000, now)
@@ -789,15 +772,15 @@ mod tests {
         let mut event = MultiCoreMemory::with_model(cfg.clone(), MemModelKind::EventDriven);
         let mut lazy = MultiCoreMemory::with_model(cfg, MemModelKind::ReferenceLazy);
         assert_eq!(lazy.model(), MemModelKind::ReferenceLazy);
-        drive(&mut |addr, kind, now, wp, chain| {
+        drive(&mut |addr, kind, now, wp, _| {
             // Core 1 hammers a conflicting region at the same cycles.
             let a = [
-                event.access(0, addr, kind, now, wp, chain),
-                event.access(1, addr ^ 0x100_0000, kind, now, wp, chain),
+                event.access(0, addr, kind, now, wp),
+                event.access(1, addr ^ 0x100_0000, kind, now, wp),
             ];
             let b = [
-                lazy.access(0, addr, kind, now, wp, chain),
-                lazy.access(1, addr ^ 0x100_0000, kind, now, wp, chain),
+                lazy.access(0, addr, kind, now, wp),
+                lazy.access(1, addr ^ 0x100_0000, kind, now, wp),
             ];
             assert_eq!(a, b, "models diverged at cycle {now}");
             event.check_invariants(now);
@@ -837,31 +820,16 @@ mod tests {
             },
         });
         for i in 0..4u64 {
-            let r = m.access(0, 0x100_0000 + i * 0x10_0000, AccessKind::Load, 0, false, 0);
+            let r = m.access(0, 0x100_0000 + i * 0x10_0000, AccessKind::Load, 0, false);
             assert!(!r.is_rejected(), "pool has room for core 0's misses");
         }
-        let r = m.access(1, 0x800_0000, AccessKind::Load, 0, false, 0);
+        let r = m.access(1, 0x800_0000, AccessKind::Load, 0, false);
         assert!(r.is_rejected(), "pool is pinned by core 0");
         assert_eq!(m.total_steals(), 1);
         assert_eq!(m.core_share(1).mshr_steals_suffered, 1);
         assert_eq!(m.core_share(0).mshr_steals_caused, 1);
         assert_eq!(m.core_share(1).llc_rejections, 1);
         m.check_invariants(0);
-    }
-
-    #[test]
-    fn chain_reads_are_namespaced_by_core() {
-        // Both cores issue a DRAM-bound miss under the *same* chain id 7;
-        // the shared diagnostics must keep them apart.
-        let mut m = MultiCoreMemory::new(SharedMemConfig {
-            cores: 2,
-            mem: small_cfg(),
-        });
-        m.access(0, 0x100_0000, AccessKind::Load, 0, false, 7);
-        m.access(1, 0x200_0000, AccessKind::Load, 0, false, 7);
-        assert_eq!(m.chain_reads().get(&(0, 7)), Some(&1));
-        assert_eq!(m.chain_reads().get(&(1, 7)), Some(&1));
-        assert_eq!(m.chain_reads().len(), 2, "no cross-core collision");
     }
 
     #[test]
@@ -886,8 +854,8 @@ mod tests {
         let victim = 0x0u64;
         let phys0 = MultiCoreMemory::phys(0, victim);
         let phys1 = MultiCoreMemory::phys(1, victim);
-        m.access(0, victim, AccessKind::Load, 0, false, 0);
-        m.access(1, victim, AccessKind::Load, 1000, false, 0);
+        m.access(0, victim, AccessKind::Load, 0, false);
+        m.access(1, victim, AccessKind::Load, 1000, false);
         assert!(m.llc.probe(phys0) && m.llc.probe(phys1));
         assert_eq!(
             m.llc_occupancy(0) + m.llc_occupancy(1),
@@ -897,7 +865,7 @@ mod tests {
         // Walk same-set lines on core 0 until its victim leaves the LLC.
         let mut now = 10_000u64;
         for i in 1..8u64 {
-            m.access(0, victim + i * 2048 * 64, AccessKind::Load, now, false, 0);
+            m.access(0, victim + i * 2048 * 64, AccessKind::Load, now, false);
             now += 10_000;
         }
         assert!(
@@ -927,25 +895,11 @@ mod tests {
         });
         let mut now = 0;
         for i in 0..16u64 {
-            m.access(
-                0,
-                0x100_0000 + i * LINE_BYTES,
-                AccessKind::Load,
-                now,
-                false,
-                0,
-            );
+            m.access(0, 0x100_0000 + i * LINE_BYTES, AccessKind::Load, now, false);
             now += 2000;
         }
         for i in 0..4u64 {
-            m.access(
-                1,
-                0x900_0000 + i * LINE_BYTES,
-                AccessKind::Load,
-                now,
-                false,
-                0,
-            );
+            m.access(1, 0x900_0000 + i * LINE_BYTES, AccessKind::Load, now, false);
             now += 2000;
         }
         assert!(

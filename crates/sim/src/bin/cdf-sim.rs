@@ -11,6 +11,7 @@ use cdf_sim::{
     ResultStore, SweepConfig,
 };
 use cdf_workloads::registry;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -254,12 +255,14 @@ fn mechs(a: &Args) -> Option<Vec<Mechanism>> {
         .map(|list| list.split(',').map(|m| parse_mechanism(a, m)).collect())
 }
 
-/// The `--telemetry N` flag: telemetry with an N-cycle sample interval.
+/// The `--telemetry N` flag: telemetry with an N-cycle sample interval
+/// (N ≥ 1).
 fn telemetry_flag(a: &Args) -> Option<TelemetryConfig> {
-    a.get("--telemetry").map(|interval| TelemetryConfig {
-        interval,
-        ..TelemetryConfig::default()
-    })
+    a.get("--telemetry")
+        .map(|interval: NonZeroU64| TelemetryConfig {
+            interval: interval.get(),
+            ..TelemetryConfig::default()
+        })
 }
 
 /// Writes an output file and says so on stderr (`wrote [what to ]path`),
@@ -355,7 +358,7 @@ fn run_report_command(a: &Args, tcfg: TelemetryConfig) -> cdf_core::Telemetry {
 
 fn run_telemetry_command(a: &Args) {
     let mut tcfg = TelemetryConfig::default();
-    tcfg.interval = a.get("--interval").unwrap_or(tcfg.interval);
+    tcfg.interval = a.get("--interval").map_or(tcfg.interval, NonZeroU64::get);
     let tel = run_report_command(a, tcfg);
     println!(
         "\nintervals     : {} retained (+{} evicted into totals), {} cycles/sample",

@@ -321,6 +321,9 @@ impl CampaignSpec {
             }
             eval.max_cycles = e.get("max_cycles").and_then(Json::as_u64);
             if let Some(i) = e.get("telemetry_interval").and_then(Json::as_u64) {
+                if i == 0 {
+                    return Err("`telemetry_interval` must be at least 1 cycle".to_string());
+                }
                 eval.telemetry = Some(TelemetryConfig {
                     interval: i,
                     ..TelemetryConfig::default()

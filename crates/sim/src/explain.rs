@@ -24,6 +24,7 @@ use crate::json::{field, Json};
 use crate::provenance::provenance_json;
 use crate::report::Table;
 use crate::sweep::{cell_json, gen_json, Sweep};
+use crate::telemetry::{histogram_json, series_json};
 use cdf_core::{CdfDiagnostics, ChainRecord, Coverage, Histogram};
 
 /// The JSON schema tag stamped on every emitted explain document.
@@ -235,21 +236,20 @@ pub fn diagnostics_json(d: &CdfDiagnostics, chain_limit: usize) -> Json {
             "timeliness",
             Json::Obj(vec![
                 field("llc_miss_initiations", d.llc_miss_initiations),
-                field("lead_time", histogram_json(&d.lead_time)),
-                field("branch_resolution", histogram_json(&d.branch_resolution)),
+                field("lead_time", histogram_json(None, &d.lead_time)),
+                field(
+                    "branch_resolution",
+                    histogram_json(None, &d.branch_resolution),
+                ),
             ]),
         ),
         field(
             "intervals",
-            Json::Obj(vec![
-                field("interval", d.config().interval),
-                field("evicted_samples", d.intervals().evicted_count()),
-                field("totals", diag_interval_json(&d.intervals().totals())),
-                field(
-                    "samples",
-                    Json::Arr(d.intervals().samples().map(diag_interval_json).collect()),
-                ),
-            ]),
+            series_json(
+                field("interval", cdf_core::series::INTERVAL),
+                d.intervals(),
+                diag_interval_json,
+            ),
         ),
         field(
             "chains",
@@ -258,9 +258,9 @@ pub fn diagnostics_json(d: &CdfDiagnostics, chain_limit: usize) -> Json {
     ])
 }
 
-/// One coverage/accuracy interval sample (or the series totals) — the
-/// per-interval time series joining `cdf-core::diag` chain outcomes with
-/// the telemetry interval cadence.
+/// One coverage/accuracy interval sample (or the series totals): the
+/// `cdf-core::diag` chain outcomes over one interval of the fixed
+/// diagnostics cadence.
 fn diag_interval_json(s: &cdf_core::DiagIntervalSample) -> Json {
     Json::Obj(vec![
         field("start_cycle", s.start_cycle),
@@ -286,28 +286,6 @@ fn coverage_json(c: &Coverage) -> Json {
         field("covered", c.covered),
         field("total", c.total),
         field("fraction", c.fraction()),
-    ])
-}
-
-fn histogram_json(h: &Histogram) -> Json {
-    let buckets: Vec<Json> = h
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|(_, &count)| count > 0)
-        .map(|(i, &count)| {
-            let (lo, hi) = Histogram::bucket_range(i);
-            Json::Obj(vec![
-                field("lo", lo),
-                field("hi", hi),
-                field("count", count),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        field("samples", h.samples()),
-        field("mean", h.mean()),
-        field("buckets", Json::Arr(buckets)),
     ])
 }
 

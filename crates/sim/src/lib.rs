@@ -12,7 +12,10 @@
 //! [`run_cell`] adds the registry lookup, panic isolation and wall time;
 //! it has two callers, the cell loop of [`run_sweep`] and the campaign's
 //! cell runner.
-//! [`simulate`] is the by-name convenience that panics on failure.
+//! [`simulate`] is the by-name convenience that panics on failure. A
+//! [`Measurement`] is the difference of two [`Reading`]s of a core
+//! ([`Measurement::between`]), so a caller stepping a core itself derives
+//! the same figures.
 //!
 //! The [`sweep`] module is the one grid runner: [`run_sweep`] executes a
 //! (workload × mechanism) [`SweepConfig`] grid, optionally filtered, across
@@ -116,7 +119,7 @@ pub use prof::{
     profile_from_json, profile_json, profile_table, profile_trace_json, PROFILE_SCHEMA,
 };
 pub use provenance::{provenance_from_json, provenance_json};
-pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, RunOutput};
+pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, Reading, RunOutput};
 pub use store::{
     record_from_json, record_json, records_for_run, records_from_cells, resolve_ref, run_ids,
     DiagSummary, RecordPayload, ResultKey, ResultRecord, ResultStore, StoreError, TelemetrySummary,

@@ -213,17 +213,21 @@ pub struct Measurement {
 /// plus the DRAM lines and energy charged to it. A [`Measurement`] is the
 /// difference of two readings ([`Measurement::between`]).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Reading {
-    pub(crate) stats: CoreStats,
-    pub(crate) dram_lines: u64,
-    pub(crate) energy_nj: f64,
-    pub(crate) cdf_energy_nj: f64,
+pub struct Reading {
+    /// The core's statistics.
+    pub stats: CoreStats,
+    /// 64B lines moved to and from DRAM.
+    pub dram_lines: u64,
+    /// Total energy in nanojoules.
+    pub energy_nj: f64,
+    /// Energy of CDF-only structures in nanojoules.
+    pub cdf_energy_nj: f64,
 }
 
 impl Reading {
     /// Reads a core with a private memory hierarchy, whose `stats` the
-    /// last run window returned.
-    fn take(core: &Core<'_>, stats: CoreStats) -> Reading {
+    /// last run window ([`Core::run_bounded`]) returned.
+    pub fn take(core: &Core<'_>, stats: CoreStats) -> Reading {
         let e = core.energy_report();
         Reading {
             stats,
@@ -239,12 +243,7 @@ impl Measurement {
     /// the difference of the two readings, and every ratio is taken over
     /// the window. A whole run from cycle 0 starts at
     /// [`Reading::default`].
-    pub(crate) fn between(
-        workload: &str,
-        mechanism: &str,
-        start: &Reading,
-        end: &Reading,
-    ) -> Measurement {
+    pub fn between(workload: &str, mechanism: &str, start: &Reading, end: &Reading) -> Measurement {
         let (s0, s1) = (&start.stats, &end.stats);
         let instructions = s1.retired - s0.retired;
         let cycles = s1.cycles - s0.cycles;

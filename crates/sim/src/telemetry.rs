@@ -17,7 +17,8 @@
 
 use crate::json::{field, Json};
 use crate::report::Table;
-use cdf_core::{CycleAccounting, EventPhase, Histogram, IntervalSample, Telemetry};
+use cdf_core::series::Sample;
+use cdf_core::{CycleAccounting, EventPhase, Histogram, IntervalSample, IntervalSeries, Telemetry};
 
 /// The schema tag stamped on every [`telemetry_json`] document.
 pub use crate::schema::TELEMETRY as TELEMETRY_SCHEMA;
@@ -45,7 +46,9 @@ fn sample_json(s: &IntervalSample) -> Json {
     ])
 }
 
-fn histogram_json(name: &str, h: &Histogram) -> Json {
+/// `head` (when given), then a log₂ histogram's sample count, mean and
+/// non-empty buckets.
+pub(crate) fn histogram_json(head: Option<(String, Json)>, h: &Histogram) -> Json {
     let buckets: Vec<Json> = h
         .buckets()
         .iter()
@@ -60,11 +63,30 @@ fn histogram_json(name: &str, h: &Histogram) -> Json {
             ])
         })
         .collect();
-    Json::Obj(vec![
-        field("structure", name),
+    let mut fields: Vec<_> = head.into_iter().collect();
+    fields.extend([
         field("samples", h.samples()),
         field("mean", h.mean()),
         field("buckets", Json::Arr(buckets)),
+    ]);
+    Json::Obj(fields)
+}
+
+/// `head`, then an interval series' evicted-sample count, its totals and
+/// its retained samples, each encoded by `sample`.
+pub(crate) fn series_json<S: Sample>(
+    head: (String, Json),
+    series: &IntervalSeries<S>,
+    sample: impl Fn(&S) -> Json,
+) -> Json {
+    Json::Obj(vec![
+        head,
+        field("evicted_samples", series.evicted_count()),
+        field("totals", sample(&series.totals())),
+        field(
+            "samples",
+            Json::Arr(series.samples().map(&sample).collect()),
+        ),
     ])
 }
 
@@ -88,7 +110,7 @@ pub fn telemetry_json(t: &Telemetry) -> Json {
         .occupancy
         .named()
         .iter()
-        .map(|(name, h)| histogram_json(name, h))
+        .map(|(name, h)| histogram_json(Some(field("structure", *name)), h))
         .collect();
     Json::Obj(vec![
         field("schema", TELEMETRY_SCHEMA),
@@ -103,15 +125,11 @@ pub fn telemetry_json(t: &Telemetry) -> Json {
         ),
         field(
             "series",
-            Json::Obj(vec![
+            series_json(
                 field("ring_capacity", t.config().ring_capacity),
-                field("evicted_samples", t.intervals.evicted_count()),
-                field("totals", sample_json(&t.intervals.totals())),
-                field(
-                    "samples",
-                    Json::Arr(t.intervals.samples().map(sample_json).collect()),
-                ),
-            ]),
+                &t.intervals,
+                sample_json,
+            ),
         ),
         field("histograms", Json::Arr(histograms)),
         field(

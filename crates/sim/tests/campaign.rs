@@ -419,6 +419,36 @@ fn cli_resume_records_identical_store_and_rejects_foreign_journals() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// A spec asking for telemetry every 0 cycles is a spec error: `campaign
+/// run` exits 2 naming the field, before it creates the campaign.
+#[test]
+fn zero_telemetry_interval_is_a_spec_error() {
+    let root = tmp("zero-interval");
+    fs::create_dir_all(&root).unwrap();
+    let spec_path = root.join("spec.toml");
+    fs::write(
+        &spec_path,
+        "name = \"zero\"\nworkloads = [\"astar_like\"]\nmechanisms = [\"cdf\"]\n\
+         [eval]\ntelemetry_interval = 0\n",
+    )
+    .unwrap();
+    let dir = root.join("campaign");
+    let out = cdf_sim(&[
+        "campaign",
+        "run",
+        "--spec",
+        spec_path.to_str().unwrap(),
+        "--dir",
+        dir.to_str().unwrap(),
+        "--no-record",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("telemetry_interval"), "{stderr}");
+    assert!(!dir.exists(), "nothing was initialized");
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// Acceptance floor: the 5,000-cell seed-sweep example spec completes
 /// sharded across 4 OS processes. Ignored by default — minutes of fuzzing —
 /// run with `cargo test -p cdf-sim --test campaign -- --ignored`.

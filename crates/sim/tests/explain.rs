@@ -114,13 +114,14 @@ fn diagnostics_core_stats_are_bit_identical_to_plain() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Interval-series totality on arbitrary programs: no matter where the
-    /// interval boundaries land or how many samples the ring evicts, the
-    /// sum of every per-interval delta must equal the end-of-run cumulative
-    /// counters — the time series is a decomposition of the totals, never a
-    /// lossy view.
+    /// Interval-series totality on arbitrary programs: wherever the run
+    /// window ends against the fixed sampling cadence, the sum of every
+    /// per-interval delta must equal the end-of-run cumulative counters —
+    /// the time series is a decomposition of the totals, never a lossy
+    /// view. (Eviction at any ring size is the series' own property test
+    /// in `cdf-core`.)
     #[test]
-    fn interval_series_sums_to_cumulative_totals(seed in 0u64..200, interval in 64u64..2048, ring in 2usize..16) {
+    fn interval_series_sums_to_cumulative_totals(seed in 0u64..200) {
         let fp = FuzzSpec::from_seed(seed).build();
         let mut core = Core::new(
             &fp.program,
@@ -130,10 +131,7 @@ proptest! {
                 ..CoreConfig::default()
             },
         );
-        core.enable_diagnostics_with(cdf_core::DiagConfig {
-            interval,
-            ring_capacity: ring,
-        });
+        core.enable_diagnostics();
         core.run(fp.fuel + 8);
         let d = core.take_diagnostics().expect("collector returned");
         let t = d.intervals().totals();
@@ -150,7 +148,7 @@ proptest! {
         prop_assert_eq!(t.miss_initiations, d.llc_miss_initiations);
         // Retained + evicted = everything: the ring never drops a sample
         // without folding it into the running totals first.
-        prop_assert!(d.intervals().len() <= ring);
+        prop_assert!(d.intervals().len() <= cdf_core::series::RING_CAPACITY);
         for s in d.intervals().samples() {
             prop_assert!(s.loads_covered <= s.loads_total);
             prop_assert!(s.branches_covered <= s.branches_total);
@@ -323,6 +321,9 @@ fn full_grid_emits_valid_explain_json_for_every_cell() {
     }
 }
 
+/// The document carries the whole series: a cell run past a full ring of
+/// intervals (512 × 1024 cycles) evicts its oldest samples into the totals,
+/// and the serialized totals still equal the cumulative counters.
 #[test]
 fn explain_json_carries_the_interval_time_series() {
     let w = registry::lookup("mcf_like", &small_gen()).expect("registered");
@@ -334,16 +335,18 @@ fn explain_json_carries_the_interval_time_series() {
             ..CoreConfig::default()
         },
     );
-    core.enable_diagnostics_with(cdf_core::DiagConfig {
-        interval: 512,
-        ring_capacity: 8,
-    });
-    core.run(30_000);
+    core.enable_diagnostics();
+    let ring_cycles = cdf_core::series::RING_CAPACITY as u64 * cdf_core::series::INTERVAL;
+    core.run_bounded(u64::MAX, ring_cycles + 16 * cdf_core::series::INTERVAL);
     let d = core.take_diagnostics().expect("collector returned");
+    assert!(d.intervals().evicted_count() >= 16, "the ring overflowed");
     let doc = Json::parse(&diagnostics_json(&d, 4).render()).expect("valid JSON");
 
     let iv = doc.get("intervals").expect("intervals family");
-    assert_eq!(iv.get("interval").and_then(Json::as_u64), Some(512));
+    assert_eq!(
+        iv.get("interval").and_then(Json::as_u64),
+        Some(cdf_core::series::INTERVAL)
+    );
     assert_eq!(
         iv.get("evicted_samples").and_then(Json::as_u64),
         Some(d.intervals().evicted_count())
@@ -452,6 +455,23 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
         (
             "run astar_like --rob many",
             "invalid value `many` for --rob",
+        ),
+        // A sample interval of zero cycles.
+        (
+            "sweep --fast --telemetry 0",
+            "invalid value `0` for --telemetry",
+        ),
+        (
+            "record --fast --telemetry 0",
+            "invalid value `0` for --telemetry",
+        ),
+        (
+            "mix --fast --workloads astar_like,mcf_like --telemetry 0",
+            "invalid value `0` for --telemetry",
+        ),
+        (
+            "telemetry astar_like --fast --interval 0",
+            "invalid value `0` for --interval",
         ),
         // A missing positional or required flag.
         ("run", "missing <workload>"),

@@ -1,7 +1,6 @@
 //! Multi-core mix test battery: a one-core `MultiCore` against a private
 //! `Core`, metamorphic contention properties, shared-MSHR conservation
-//! invariants over fuzz programs and under the lazy memory model, the
-//! (core, chain) namespacing regression for shared-LLC diagnostics, and
+//! invariants over fuzz programs and under the lazy memory model, and
 //! scheduler and memory-model equivalence through the shared memory system.
 //!
 //! The metamorphic properties pin what contention **may** and **may not**
@@ -171,52 +170,6 @@ fn idle_co_core_leaves_active_core_architecture_unchanged() {
         delta * 100.0,
         solo.cycles,
         active.cycles
-    );
-}
-
-/// Regression (shared-LLC diagnostics): chain-id read attribution is
-/// namespaced by `(core, chain)`. Two cores running the same CDF workload
-/// produce the same chain ids; the shared system must keep both cores'
-/// entries instead of folding them into one writer's row.
-#[test]
-fn chain_reads_namespaced_per_core_in_shared_llc() {
-    let gen = cdf_workloads::GenConfig {
-        scale: 1.0 / 16.0,
-        ..cdf_workloads::GenConfig::default()
-    };
-    let w = registry::lookup("mcf_like", &gen).expect("known workload");
-    let cdf_cfg = CoreConfig {
-        mode: Mechanism::Cdf.mode(),
-        ..CoreConfig::default()
-    };
-    let mut mc = MultiCore::new(vec![
-        (&w.program, w.memory.clone(), cdf_cfg.clone()),
-        (&w.program, w.memory.clone(), cdf_cfg),
-    ]);
-    mc.run(60_000, 10_000_000);
-    let sys = mc.shared().borrow();
-    let chains = sys.chain_reads();
-    assert!(!chains.is_empty(), "CDF on mcf_like must attribute chains");
-    let cores_seen: std::collections::BTreeSet<u32> =
-        chains.keys().map(|&(core, _)| core).collect();
-    assert_eq!(
-        cores_seen.into_iter().collect::<Vec<_>>(),
-        vec![0, 1],
-        "both cores' chains must survive under the same chain ids"
-    );
-    let ids0: std::collections::BTreeSet<u64> = chains
-        .keys()
-        .filter(|&&(c, _)| c == 0)
-        .map(|&(_, id)| id)
-        .collect();
-    let ids1: std::collections::BTreeSet<u64> = chains
-        .keys()
-        .filter(|&&(c, _)| c == 1)
-        .map(|&(_, id)| id)
-        .collect();
-    assert!(
-        ids0.intersection(&ids1).next().is_some(),
-        "symmetric cores reuse chain ids; only (core, chain) keys keep them apart"
     );
 }
 
