@@ -139,9 +139,7 @@ campaign options:
 const SHARD: &str = "\
 campaign shard options:
   --shard I          the shard to run (required)
-  --threads N        worker threads
-  --batch N          cells per checkpoint append (default auto)
-  --abort-after N    stop the shard after N new cells (crash injection)";
+  --threads N        worker threads";
 
 /// Every `cdf-sim` command: the one declaration its parser and its usage
 /// read.
@@ -685,8 +683,7 @@ fn campaign_shard(a: &Args) {
     let c = campaign_load(a);
     let opts = cdf_sim::ShardOptions {
         threads: a.get("--threads").unwrap_or(0),
-        batch: a.get("--batch").unwrap_or(0),
-        abort_after: a.get("--abort-after"),
+        ..Default::default()
     };
     let run = or_exit2(cdf_sim::run_shard(&c, shard, &opts));
     eprintln!(

@@ -13,6 +13,7 @@ use super::checkpoint::{CellOutcome, CellRecord, ShardJournal};
 use super::spec::{CampaignSpec, CellMode};
 use crate::json::{field, Json};
 use crate::schema;
+use crate::store::RecordPayload;
 use crate::sweep::fnv1a_hex;
 use std::collections::HashMap;
 
@@ -321,7 +322,7 @@ pub fn aggregate(spec: &CampaignSpec, journals: &[(u64, ShardJournal)]) -> Campa
         canon.push_str(&r.canonical());
         canon.push('\n');
         match &r.outcome {
-            CellOutcome::Measured { measurement, .. } => {
+            CellOutcome::Stored(RecordPayload::Cell { measurement, .. }) => {
                 ok += 1;
                 let params = &cells[id as usize];
                 let mech = params
@@ -346,7 +347,8 @@ pub fn aggregate(spec: &CampaignSpec, journals: &[(u64, ShardJournal)]) -> Campa
                     divergent += 1;
                 }
             }
-            CellOutcome::Failed { .. } => failed += 1,
+            // An error: journals never hold a throughput payload.
+            CellOutcome::Stored(_) => failed += 1,
         }
     }
 
@@ -427,13 +429,14 @@ mod tests {
         CellRecord {
             cell,
             wall_ms: cell * 3 + 1,
-            outcome: CellOutcome::Measured {
+            outcome: CellOutcome::Stored(RecordPayload::Cell {
                 measurement: Measurement {
                     ipc,
                     ..Measurement::default()
                 },
                 diagnostics: None,
-            },
+                telemetry: None,
+            }),
         }
     }
 

@@ -19,10 +19,8 @@
 //!   the wrong grid.
 
 use crate::json::{field, Json};
-use crate::run::Measurement;
 use crate::schema;
-use crate::store::{diag_summary_from_json, diag_summary_json, measurement_from_json, DiagSummary};
-use crate::sweep::measurement_json;
+use crate::store::{payload_fields, payload_from_json, RecordPayload};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -85,16 +83,16 @@ impl JournalHeader {
 }
 
 /// How one campaign cell finished.
+// Measuring cells dominate campaigns, so boxing the stored payload would
+// add an allocation to the common case (as on `RecordPayload` itself).
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, PartialEq, Debug)]
 pub enum CellOutcome {
-    /// A sweep/explain cell: a full measurement (plus diagnostics when the
-    /// cell ran with them).
-    Measured {
-        /// The cell's measurement.
-        measurement: Measurement,
-        /// Diagnostics summary, when diagnostics were on.
-        diagnostics: Option<DiagSummary>,
-    },
+    /// A sweep/explain cell: the payload its store row will carry, a
+    /// measurement (plus diagnostics when the cell ran with them) or the
+    /// error it failed with. Journal lines encode it as store rows do
+    /// ([`payload_fields`]); a throughput payload never belongs here.
+    Stored(RecordPayload),
     /// A fuzz/equiv cell: `checked` units compared, `clean` when no
     /// divergence was found.
     Checked {
@@ -106,20 +104,6 @@ pub enum CellOutcome {
         /// Divergence description (empty when clean).
         detail: String,
     },
-    /// The cell failed to run at all (simulation error or panic).
-    Failed {
-        /// Stable error kind ([`crate::SimError::kind`]).
-        kind: String,
-        /// Human-readable message.
-        message: String,
-    },
-}
-
-impl CellOutcome {
-    /// Whether the cell ran to completion (possibly finding a divergence).
-    pub fn is_ok(&self) -> bool {
-        !matches!(self, CellOutcome::Failed { .. })
-    }
 }
 
 /// One completed cell as journaled by its shard.
@@ -143,16 +127,7 @@ impl CellRecord {
             field("wall_ms", self.wall_ms),
         ];
         match &self.outcome {
-            CellOutcome::Measured {
-                measurement,
-                diagnostics,
-            } => {
-                fields.push(field("status", "ok"));
-                fields.push(field("measurement", measurement_json(measurement)));
-                if let Some(d) = diagnostics {
-                    fields.push(field("diagnostics", diag_summary_json(d)));
-                }
-            }
+            CellOutcome::Stored(payload) => fields.extend(payload_fields(payload)),
             CellOutcome::Checked {
                 checked,
                 clean,
@@ -164,16 +139,6 @@ impl CellRecord {
                 if !detail.is_empty() {
                     fields.push(field("detail", detail.as_str()));
                 }
-            }
-            CellOutcome::Failed { kind, message } => {
-                fields.push(field("status", "error"));
-                fields.push(field(
-                    "error",
-                    Json::Obj(vec![
-                        field("kind", kind.as_str()),
-                        field("message", message.as_str()),
-                    ]),
-                ));
             }
         }
         Json::Obj(fields)
@@ -189,24 +154,8 @@ impl CellRecord {
             .and_then(Json::as_u64)
             .ok_or("journal line missing cell id")?;
         let wall_ms = doc.get("wall_ms").and_then(Json::as_u64).unwrap_or(0);
-        let status = doc
-            .get("status")
-            .and_then(Json::as_str)
-            .ok_or("journal line missing status")?;
-        let outcome = match status {
-            "ok" => CellOutcome::Measured {
-                measurement: measurement_from_json(
-                    doc.get("measurement")
-                        .ok_or("ok line carries no measurement")?,
-                    workload,
-                    mechanism,
-                )?,
-                diagnostics: doc
-                    .get("diagnostics")
-                    .map(diag_summary_from_json)
-                    .transpose()?,
-            },
-            "checked" => CellOutcome::Checked {
+        let outcome = if doc.get("status").and_then(Json::as_str) == Some("checked") {
+            CellOutcome::Checked {
                 checked: doc
                     .get("checked")
                     .and_then(Json::as_u64)
@@ -220,21 +169,14 @@ impl CellRecord {
                     .and_then(Json::as_str)
                     .unwrap_or("")
                     .to_string(),
-            },
-            "error" => {
-                let e = doc.get("error").ok_or("error line carries no error")?;
-                let s = |k: &str| {
-                    e.get(k)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("error line missing {k}"))
-                };
-                CellOutcome::Failed {
-                    kind: s("kind")?,
-                    message: s("message")?,
-                }
             }
-            other => return Err(format!("unknown journal status {other:?}")),
+        } else {
+            match payload_from_json(doc, workload, mechanism)? {
+                RecordPayload::Throughput { .. } => {
+                    return Err("journal line carries a throughput payload".to_string())
+                }
+                payload => CellOutcome::Stored(payload),
+            }
         };
         Ok(CellRecord {
             cell,
@@ -647,6 +589,96 @@ mod tests {
         assert!(j2.torn_tail);
         assert_eq!(j2.records.len(), 1);
         assert_eq!(j2.last_heartbeat, Some(100));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The fields after `wall_ms`, where the envelope ends and the payload
+    /// begins.
+    fn after_wall_ms(doc: Json) -> Vec<(String, Json)> {
+        let Json::Obj(fields) = doc else {
+            panic!("not an object");
+        };
+        let at = fields.iter().position(|(k, _)| k == "wall_ms").unwrap();
+        fields[at + 1..].to_vec()
+    }
+
+    #[test]
+    fn journal_lines_and_store_rows_share_one_payload_encoding() {
+        use crate::run::{EvalConfig, Measurement};
+        use crate::store::{record_from_json, record_json, DiagSummary, ResultRecord};
+        let measurement = Measurement {
+            workload: "astar_like".to_string(),
+            mechanism: "CDF".to_string(),
+            instructions: 4_000,
+            cycles: 3_200,
+            ipc: 1.25,
+            ..Measurement::default()
+        };
+        let diagnostics = DiagSummary {
+            fetched: 10,
+            consumed: 7,
+            wasted: 3,
+            ..DiagSummary::default()
+        };
+        for payload in [
+            RecordPayload::Cell {
+                measurement: measurement.clone(),
+                diagnostics: Some(diagnostics),
+                telemetry: None,
+            },
+            RecordPayload::Cell {
+                measurement,
+                diagnostics: None,
+                telemetry: None,
+            },
+            RecordPayload::Error {
+                kind: "watchdog".to_string(),
+                message: "watchdog: cycle budget exhausted".to_string(),
+            },
+        ] {
+            let line = CellRecord {
+                cell: 2,
+                wall_ms: 9,
+                outcome: CellOutcome::Stored(payload.clone()),
+            };
+            let key = ("cell", "astar_like", "CDF");
+            let prov = cdf_core::Provenance::default();
+            let row = ResultRecord::new("r1", 2, &prov, &EvalConfig::default(), key, 9, payload);
+            assert_eq!(
+                after_wall_ms(line.to_json()),
+                after_wall_ms(record_json(&row))
+            );
+            let reparse = |doc: Json| Json::parse(&doc.render()).unwrap();
+            let line_back = CellRecord::from_json(&reparse(line.to_json()), "astar_like", "CDF");
+            assert_eq!(line_back.unwrap(), line);
+            assert_eq!(record_from_json(&reparse(record_json(&row))).unwrap(), row);
+        }
+    }
+
+    #[test]
+    fn a_journal_line_with_a_throughput_payload_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("cdf-journal-tp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        create_journal(&dir, &header()).unwrap();
+        let throughput = CellRecord {
+            cell: 0,
+            wall_ms: 1,
+            outcome: CellOutcome::Stored(RecordPayload::Throughput {
+                simulated_cycles: 500,
+                wall_seconds: 0.5,
+            }),
+        };
+        append_cells(&dir, 0, &[throughput]).unwrap();
+        let j = read_journal(&dir, &header(), &labels).unwrap();
+        assert!(j.torn_tail, "a final line is a torn tail");
+        assert!(j.records.is_empty());
+        append_cells(&dir, 0, &[checked(2)]).unwrap();
+        let err = read_journal(&dir, &header(), &labels).unwrap_err();
+        assert!(
+            matches!(&err, JournalError::Corrupt { line: 2, message, .. } if message.contains("throughput")),
+            "an interior line is corruption: {err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

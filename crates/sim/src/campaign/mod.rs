@@ -45,8 +45,8 @@ use crate::fuzz::{check_spec, LockstepOutcome};
 use crate::json::{field, Json};
 use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::EvalConfig;
-use crate::store::{DiagSummary, RecordPayload, ResultKey, ResultRecord, ResultStore, StoreError};
-use crate::sweep::{eval_config_hash, parallel_map, run_cell};
+use crate::store::{RecordPayload, ResultRecord, ResultStore, StoreError};
+use crate::sweep::{parallel_map, run_cell, SweepCell};
 use cdf_core::Provenance;
 use cdf_workloads::fuzz::FuzzSpec;
 use std::collections::HashSet;
@@ -198,24 +198,25 @@ pub fn init_campaign(
     Ok(c)
 }
 
-/// Loads a campaign from its directory.
+/// Loads a campaign from its directory: `spec.json` holds the normalized
+/// spec plus the `shards` and `provenance` keys [`init_campaign`] adds.
 pub fn load_campaign(dir: &Path) -> Result<Campaign, CampaignError> {
     let path = dir.join("spec.json");
+    let bad = |e: String| CampaignError::Spec(format!("{}: {e}", path.display()));
     let text = fs::read_to_string(&path)
         .map_err(|e| CampaignError::Spec(format!("no campaign at {}: {e}", dir.display())))?;
-    let doc =
-        Json::parse(&text).map_err(|e| CampaignError::Spec(format!("{}: {e}", path.display())))?;
-    let spec = CampaignSpec::from_json(&doc)
-        .map_err(|e| CampaignError::Spec(format!("{}: {e}", path.display())))?;
-    let shards = doc
-        .get("shards")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CampaignError::Spec(format!("{}: missing shards", path.display())))?;
-    let provenance =
-        provenance_from_json(doc.get("provenance").ok_or_else(|| {
-            CampaignError::Spec(format!("{}: missing provenance", path.display()))
-        })?)
-        .map_err(|e| CampaignError::Spec(format!("{}: {e}", path.display())))?;
+    let Json::Obj(mut fields) = Json::parse(&text).map_err(|e| bad(e.to_string()))? else {
+        return Err(bad("not a JSON object".to_string()));
+    };
+    let mut take = |key: &str| match fields.iter().position(|(k, _)| k == key) {
+        Some(i) => Ok(fields.remove(i).1),
+        None => Err(bad(format!("missing {key}"))),
+    };
+    let shards = take("shards")?
+        .as_u64()
+        .ok_or_else(|| bad("`shards` must be an unsigned integer".to_string()))?;
+    let provenance = provenance_from_json(&take("provenance")?).map_err(bad)?;
+    let spec = CampaignSpec::from_json(&Json::Obj(fields)).map_err(bad)?;
     let grid_hash = spec.grid_hash();
     Ok(Campaign {
         dir: dir.to_path_buf(),
@@ -353,16 +354,12 @@ pub fn run_campaign_cell(spec: &CampaignSpec, p: &CellParams) -> CellRecord {
             let eval = cell_eval(spec, p);
             let mode = p.point.apply_mode(m.mode());
             let cell = run_cell(&p.workload, m, mode, &eval, false);
-            match cell.result {
-                Ok(measurement) => CellOutcome::Measured {
-                    measurement,
-                    diagnostics: cell.diagnostics.as_ref().map(DiagSummary::from_diagnostics),
-                },
-                Err(e) => CellOutcome::Failed {
-                    kind: e.kind().to_string(),
-                    message: e.to_string(),
-                },
-            }
+            // Journals keep the measurement and diagnostics summary only, so
+            // a campaign records no telemetry summary.
+            CellOutcome::Stored(RecordPayload::of_cell(&SweepCell {
+                telemetry: None,
+                ..cell
+            }))
         }
         CellMode::Fuzz => {
             let fuzz = FuzzSpec::from_seed(p.seed);
@@ -435,7 +432,9 @@ pub fn status(c: &Campaign) -> Result<CampaignStatus, CampaignError> {
 /// Converts a completed campaign's cells into results-store records, in
 /// cell-id order. Deterministic: `wall_ms` is zeroed (journals keep the
 /// real timings) and provenance is the campaign's pinned capture, so the
-/// appended bytes do not depend on sharding, interruption, or timing.
+/// appended bytes do not depend on sharding, interruption, or timing. A
+/// row's workload names its seed and config point
+/// (`astar_like@seed7:rob192+cuc64+part8`), so every cell has its own key.
 pub fn store_records(
     c: &Campaign,
     run_id: &str,
@@ -447,40 +446,22 @@ pub fn store_records(
     by_id
         .iter()
         .filter_map(|r| {
-            let p = &cells[r.cell as usize];
-            let m = p.mechanism?;
-            let eval = cell_eval(&c.spec, p);
-            let payload = match &r.outcome {
-                CellOutcome::Measured {
-                    measurement,
-                    diagnostics,
-                } => RecordPayload::Cell {
-                    measurement: measurement.clone(),
-                    diagnostics: *diagnostics,
-                    telemetry: None,
-                },
-                CellOutcome::Failed { kind, message } => RecordPayload::Error {
-                    kind: kind.clone(),
-                    message: message.clone(),
-                },
-                CellOutcome::Checked { .. } => return None,
+            let CellOutcome::Stored(payload) = &r.outcome else {
+                return None;
             };
-            Some(ResultRecord {
-                run_id: run_id.to_string(),
-                seq: r.cell,
-                provenance: c.provenance.clone(),
-                config_hash: eval_config_hash(&eval),
-                gen: Some(eval.gen),
-                key: ResultKey {
-                    kind: "cell".to_string(),
-                    workload: p.workload.clone(),
-                    mechanism: m.label().to_string(),
-                    scheduler: eval.core.scheduler.as_str().to_string(),
-                    mem_model: eval.core.mem_model.as_str().to_string(),
-                },
-                wall_ms: 0,
+            let p = &cells[r.cell as usize];
+            let workload = format!("{}@seed{}:{}", p.workload, p.seed, p.point.label());
+            let key = ("cell", workload.as_str(), p.mechanism?.label());
+            let (eval, payload) = (cell_eval(&c.spec, p), payload.clone());
+            Some(ResultRecord::new(
+                run_id,
+                r.cell,
+                &c.provenance,
+                &eval,
+                key,
+                0,
                 payload,
-            })
+            ))
         })
         .collect()
 }

@@ -256,7 +256,9 @@ impl CampaignSpec {
     /// [`to_json`](Self::to_json); also accepts user-authored JSON specs,
     /// where the `schema` field and most sections are optional).
     pub fn from_json(doc: &Json) -> Result<CampaignSpec, String> {
-        if let Some(tag) = doc.get("schema").and_then(Json::as_str) {
+        check_keys(doc, "the spec", TOP_KEYS)?;
+        let text = |key| typed(doc, key, "a string", Json::as_str);
+        if let Some(tag) = text("schema")? {
             if tag != schema::CAMPAIGN_SPEC {
                 return Err(format!(
                     "schema mismatch: expected {:?}, found {tag:?}",
@@ -264,9 +266,7 @@ impl CampaignSpec {
                 ));
             }
         }
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
+        let name = text("name")?
             .ok_or("spec needs a string `name`")?
             .to_string();
         if name.is_empty()
@@ -278,12 +278,8 @@ impl CampaignSpec {
                 "campaign name {name:?} must be non-empty [a-zA-Z0-9_-] (it names the campaign directory)"
             ));
         }
-        let hypothesis = doc
-            .get("hypothesis")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let mode = match doc.get("mode").and_then(Json::as_str) {
+        let hypothesis = text("hypothesis")?.unwrap_or("").to_string();
+        let mode = match text("mode")? {
             None => CellMode::Sweep,
             Some(s) => CellMode::parse(s)
                 .ok_or_else(|| format!("unknown mode {s:?} (sweep|explain|fuzz|equiv)"))?,
@@ -304,23 +300,25 @@ impl CampaignSpec {
         };
         let mut eval = EvalConfig::default();
         if let Some(e) = doc.get("eval") {
-            if let Some(v) = e.get("warmup").and_then(Json::as_u64) {
+            check_keys(e, "[eval]", EVAL_KEYS)?;
+            let int = |key| typed(e, key, "an unsigned integer", Json::as_u64);
+            if let Some(v) = int("warmup")? {
                 eval.warmup_instructions = v;
             }
-            if let Some(v) = e.get("measure").and_then(Json::as_u64) {
+            if let Some(v) = int("measure")? {
                 eval.measure_instructions = v;
             }
-            if let Some(v) = e.get("scale").and_then(Json::as_f64) {
+            if let Some(v) = typed(e, "scale", "a number", Json::as_f64)? {
                 eval.gen.scale = v;
             }
-            if let Some(v) = e.get("iters").and_then(Json::as_u64) {
+            if let Some(v) = int("iters")? {
                 eval.gen.iters = v;
             }
-            if let Some(v) = e.get("seed").and_then(Json::as_u64) {
+            if let Some(v) = int("seed")? {
                 eval.gen.seed = v;
             }
-            eval.max_cycles = e.get("max_cycles").and_then(Json::as_u64);
-            if let Some(i) = e.get("telemetry_interval").and_then(Json::as_u64) {
+            eval.max_cycles = int("max_cycles")?;
+            if let Some(i) = int("telemetry_interval")? {
                 if i == 0 {
                     return Err("`telemetry_interval` must be at least 1 cycle".to_string());
                 }
@@ -329,18 +327,15 @@ impl CampaignSpec {
                     ..TelemetryConfig::default()
                 });
             }
-            if let Some(d) = e.get("diagnostics").and_then(Json::as_bool) {
+            if let Some(d) = typed(e, "diagnostics", "a boolean", Json::as_bool)? {
                 eval.diagnostics = d;
             }
         }
         if mode == CellMode::Explain {
             eval.diagnostics = true;
         }
-        let seeds = match (
-            doc.get("seeds"),
-            doc.get("seed_start"),
-            doc.get("seed_count"),
-        ) {
+        let int = |key| typed(doc, key, "an unsigned integer", Json::as_u64);
+        let seeds = match (doc.get("seeds"), int("seed_start")?, int("seed_count")?) {
             (Some(v), None, None) => {
                 let arr = v.as_arr().ok_or("`seeds` must be an array")?;
                 arr.iter()
@@ -350,18 +345,12 @@ impl CampaignSpec {
                     })
                     .collect::<Result<Vec<_>, _>>()?
             }
-            (None, start, count) => {
-                let start = start.and_then(Json::as_u64);
-                let count = count.and_then(Json::as_u64);
-                match (start, count) {
-                    (None, None) => vec![eval.gen.seed],
-                    (s, Some(n)) => {
-                        let s = s.unwrap_or(0);
-                        (s..s.checked_add(n).ok_or("seed range overflows")?).collect()
-                    }
-                    (Some(_), None) => return Err("`seed_start` needs `seed_count`".to_string()),
-                }
+            (None, None, None) => vec![eval.gen.seed],
+            (None, s, Some(n)) => {
+                let s = s.unwrap_or(0);
+                (s..s.checked_add(n).ok_or("seed range overflows")?).collect()
             }
+            (None, Some(_), None) => return Err("`seed_start` needs `seed_count`".to_string()),
             _ => {
                 return Err("give either `seeds` or `seed_start`/`seed_count`, not both".to_string())
             }
@@ -374,13 +363,16 @@ impl CampaignSpec {
         }
         let grid = match doc.get("grid") {
             None => ConfigGrid::default(),
-            Some(g) => ConfigGrid {
-                rob: usize_list(g, "rob")?,
-                cuc_sets: usize_list(g, "cuc_sets")?,
-                partition_step: usize_list(g, "partition_step")?,
-            },
+            Some(g) => {
+                check_keys(g, "[grid]", GRID_KEYS)?;
+                ConfigGrid {
+                    rob: usize_list(g, "rob")?,
+                    cuc_sets: usize_list(g, "cuc_sets")?,
+                    partition_step: usize_list(g, "partition_step")?,
+                }
+            }
         };
-        let equiv_axis = match doc.get("equiv_axis").and_then(Json::as_str) {
+        let equiv_axis = match text("equiv_axis")? {
             None | Some("scheduler") => EquivAxis::Scheduler,
             Some("mem_model") | Some("mem-model") => EquivAxis::MemModel,
             Some("boundary") => EquivAxis::Boundary,
@@ -412,6 +404,46 @@ impl CampaignSpec {
             super::toml::toml_to_json(text).map_err(|e| format!("spec TOML: {e}"))?
         };
         CampaignSpec::from_json(&doc)
+    }
+}
+
+/// The keys a spec may hold at its top level, in `[grid]` and in `[eval]`;
+/// [`CampaignSpec::to_json`] writes all but `seed_start`, `seed_count` and
+/// `eval.seed`.
+const TOP_KEYS: &str = "schema name hypothesis mode workloads mechanisms seeds seed_start \
+                        seed_count grid eval equiv_axis";
+const GRID_KEYS: &str = "rob cuc_sets partition_step";
+const EVAL_KEYS: &str = "warmup measure scale iters seed max_cycles telemetry_interval diagnostics";
+
+/// Fails on the first key of `table` that `known` does not list, naming it:
+/// a misspelt key must not quietly leave its setting at the default.
+fn check_keys(table: &Json, what: &str, known: &str) -> Result<(), String> {
+    let Json::Obj(fields) = table else {
+        return Err(format!("{what} must be a table"));
+    };
+    match fields
+        .iter()
+        .find(|(k, _)| !known.split(' ').any(|n| n == k))
+    {
+        Some((k, _)) => Err(format!("unknown key `{k}` in {what}")),
+        None => Ok(()),
+    }
+}
+
+/// The value of `key` in `table` as `read` converts it: `None` when the key
+/// is absent or `null`, an error naming the key when its value has another
+/// type.
+fn typed<'a, T>(
+    table: &'a Json,
+    key: &str,
+    kind: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match table.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be {kind}")),
     }
 }
 
@@ -553,6 +585,23 @@ scale = 0.03
             ("name = \"x\"\nseed_start = 1", "seed_count"),
             ("name = \"x\"\nworkloads = []", "zero cells"),
             ("name = \"x\"\nequiv_axis = \"both\"", "equiv_axis"),
+            // A misspelt key at any level, and a value of the wrong type.
+            ("name = \"x\"\nmechanims = [\"cdf\"]", "`mechanims`"),
+            ("name = \"x\"\nshards = 4", "`shards`"),
+            ("name = \"x\"\n[grid]\nrobb = [192]", "`robb` in [grid]"),
+            ("name = \"x\"\n[eval]\nmesure = 3000", "`mesure` in [eval]"),
+            ("name = \"x\"\n[eval]\nscale = \"0.03\"", "`scale`"),
+            (
+                "name = \"x\"\n[eval]\ntelemetry_interval = \"1024\"",
+                "`telemetry_interval`",
+            ),
+            ("name = \"x\"\n[eval]\ndiagnostics = 1", "`diagnostics`"),
+            ("name = \"x\"\nmode = 3", "`mode`"),
+            (
+                "name = \"x\"\nseed_start = \"1\"\nseed_count = 2",
+                "`seed_start`",
+            ),
+            ("name = \"x\"\ngrid = 5", "[grid] must be a table"),
         ] {
             let err = CampaignSpec::parse(text).expect_err(text);
             assert!(err.contains(needle), "{text:?}: {err}");

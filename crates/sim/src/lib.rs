@@ -111,10 +111,7 @@ pub use fuzz::{
 pub use golden::{
     collect as collect_golden, diff_golden, golden_to_json, GoldenConfig, GOLDEN_SCHEMA,
 };
-pub use mix::{
-    mix_from_json, mix_json, records_from_mix, run_mix, MixConfig, MixCoreResult, MixReport,
-    MixSummary,
-};
+pub use mix::{mix_json, records_from_mix, run_mix, MixConfig, MixCoreResult, MixReport};
 pub use prof::{
     profile_from_json, profile_json, profile_table, profile_trace_json, PROFILE_SCHEMA,
 };

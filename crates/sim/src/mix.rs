@@ -30,8 +30,8 @@ use crate::json::{field, Json};
 use crate::provenance::provenance_json;
 use crate::run::{EvalConfig, Measurement, Mechanism, Reading};
 use crate::schema;
-use crate::store::{measurement_from_json, RecordPayload, ResultKey, ResultRecord};
-use crate::sweep::{eval_config_hash, measurement_json};
+use crate::store::{RecordPayload, ResultRecord};
+use crate::sweep::{gen_json, measurement_json};
 use crate::telemetry::telemetry_json;
 use cdf_core::{
     Core, CoreShareStats, HostProf, HostProfile, MultiCore, Provenance, SharedStatsReport,
@@ -310,17 +310,10 @@ pub fn mix_json(r: &MixReport) -> Json {
             Json::Obj(fields)
         })
         .collect();
-    let doc = Json::Obj(vec![
+    let mut doc = vec![
         field("schema", schema::MIX),
         field("provenance", provenance_json(&r.provenance)),
-        field(
-            "gen",
-            Json::Obj(vec![
-                field("seed", r.eval.gen.seed),
-                field("scale", r.eval.gen.scale),
-                field("iters", r.eval.gen.iters),
-            ]),
-        ),
+        field("gen", gen_json(&r.eval.gen)),
         field(
             "window_instructions",
             r.eval.warmup_instructions + r.eval.measure_instructions,
@@ -359,17 +352,10 @@ pub fn mix_json(r: &MixReport) -> Json {
                 ),
             ]),
         ),
-    ]);
-    let mut doc = match doc {
-        Json::Obj(fields) => fields,
-        _ => unreachable!(),
-    };
+    ];
     if let Some(p) = &r.profile {
-        let composition = mix_composition(r);
-        doc.push(field(
-            "profile",
-            crate::prof::profile_json(p, &composition, "mix"),
-        ));
+        let profile = crate::prof::profile_json(p, &mix_composition(r), "mix");
+        doc.push(field("profile", profile));
     }
     Json::Obj(doc)
 }
@@ -381,84 +367,6 @@ fn mix_composition(r: &MixReport) -> String {
         .map(|c| format!("{}:{}", c.workload, c.mechanism.label()))
         .collect::<Vec<_>>()
         .join("+")
-}
-
-/// The validated essentials of a parsed `cdf-mix/1` document — what CI
-/// smoke jobs and downstream tooling consume.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MixSummary {
-    /// Per-core measurements (the `workload`/`mechanism` fields are
-    /// reattached from the per-core envelope).
-    pub cores: Vec<Measurement>,
-    /// Mix length in cycles (longest core).
-    pub cycles: u64,
-    /// Total MSHR fairness steals.
-    pub total_steals: u64,
-    /// Per-channel DRAM utilization in `[0, 1]`.
-    pub channel_utilization: Vec<f64>,
-}
-
-/// Parses and validates a serialized mix report (schema tag, per-core
-/// measurements, shared counters, utilization bounds). This is the parser
-/// CI's `mix-smoke` job validates emitted reports with.
-pub fn mix_from_json(doc: &Json) -> Result<MixSummary, String> {
-    schema::expect_schema(doc, schema::MIX)?;
-    let cores = doc
-        .get("cores")
-        .and_then(Json::as_arr)
-        .ok_or("missing cores array")?;
-    if cores.is_empty() {
-        return Err("mix has no cores".to_string());
-    }
-    let mut parsed = Vec::with_capacity(cores.len());
-    for (i, c) in cores.iter().enumerate() {
-        let id = c
-            .get("core")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("core {i}: missing core id"))?;
-        if id != i as u64 {
-            return Err(format!("core {i}: out-of-order core id {id}"));
-        }
-        let workload = c
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("core {i}: missing workload"))?;
-        let mechanism = c
-            .get("mechanism")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("core {i}: missing mechanism"))?;
-        let m = c
-            .get("measurement")
-            .ok_or_else(|| format!("core {i}: missing measurement"))?;
-        parsed.push(
-            measurement_from_json(m, workload, mechanism).map_err(|e| format!("core {i}: {e}"))?,
-        );
-        c.get("share")
-            .ok_or_else(|| format!("core {i}: missing share stats"))?;
-    }
-    let shared = doc.get("shared").ok_or("missing shared stats")?;
-    let num = |key: &str| {
-        shared
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("shared: missing {key}"))
-    };
-    let channel_utilization: Vec<f64> = shared
-        .get("channel_utilization")
-        .and_then(Json::as_arr)
-        .ok_or("shared: missing channel_utilization")?
-        .iter()
-        .map(|v| v.as_f64().ok_or("shared: non-numeric channel utilization"))
-        .collect::<Result<_, _>>()?;
-    if channel_utilization.iter().any(|u| !(0.0..=1.0).contains(u)) {
-        return Err("shared: channel utilization outside [0, 1]".to_string());
-    }
-    Ok(MixSummary {
-        cores: parsed,
-        cycles: num("cycles")?,
-        total_steals: num("total_steals")?,
-        channel_utilization,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -474,54 +382,28 @@ pub fn mix_from_json(doc: &Json) -> Result<MixSummary, String> {
 /// symmetric mixes — the same workload on several cores — stay distinct
 /// rows; `wall_ms` is 0 so recorded stores are byte-reproducible.
 pub fn records_from_mix(run_id: &str, prov: &Provenance, r: &MixReport) -> Vec<ResultRecord> {
-    let config_hash = eval_config_hash(&r.eval);
-    let composition = mix_composition(r);
+    let composition = format!("mix[{}]", mix_composition(r));
     let mut records: Vec<ResultRecord> = r
         .cores
         .iter()
-        .map(|c| ResultRecord {
-            run_id: run_id.to_string(),
-            seq: c.core as u64,
-            provenance: prov.clone(),
-            config_hash: config_hash.clone(),
-            gen: Some(r.eval.gen),
-            key: ResultKey {
-                kind: format!("mix[{composition}]"),
-                workload: format!("{}@c{}", c.workload, c.core),
-                mechanism: c.mechanism.label().to_string(),
-                scheduler: r.eval.core.scheduler.as_str().to_string(),
-                mem_model: r.eval.core.mem_model.as_str().to_string(),
-            },
-            wall_ms: 0,
-            payload: RecordPayload::Cell {
+        .map(|c| {
+            let payload = RecordPayload::Cell {
                 measurement: c.measurement.clone(),
                 diagnostics: None,
                 telemetry: None,
-            },
+            };
+            let workload = format!("{}@c{}", c.workload, c.core);
+            let key = (composition.as_str(), workload.as_str(), c.mechanism.label());
+            ResultRecord::new(run_id, c.core as u64, prov, &r.eval, key, 0, payload)
         })
         .collect();
     // A profiled mix rides one host-perf row along, keyed by the full
     // composition so compare only joins it against the same experiment.
     if let Some(p) = &r.profile {
-        records.push(ResultRecord {
-            run_id: run_id.to_string(),
-            seq: records.len() as u64,
-            provenance: prov.clone(),
-            config_hash: config_hash.clone(),
-            gen: Some(r.eval.gen),
-            key: ResultKey {
-                kind: "profile".to_string(),
-                workload: format!("mix[{composition}]"),
-                mechanism: "mix".to_string(),
-                scheduler: r.eval.core.scheduler.as_str().to_string(),
-                mem_model: r.eval.core.mem_model.as_str().to_string(),
-            },
-            wall_ms: 0,
-            payload: RecordPayload::Throughput {
-                simulated_cycles: p.cycles,
-                wall_seconds: p.total_wall_ns as f64 / 1e9,
-            },
-        });
+        let key = ("profile", composition.as_str(), "mix");
+        let (seq, payload) = (records.len() as u64, RecordPayload::throughput(p));
+        let row = ResultRecord::new(run_id, seq, prov, &r.eval, key, 0, payload);
+        records.push(row);
     }
     records
 }
@@ -529,7 +411,7 @@ pub fn records_from_mix(run_id: &str, prov: &Provenance, r: &MixReport) -> Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::record_json;
+    use crate::store::{measurement_from_json, record_json};
 
     fn quick_mix(workloads: &[&str], mechs: &[Mechanism]) -> MixConfig {
         MixConfig::new(
@@ -581,22 +463,18 @@ mod tests {
         let cfg = quick_mix(&["mcf_like", "stream_hog"], &[Mechanism::Cdf]);
         let r = run_mix(&cfg).expect("mix runs");
         let doc = Json::parse(&mix_json(&r).render()).expect("valid JSON");
-        let summary = mix_from_json(&doc).expect("parses");
-        assert_eq!(summary.cores.len(), 2);
-        for (c, m) in r.cores.iter().zip(&summary.cores) {
-            assert_eq!(&c.measurement, m, "measurement survives round-trip");
+        let cores = doc.get("cores").and_then(Json::as_arr).expect("cores");
+        assert_eq!(cores.len(), r.cores.len());
+        for (c, core) in r.cores.iter().zip(cores) {
+            let label = |key: &str| core.get(key).and_then(Json::as_str).expect(key);
+            let m = measurement_from_json(
+                core.get("measurement").expect("measurement"),
+                label("workload"),
+                label("mechanism"),
+            )
+            .expect("parses");
+            assert_eq!(c.measurement, m, "measurement survives round-trip");
         }
-        assert_eq!(summary.cycles, r.shared.cycles);
-        assert_eq!(summary.total_steals, r.shared.total_steals);
-        assert_eq!(summary.channel_utilization, r.channel_utilization);
-    }
-
-    #[test]
-    fn parser_rejects_wrong_schema_and_mangled_cores() {
-        let bad = Json::parse(r#"{"schema":"cdf-sweep/1"}"#).unwrap();
-        assert!(mix_from_json(&bad).unwrap_err().contains("schema"));
-        let empty = Json::parse(r#"{"schema":"cdf-mix/1","cores":[],"shared":{}}"#).unwrap();
-        assert!(mix_from_json(&empty).unwrap_err().contains("no cores"));
     }
 
     #[test]

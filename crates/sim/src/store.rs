@@ -25,6 +25,10 @@
 //! * `cdf-sim sweep --record` / `explain --record` / `mix --record` — tee
 //!   the cells of a normal run into the store. Grid cells become records
 //!   through [`records_from_cells`], whichever command ran them.
+//! * `cdf-sim campaign` — appends a finished campaign's measuring cells.
+//!
+//! Every row, whoever produces it, is built by [`ResultRecord::new`] and
+//! ends in the [`payload_fields`] that campaign journal lines end in too.
 //!
 //! With `--profile`, each cell also lands a host-performance row (kind
 //! `"profile"`), so stats history and perf history live together.
@@ -38,7 +42,7 @@ use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::{EvalConfig, Measurement};
 use crate::schema;
 use crate::sweep::{eval_config_hash, gen_json, measurement_json, SweepCell};
-use cdf_core::{CdfDiagnostics, Coverage, Provenance, Telemetry};
+use cdf_core::{CdfDiagnostics, Coverage, HostProfile, Provenance, Telemetry};
 use cdf_workloads::GenConfig;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -53,7 +57,10 @@ pub const DEFAULT_STORE_PATH: &str = ".cdf-results/results.jsonl";
 /// measured, under which runtime implementation axis. The configuration
 /// (seed, sizing, core template) is deliberately *not* part of the key —
 /// a perturbed config shows up as changed metrics on the same key (a
-/// classified regression), not as a silently missing cell.
+/// classified regression), not as a silently missing cell. Where one run
+/// holds several cells of a workload and mechanism, the workload names
+/// which: its core in a mix (`mcf_like@c0`), its seed and config point in
+/// a campaign (`astar_like@seed7:rob192+cuc64+part8`).
 #[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct ResultKey {
     /// Record kind: `"cell"` (a grid measurement) or `"profile"` (a
@@ -200,7 +207,65 @@ pub struct ResultRecord {
     pub payload: RecordPayload,
 }
 
+impl RecordPayload {
+    /// A finished cell's payload: its measurement with the diagnostics and
+    /// telemetry summaries it carries, or its error.
+    pub fn of_cell(c: &SweepCell) -> RecordPayload {
+        match &c.result {
+            Ok(m) => RecordPayload::Cell {
+                measurement: m.clone(),
+                diagnostics: c.diagnostics.as_ref().map(DiagSummary::from_diagnostics),
+                telemetry: c.telemetry.as_ref().map(TelemetrySummary::from_telemetry),
+            },
+            Err(e) => RecordPayload::Error {
+                kind: e.kind().to_string(),
+                message: e.to_string(),
+            },
+        }
+    }
+
+    /// The host-perf payload of a profiled cell or mix: simulated cycles
+    /// (compared exactly) over the profiled wall time (within tolerance).
+    pub fn throughput(p: &HostProfile) -> RecordPayload {
+        RecordPayload::Throughput {
+            simulated_cycles: p.cycles,
+            wall_seconds: p.total_wall_ns as f64 / 1e9,
+        }
+    }
+}
+
 impl ResultRecord {
+    /// The one way to build a row. `config_hash`, `gen` and the key's
+    /// `scheduler`/`mem_model` all come from `eval`, the config the cell
+    /// ran under, so no producer can stamp a row with another config's
+    /// identity; `key` is the row's `(kind, workload, mechanism)`.
+    pub fn new(
+        run_id: &str,
+        seq: u64,
+        prov: &Provenance,
+        eval: &EvalConfig,
+        (kind, workload, mechanism): (&str, &str, &str),
+        wall_ms: u64,
+        payload: RecordPayload,
+    ) -> ResultRecord {
+        ResultRecord {
+            run_id: run_id.to_string(),
+            seq,
+            provenance: prov.clone(),
+            config_hash: eval_config_hash(eval),
+            gen: Some(eval.gen),
+            key: ResultKey {
+                kind: kind.to_string(),
+                workload: workload.to_string(),
+                mechanism: mechanism.to_string(),
+                scheduler: eval.core.scheduler.as_str().to_string(),
+                mem_model: eval.core.mem_model.as_str().to_string(),
+            },
+            wall_ms,
+            payload,
+        }
+    }
+
     /// Whether the record is a successful measurement (not an error).
     pub fn is_ok(&self) -> bool {
         !matches!(self.payload, RecordPayload::Error { .. })
@@ -479,79 +544,29 @@ pub fn records_for_run<'a>(records: &'a [ResultRecord], run_id: &str) -> Vec<&'a
 // Producing records.
 // ---------------------------------------------------------------------------
 
-/// Converts finished cells (sweep, record or explain) into store records,
-/// hashing `eval` — the config the cells actually ran under — into each
-/// row's `config_hash`.
+/// Converts finished cells (sweep, record or explain) into store records
+/// under `eval`, the config the cells actually ran under: one `"cell"` row
+/// per cell in grid order, then one `"profile"` row per profiled cell (so
+/// cell seq numbers match the unprofiled layout).
 pub fn records_from_cells(
     run_id: &str,
     prov: &Provenance,
     eval: &EvalConfig,
     cells: &[SweepCell],
 ) -> Vec<ResultRecord> {
-    let config_hash = eval_config_hash(eval);
-    let mut records: Vec<ResultRecord> = cells
+    let profiled = cells
         .iter()
+        .filter_map(|c| Some(("profile", c, RecordPayload::throughput(c.profile.as_ref()?))));
+    cells
+        .iter()
+        .map(|c| ("cell", c, RecordPayload::of_cell(c)))
+        .chain(profiled)
         .enumerate()
-        .map(|(i, c)| {
-            let payload = match &c.result {
-                Ok(m) => RecordPayload::Cell {
-                    measurement: m.clone(),
-                    diagnostics: c.diagnostics.as_ref().map(DiagSummary::from_diagnostics),
-                    telemetry: c.telemetry.as_ref().map(TelemetrySummary::from_telemetry),
-                },
-                Err(e) => RecordPayload::Error {
-                    kind: e.kind().to_string(),
-                    message: e.to_string(),
-                },
-            };
-            ResultRecord {
-                run_id: run_id.to_string(),
-                seq: i as u64,
-                provenance: prov.clone(),
-                config_hash: config_hash.clone(),
-                gen: Some(eval.gen),
-                key: cell_key(&c.workload, c.mechanism.label(), eval),
-                wall_ms: c.wall_ms,
-                payload,
-            }
+        .map(|(seq, (kind, c, payload))| {
+            let key = (kind, c.workload.as_str(), c.mechanism.label());
+            ResultRecord::new(run_id, seq as u64, prov, eval, key, c.wall_ms, payload)
         })
-        .collect();
-    // Profiled cells append one extra host-perf row each, after the cell
-    // records (so cell seq numbers match the unprofiled layout). The
-    // Throughput payload reuses the compare engine's wall-tolerant
-    // classification: simulated_cycles exact, cycles/sec within tolerance.
-    let mut seq = records.len() as u64;
-    for c in cells {
-        if let Some(p) = &c.profile {
-            let mut key = cell_key(&c.workload, c.mechanism.label(), eval);
-            key.kind = "profile".to_string();
-            records.push(ResultRecord {
-                run_id: run_id.to_string(),
-                seq,
-                provenance: prov.clone(),
-                config_hash: config_hash.clone(),
-                gen: Some(eval.gen),
-                key,
-                wall_ms: c.wall_ms,
-                payload: RecordPayload::Throughput {
-                    simulated_cycles: p.cycles,
-                    wall_seconds: p.total_wall_ns as f64 / 1e9,
-                },
-            });
-            seq += 1;
-        }
-    }
-    records
-}
-
-fn cell_key(workload: &str, mechanism: &str, eval: &EvalConfig) -> ResultKey {
-    ResultKey {
-        kind: "cell".to_string(),
-        workload: workload.to_string(),
-        mechanism: mechanism.to_string(),
-        scheduler: eval.core.scheduler.as_str().to_string(),
-        mem_model: eval.core.mem_model.as_str().to_string(),
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -581,49 +596,59 @@ pub fn record_json(r: &ResultRecord) -> Json {
         ]),
     ));
     fields.push(field("wall_ms", r.wall_ms));
-    match &r.payload {
+    fields.extend(payload_fields(&r.payload));
+    Json::Obj(fields)
+}
+
+/// The fields a payload renders as, after `wall_ms`: `status`, then the
+/// measurement with its summaries, the throughput object, or the error.
+/// Store rows and campaign journal lines both end in these fields.
+pub fn payload_fields(payload: &RecordPayload) -> Vec<(String, Json)> {
+    match payload {
         RecordPayload::Cell {
             measurement,
             diagnostics,
             telemetry,
         } => {
-            fields.push(field("status", "ok"));
-            fields.push(field("measurement", measurement_json(measurement)));
+            let mut fields = vec![
+                field("status", "ok"),
+                field("measurement", measurement_json(measurement)),
+            ];
             if let Some(d) = diagnostics {
                 fields.push(field("diagnostics", diag_summary_json(d)));
             }
             if let Some(t) = telemetry {
                 fields.push(field("telemetry", telemetry_summary_json(t)));
             }
+            fields
         }
         RecordPayload::Throughput {
             simulated_cycles,
             wall_seconds,
-        } => {
-            fields.push(field("status", "ok"));
-            fields.push(field(
+        } => vec![
+            field("status", "ok"),
+            field(
                 "throughput",
                 Json::Obj(vec![
                     field("simulated_cycles", *simulated_cycles),
                     field("wall_seconds", *wall_seconds),
                 ]),
-            ));
-        }
-        RecordPayload::Error { kind, message } => {
-            fields.push(field("status", "error"));
-            fields.push(field(
+            ),
+        ],
+        RecordPayload::Error { kind, message } => vec![
+            field("status", "error"),
+            field(
                 "error",
                 Json::Obj(vec![
                     field("kind", kind.as_str()),
                     field("message", message.as_str()),
                 ]),
-            ));
-        }
+            ),
+        ],
     }
-    Json::Obj(fields)
 }
 
-pub(crate) fn diag_summary_json(d: &DiagSummary) -> Json {
+fn diag_summary_json(d: &DiagSummary) -> Json {
     Json::Obj(vec![
         field(
             "load_coverage",
@@ -681,39 +706,7 @@ pub fn record_from_json(doc: &Json) -> Result<ResultRecord, String> {
         mem_model: req_str(key_doc, "mem_model")?,
     };
     let wall_ms = req_u64(doc, "wall_ms")?;
-    let status = req_str(doc, "status")?;
-    let payload = match status.as_str() {
-        "ok" => {
-            if let Some(t) = doc.get("throughput") {
-                RecordPayload::Throughput {
-                    simulated_cycles: req_u64(t, "simulated_cycles")?,
-                    wall_seconds: req_f64(t, "wall_seconds")?,
-                }
-            } else {
-                let m = doc
-                    .get("measurement")
-                    .ok_or_else(|| "ok record carries no measurement".to_string())?;
-                RecordPayload::Cell {
-                    measurement: measurement_from_json(m, &key.workload, &key.mechanism)?,
-                    diagnostics: doc
-                        .get("diagnostics")
-                        .map(diag_summary_from_json)
-                        .transpose()?,
-                    telemetry: doc.get("telemetry").map(telemetry_summary_from_json),
-                }
-            }
-        }
-        "error" => {
-            let e = doc
-                .get("error")
-                .ok_or_else(|| "error record carries no error".to_string())?;
-            RecordPayload::Error {
-                kind: req_str(e, "kind")?,
-                message: req_str(e, "message")?,
-            }
-        }
-        other => return Err(format!("unknown status {other:?}")),
-    };
+    let payload = payload_from_json(doc, &key.workload, &key.mechanism)?;
     Ok(ResultRecord {
         run_id,
         seq,
@@ -724,6 +717,44 @@ pub fn record_from_json(doc: &Json) -> Result<ResultRecord, String> {
         wall_ms,
         payload,
     })
+}
+
+/// Parses the [`payload_fields`] of a store row or journal line, giving the
+/// measurement the workload/mechanism labels its envelope carries.
+pub fn payload_from_json(
+    doc: &Json,
+    workload: &str,
+    mechanism: &str,
+) -> Result<RecordPayload, String> {
+    match req_str(doc, "status")?.as_str() {
+        "ok" => match doc.get("throughput") {
+            Some(t) => Ok(RecordPayload::Throughput {
+                simulated_cycles: req_u64(t, "simulated_cycles")?,
+                wall_seconds: req_f64(t, "wall_seconds")?,
+            }),
+            None => Ok(RecordPayload::Cell {
+                measurement: measurement_from_json(
+                    doc.get("measurement")
+                        .ok_or("ok record carries no measurement")?,
+                    workload,
+                    mechanism,
+                )?,
+                diagnostics: doc
+                    .get("diagnostics")
+                    .map(diag_summary_from_json)
+                    .transpose()?,
+                telemetry: doc.get("telemetry").map(telemetry_summary_from_json),
+            }),
+        },
+        "error" => {
+            let e = doc.get("error").ok_or("error record carries no error")?;
+            Ok(RecordPayload::Error {
+                kind: req_str(e, "kind")?,
+                message: req_str(e, "message")?,
+            })
+        }
+        other => Err(format!("unknown status {other:?}")),
+    }
 }
 
 /// Parses a serialized measurement, reattaching the workload/mechanism the
@@ -754,7 +785,7 @@ pub fn measurement_from_json(
     })
 }
 
-pub(crate) fn diag_summary_from_json(doc: &Json) -> Result<DiagSummary, String> {
+fn diag_summary_from_json(doc: &Json) -> Result<DiagSummary, String> {
     fn coverage(doc: &Json, key: &str) -> Result<Coverage, String> {
         let c = doc.get(key).ok_or_else(|| format!("missing {key}"))?;
         Ok(Coverage {

@@ -15,6 +15,10 @@
 //! * **CLI resume loop** — an interrupted campaign finished via `campaign
 //!   resume --store` records store bytes identical to a campaign that was
 //!   never interrupted;
+//! * **store keys** — each row of a recorded campaign has its own key, so
+//!   the run compares clean against itself;
+//! * **bad specs** — a misspelt or mistyped key exits 2 before any
+//!   campaign directory exists;
 //! * an `#[ignore]`d at-scale run: the 5,000-cell seed-sweep example spec
 //!   across 4 OS processes.
 
@@ -22,9 +26,9 @@ use cdf_core::{ConfigGrid, Provenance};
 use cdf_sim::campaign::checkpoint::journal_path;
 use cdf_sim::json::{field, Json};
 use cdf_sim::{
-    campaign_status, finalize_campaign, init_campaign, load_campaign, provenance_json, run_shard,
-    run_sweep, CampaignSpec, CellMode, CellOutcome, EquivAxis, EvalConfig, Mechanism, ShardOptions,
-    SweepConfig,
+    campaign_status, compare_runs, finalize_campaign, init_campaign, load_campaign,
+    provenance_json, run_shard, run_sweep, CampaignSpec, CellMode, CellOutcome, CompareConfig,
+    EquivAxis, EvalConfig, Mechanism, RecordPayload, ResultStore, ShardOptions, SweepConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -209,7 +213,7 @@ fn campaign_matches_sweep_bit_for_bit_under_sharding() {
         assert_eq!(records.len(), golden.len());
         for (record, want) in records.iter().zip(&golden) {
             match &record.outcome {
-                CellOutcome::Measured { measurement, .. } => assert_eq!(
+                CellOutcome::Stored(RecordPayload::Cell { measurement, .. }) => assert_eq!(
                     &measurement, want,
                     "cell {} under {shards} shard(s)",
                     record.cell
@@ -419,34 +423,75 @@ fn cli_resume_records_identical_store_and_rejects_foreign_journals() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// A spec asking for telemetry every 0 cycles is a spec error: `campaign
-/// run` exits 2 naming the field, before it creates the campaign.
+/// A bad spec is a spec error: `campaign run` exits 2 naming the key,
+/// before it creates the campaign directory. A misspelt key at any level
+/// and a value of the wrong type are as bad as a zero sample interval:
+/// each would otherwise run a default configuration nobody asked for.
 #[test]
-fn zero_telemetry_interval_is_a_spec_error() {
-    let root = tmp("zero-interval");
+fn bad_specs_exit_2_before_a_campaign_exists() {
+    let root = tmp("bad-specs");
     fs::create_dir_all(&root).unwrap();
     let spec_path = root.join("spec.toml");
-    fs::write(
-        &spec_path,
-        "name = \"zero\"\nworkloads = [\"astar_like\"]\nmechanisms = [\"cdf\"]\n\
-         [eval]\ntelemetry_interval = 0\n",
-    )
-    .unwrap();
     let dir = root.join("campaign");
-    let out = cdf_sim(&[
-        "campaign",
-        "run",
-        "--spec",
-        spec_path.to_str().unwrap(),
-        "--dir",
-        dir.to_str().unwrap(),
-        "--no-record",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("telemetry_interval"), "{stderr}");
-    assert!(!dir.exists(), "nothing was initialized");
+    for (body, key) in [
+        ("[eval]\ntelemetry_interval = 0\n", "telemetry_interval"),
+        ("mechanims = [\"cdf\"]\n", "mechanims"),
+        ("[grid]\ncuc = [32]\n", "cuc"),
+        ("[eval]\nmesure = 3000\n", "mesure"),
+        ("[eval]\nscale = \"0.03\"\n", "scale"),
+        (
+            "[eval]\ntelemetry_interval = \"1024\"\n",
+            "telemetry_interval",
+        ),
+    ] {
+        fs::write(
+            &spec_path,
+            format!("name = \"bad\"\nworkloads = [\"astar_like\"]\n{body}"),
+        )
+        .unwrap();
+        let out = cdf_sim(&[
+            "campaign",
+            "run",
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--dir",
+            dir.to_str().unwrap(),
+            "--no-record",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{body}: {stderr}");
+        assert!(stderr.contains(&format!("`{key}`")), "{body}: {stderr}");
+        assert!(!dir.exists(), "{body}: nothing was initialized");
+    }
     let _ = fs::remove_dir_all(&root);
+}
+
+/// Every campaign row has its own store key: the workload names the cell's
+/// seed and config point, so a recorded 2-seed x 2-point campaign compares
+/// against itself with no regression (one key per seed and point would
+/// join every row to the last one).
+#[test]
+fn campaign_store_rows_have_distinct_keys_and_compare_clean() {
+    let dir = tmp("keys");
+    let store = dir.join("store.jsonl");
+    run_uninterrupted(&small_sweep_spec(), &dir, 1, &store);
+    let records = ResultStore::open(&store).load().unwrap();
+    assert_eq!(records.len(), 8);
+    let keys: BTreeSet<String> = records.iter().map(|r| r.key.label()).collect();
+    assert_eq!(keys.len(), records.len(), "{keys:?}");
+    assert_eq!(
+        records[0].key.workload,
+        "astar_like@seed7:rob256+cuc64+part8"
+    );
+    let run: Vec<_> = records.iter().collect();
+    let report = compare_runs(
+        ("latest", &run),
+        ("latest", &run),
+        &CompareConfig::default(),
+    );
+    assert!(!report.has_regressions(), "{}", report.render_summary());
+    assert_eq!(report.counts().unchanged, records.len());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Acceptance floor: the 5,000-cell seed-sweep example spec completes

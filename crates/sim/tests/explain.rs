@@ -404,6 +404,10 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
         ("sweep --profiel", "unknown flag `--profiel`"),
         ("fuzz --minimise", "unknown flag `--minimise`"),
         ("equiv --boundry", "unknown flag `--boundry`"),
+        (
+            "campaign shard --dir c --shard 0 --abort-after 1",
+            "unknown flag `--abort-after`",
+        ),
         // Flags that each select a different campaign.
         (
             "equiv --mem --boundary --seeds 1",
