@@ -3,12 +3,11 @@
 //! Every subcommand and flag is declared once, in [`CDF_SIM`]; `cdf-sim`
 //! with no arguments prints the usage generated from it.
 
-use cdf_core::{CoreConfig, Provenance, TelemetryConfig};
+use cdf_core::{CoreConfig, Provenance, Telemetry, TelemetryConfig};
 use cdf_sim::cli::{or_exit, Args, Cli};
 use cdf_sim::{
-    accounting_table, explain, profile_json, profile_table, profile_trace_json, run, run_sweep,
-    table1_text, telemetry_json, trace_events_json, EvalConfig, Mechanism, ResultRecord,
-    ResultStore, SweepConfig,
+    accounting_table, explain, profile_table, run_sweep, table1_text, EvalConfig, Mechanism,
+    ResultRecord, ResultStore, SweepConfig,
 };
 use cdf_workloads::registry;
 use std::num::NonZeroU64;
@@ -48,36 +47,34 @@ store options:
   --record           also append cdf-result/1 records to the results store
   --store FILE       results store path (default .cdf-results/results.jsonl)";
 
-const TELEMETRY: &str = "\
-telemetry options:
-  --interval N       cycles per interval sample (default 1024)
-  --out FILE         write the cdf-telemetry/1 JSON document to FILE
-  --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE";
+const OBSERVE: &str = "\
+observer options (what they collect is embedded in each document, and each
+store row keeps a telemetry summary; record --profile also appends one
+host-throughput \"profile\" row per cell, which compare classifies tolerantly):
+  --telemetry N      collect telemetry with an N-cycle sample interval
+  --profile          attach the host self-profiler (cdf-profile/1)";
 
-const PROFILE: &str = "\
-profile options:
-  --out FILE         write the cdf-profile/1 JSON document to FILE
-  --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE";
+const DIAGNOSE: &str = "\
+diagnostics option:
+  --explain          collect criticality-provenance diagnostics";
+
+const RUN: &str = "\
+run options (the measurement, then one view per observer):
+  --out FILE         write the one-cell cdf-sweep/1 JSON document to FILE
+  --trace-out FILE   write the cell's Chrome/Perfetto trace to FILE";
 
 const EXPLAIN: &str = "\
 explain options:
   --chains N         chain records embedded per cell (default 32)
   --out FILE         write the cdf-explain/1 JSON document to FILE
-  --trace-out FILE   write per-chain Perfetto async spans to FILE";
+  --trace-out FILE   write the Chrome/Perfetto trace (chain spans) to FILE";
 
 const SWEEP: &str = "\
-sweep options (what the observers collect is embedded in each cell):
-  --telemetry N      collect telemetry with an N-cycle sample interval
-  --explain          collect criticality-provenance diagnostics
-  --profile          attach the host self-profiler (cdf-profile/1 per cell)
+sweep options:
   --out FILE         write the stamped JSON records to FILE";
 
 const RECORD: &str = "\
 record options:
-  --telemetry N      summarize N-cycle-interval telemetry in each record
-  --explain          summarize provenance diagnostics in each record
-  --profile          also append one host-throughput \"profile\" record per
-                     successful cell (compare classifies them tolerantly)
   --filter SUBSTR    only cells whose workload/mechanism label contains SUBSTR
   --store FILE       results store to append to";
 
@@ -88,11 +85,9 @@ compare options (refs: latest, latest~N, a run id, or a commit prefix):
   --out FILE         write the cdf-compare/1 JSON report to FILE";
 
 const MIX: &str = "\
-mix options:
+mix options (--profile profiles the whole mix, embedded and printed):
   --workloads a,b    one workload per core, in core order (2+ cores; required)
   --mechs a,b        one mechanism per core, or one for all (default cdf)
-  --telemetry N      per-core telemetry (N-cycle interval), embedded per core
-  --profile          host self-profile of the whole mix, embedded and printed
   --out FILE         write the cdf-mix/1 JSON document to FILE";
 
 const FUZZ: &str = "\
@@ -148,16 +143,13 @@ static CDF_SIM: Cli = Cli {
     commands: &[
         ("list", &[]),
         ("table1", &[SIZING]),
-        ("run <workload>", &[MECH, SIZING]),
-        ("report <workload>", &[MECH, SIZING]),
+        ("run <workload>", &[MECH, OBSERVE, DIAGNOSE, RUN, SIZING]),
         ("explain", &[GRID, EXPLAIN, STORE, SIZING]),
-        ("telemetry <workload>", &[MECH, TELEMETRY, SIZING]),
-        ("profile <workload>", &[MECH, PROFILE, SIZING]),
         ("compare <workload>", &[SIZING]),
         ("compare <refA> <refB>", &[COMPARE]),
-        ("record", &[GRID, RECORD, SIZING]),
-        ("sweep", &[GRID, SWEEP, STORE, SIZING]),
-        ("mix", &[MIX, STORE, SIZING]),
+        ("record", &[GRID, OBSERVE, DIAGNOSE, RECORD, SIZING]),
+        ("sweep", &[GRID, OBSERVE, DIAGNOSE, SWEEP, STORE, SIZING]),
+        ("mix", &[MIX, OBSERVE, STORE, SIZING]),
         ("fuzz", &[FUZZ]),
         ("equiv", &[EQUIV]),
         ("campaign run", &[CAMPAIGN_RUN, CAMPAIGN]),
@@ -318,46 +310,50 @@ fn grid(a: &Args, eval: EvalConfig) -> SweepConfig {
     cfg
 }
 
-/// `sweep` and `record`: the grid with the observers `--telemetry`,
+/// `run`, `sweep` and `record`: `cfg` with the observers `--telemetry`,
 /// `--explain` and `--profile` attach.
-fn observed_grid(a: &Args) -> SweepConfig {
-    let mut eval = parse_eval(a);
-    eval.telemetry = telemetry_flag(a);
-    eval.diagnostics = a.has("--explain");
-    let mut cfg = grid(a, eval);
+fn observed(a: &Args, mut cfg: SweepConfig) -> SweepConfig {
+    cfg.eval.telemetry = telemetry_flag(a);
+    cfg.eval.diagnostics = a.has("--explain");
     cfg.profile = a.has("--profile");
     cfg
 }
 
-/// `run`, `report`, `telemetry` and `profile`: one cell of `<workload>` on
-/// `--mech`, with telemetry and the host profiler as asked.
-fn run_one(a: &Args, telemetry: Option<TelemetryConfig>, profile: bool) -> cdf_sim::RunOutput {
+/// `run`: one cell of `<workload>` on `--mech`, run as a one-cell sweep
+/// with the observers the flags attach. Prints the measurement, then one
+/// view per observer; a failed cell exits 1 with its error.
+fn run_run_command(a: &Args) {
     let mech = a
         .value("--mech")
         .map_or(Mechanism::Cdf, |m| parse_mechanism(a, m));
-    let mut cfg = parse_eval(a);
-    cfg.telemetry = telemetry;
-    let w = or_exit(registry::lookup(a.positional(0), &cfg.gen));
-    let out = or_exit(run(&w, mech.mode(), mech.label(), &cfg, profile));
-    print_measurement(&out.measurement);
-    out
+    let cell = SweepConfig::new([a.positional(0)], vec![mech], parse_eval(a));
+    let sweep = run_sweep(&observed(a, cell));
+    let c = &sweep.cells[0];
+    print_measurement(or_exit(c.result.as_ref()));
+    if let Some(tel) = &c.telemetry {
+        print_telemetry(tel);
+    }
+    if c.diagnostics.is_some() {
+        println!();
+        print!("{}", explain::render_summary(&sweep));
+    }
+    if let Some(p) = &c.profile {
+        println!();
+        print!("{}", profile_table(p));
+    }
+    if let Some(path) = a.value("--out") {
+        write_out(path, sweep.to_json().render_pretty(), "");
+    }
+    if let Some(path) = a.value("--trace-out") {
+        write_out(path, sweep.trace_json().render(), "trace events");
+    }
 }
 
-/// `report` (and the start of `telemetry`): one cell with telemetry
-/// attached, then its cycle accounting.
-fn run_report_command(a: &Args, tcfg: TelemetryConfig) -> cdf_core::Telemetry {
-    let tel = run_one(a, Some(tcfg), false)
-        .telemetry
-        .expect("telemetry is enabled");
+/// The telemetry view of `run`: the cycle accounting, then the interval,
+/// occupancy and event-sink lines.
+fn print_telemetry(tel: &Telemetry) {
     println!("\ncycle accounting (whole run, warmup + measurement):");
     print!("{}", accounting_table(&tel.accounting));
-    tel
-}
-
-fn run_telemetry_command(a: &Args) {
-    let mut tcfg = TelemetryConfig::default();
-    tcfg.interval = a.get("--interval").map_or(tcfg.interval, NonZeroU64::get);
-    let tel = run_report_command(a, tcfg);
     println!(
         "\nintervals     : {} retained (+{} evicted into totals), {} cycles/sample",
         tel.intervals.len(),
@@ -376,33 +372,10 @@ fn run_telemetry_command(a: &Args) {
         tel.events().len(),
         tel.events_dropped()
     );
-    if let Some(path) = a.value("--out") {
-        write_out(path, telemetry_json(&tel).render_pretty(), "telemetry JSON");
-    }
-    if let Some(path) = a.value("--trace-out") {
-        write_out(path, trace_events_json(&tel).render(), "trace events");
-    }
-}
-
-/// `cdf-sim profile <workload>` — run one cell with the host self-profiler
-/// attached and report where the simulator's own wall-clock time went.
-fn run_profile_command(a: &Args) {
-    let out = run_one(a, None, true);
-    let p = out.profile.expect("the profiler is enabled");
-    println!();
-    print!("{}", profile_table(&p));
-    if let Some(path) = a.value("--out") {
-        let label = out.measurement.mechanism.as_str();
-        let doc = profile_json(&p, a.positional(0), label);
-        write_out(path, doc.render_pretty(), "profile JSON");
-    }
-    if let Some(path) = a.value("--trace-out") {
-        write_out(path, profile_trace_json(&p).render(), "trace events");
-    }
 }
 
 /// `explain`: the grid with diagnostics attached, rendered as the
-/// provenance table, document and chain spans. Its cells are clock-free
+/// provenance table, document and trace. Its cells are clock-free
 /// (`wall_ms` 0), so a repeat run reproduces its store rows byte for byte.
 fn run_explain_command(a: &Args) {
     let mut eval = parse_eval(a);
@@ -415,8 +388,7 @@ fn run_explain_command(a: &Args) {
         write_out(path, explain::to_json(&sweep, chains).render_pretty(), "");
     }
     if let Some(path) = a.value("--trace-out") {
-        let spans = explain::chain_trace_events(&sweep).render();
-        write_out(path, spans, "chain spans");
+        write_out(path, sweep.trace_json().render(), "trace events");
     }
     let n = (sweep.cells.len(), "cell(s)");
     record_run(a, &sweep.provenance, n, |id, prov| {
@@ -428,7 +400,7 @@ fn run_explain_command(a: &Args) {
 }
 
 fn run_sweep_command(a: &Args) {
-    let sweep = run_sweep(&observed_grid(a));
+    let sweep = run_sweep(&observed(a, grid(a, parse_eval(a))));
     print!("{}", sweep.render_summary());
     if let Some(path) = a.value("--out") {
         write_out(path, sweep.to_json().render_pretty(), "");
@@ -513,7 +485,7 @@ fn run_mix_command(a: &Args) {
 
 /// `record`: the grid, `--filter`ed, appended to the store as one run.
 fn run_record_command(a: &Args) {
-    let mut cfg = observed_grid(a);
+    let mut cfg = observed(a, grid(a, parse_eval(a)));
     cfg.filter = a.get("--filter");
     let sweep = run_sweep(&cfg);
     if sweep.cells.is_empty() {
@@ -535,17 +507,22 @@ fn run_record_command(a: &Args) {
 }
 
 /// Workload form of `compare`: base/cdf/pre mechanism table for one
-/// workload.
+/// workload, run as a one-workload sweep; a failed cell exits 1 with its
+/// error.
 fn run_compare_workload(a: &Args) {
-    let cfg = parse_eval(a);
-    let w = or_exit(registry::lookup(a.positional(0), &cfg.gen));
-    let [base, cdf, pre] = [Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre]
-        .map(|m| or_exit(run(&w, m.mode(), m.label(), &cfg, false)).measurement);
+    let mechs = vec![Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre];
+    let sweep = run_sweep(&SweepConfig::new([a.positional(0)], mechs, parse_eval(a)));
+    let ms: Vec<_> = sweep
+        .cells
+        .iter()
+        .map(|c| or_exit(c.result.as_ref()))
+        .collect();
+    let base = ms[0];
     println!(
         "{:10} {:>8} {:>8} {:>8} {:>12} {:>12}",
         "mech", "IPC", "speedup", "MLP", "DRAM lines", "energy (uJ)"
     );
-    for m in [&base, &cdf, &pre] {
+    for m in ms {
         println!(
             "{:10} {:>8.3} {:>7.1}% {:>8.2} {:>12} {:>12.1}",
             m.mechanism,
@@ -728,15 +705,8 @@ fn main() {
             }
         }
         "table1" => print!("{}", table1_text(&parse_eval(&a).core)),
-        "run <workload>" => {
-            run_one(&a, None, false);
-        }
-        "report <workload>" => {
-            run_report_command(&a, TelemetryConfig::default());
-        }
+        "run <workload>" => run_run_command(&a),
         "explain" => run_explain_command(&a),
-        "telemetry <workload>" => run_telemetry_command(&a),
-        "profile <workload>" => run_profile_command(&a),
         "compare <workload>" => run_compare_workload(&a),
         "compare <refA> <refB>" => run_compare_store(&a),
         "record" => run_record_command(&a),

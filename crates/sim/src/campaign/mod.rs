@@ -46,7 +46,7 @@ use crate::json::{field, Json};
 use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::EvalConfig;
 use crate::store::{RecordPayload, ResultRecord, ResultStore, StoreError};
-use crate::sweep::{parallel_map, run_cell, SweepCell};
+use crate::sweep::{parallel_map, run_cell};
 use cdf_core::Provenance;
 use cdf_workloads::fuzz::FuzzSpec;
 use std::collections::HashSet;
@@ -354,12 +354,7 @@ pub fn run_campaign_cell(spec: &CampaignSpec, p: &CellParams) -> CellRecord {
             let eval = cell_eval(spec, p);
             let mode = p.point.apply_mode(m.mode());
             let cell = run_cell(&p.workload, m, mode, &eval, false);
-            // Journals keep the measurement and diagnostics summary only, so
-            // a campaign records no telemetry summary.
-            CellOutcome::Stored(RecordPayload::of_cell(&SweepCell {
-                telemetry: None,
-                ..cell
-            }))
+            CellOutcome::Stored(RecordPayload::of_cell(&cell))
         }
         CellMode::Fuzz => {
             let fuzz = FuzzSpec::from_seed(p.seed);

@@ -1,7 +1,8 @@
 //! The `cdf-sim explain` report: criticality-provenance diagnostics over a
 //! (workload × mechanism) grid, rendered as a versioned `cdf-explain/1` JSON
-//! document, a human-readable table, and Perfetto async spans (one per
-//! chain).
+//! document, a human-readable table, and one Perfetto async span per chain
+//! in each cell's guest process of the one trace
+//! ([`Sweep::trace_json`](crate::Sweep::trace_json)).
 //!
 //! Where the sweep answers *how fast*, explain answers *why*. It is the same
 //! grid: `cdf-sim explain` runs [`run_sweep`](crate::run_sweep) with
@@ -69,59 +70,40 @@ pub fn to_json(sweep: &Sweep, chain_limit: usize) -> Json {
     ])
 }
 
-/// Chrome/Perfetto trace-event JSON with one async span per recorded
-/// chain (`ph:"b"`/`ph:"e"`, spanning install → last lifecycle event),
-/// grouped by grid cell. Load into Perfetto to see chain lifetimes laid
-/// out against each other.
-pub fn chain_trace_events(sweep: &Sweep) -> Json {
-    let mut events = Vec::new();
-    for (tid, c) in sweep.cells.iter().enumerate() {
-        let Some(d) = &c.diagnostics else { continue };
-        let tid = tid as u64 + 1;
-        events.push(Json::Obj(vec![
-            field("name", "thread_name"),
-            field("ph", "M"),
-            field("pid", 1u64),
-            field("tid", tid),
-            field(
-                "args",
-                Json::Obj(vec![field(
-                    "name",
-                    format!("{} / {}", c.workload, c.mechanism.label()),
-                )]),
-            ),
-        ]));
-        for ch in d.chains() {
-            let name = format!("chain {} @pc{}", ch.id, ch.block_start.index());
-            let common = |ph: &str, ts: u64| {
-                vec![
-                    field("name", name.as_str()),
-                    field("cat", "chain"),
-                    field("ph", ph),
-                    field("id", ch.id),
-                    field("ts", ts),
-                    field("pid", 1u64),
-                    field("tid", tid),
-                ]
-            };
-            let mut begin = common("b", ch.installed_at);
-            begin.push(field(
-                "args",
-                Json::Obj(vec![
-                    field("crit_uops", ch.crit_uops),
-                    field("cuc_hits", ch.cuc_hits),
-                    field("fetched", ch.uops_fetched),
-                    field("consumed", ch.uops_consumed),
-                    field("poisoned", ch.uops_poisoned),
-                    field("squashed", ch.uops_squashed),
-                    field("wasted", ch.uops_wasted()),
-                ]),
-            ));
-            events.push(Json::Obj(begin));
-            events.push(Json::Obj(common("e", ch.last_event.max(ch.installed_at))));
-        }
-    }
-    Json::Arr(events)
+/// The recorded chains as trace events of process `pid` on the cycle axis:
+/// one async span per chain (`ph` `b`/`e`, install → last lifecycle
+/// event). An async span belongs to its process, not to a thread, so every
+/// span rides `tid` 0.
+pub(crate) fn chain_events(d: &CdfDiagnostics, pid: u64) -> impl Iterator<Item = Json> + '_ {
+    d.chains().iter().flat_map(move |ch| {
+        let name = format!("chain {} @pc{}", ch.id, ch.block_start.index());
+        let common = |ph: &str, ts: u64| {
+            vec![
+                field("name", name.as_str()),
+                field("cat", "chain"),
+                field("ph", ph),
+                field("id", ch.id),
+                field("ts", ts),
+                field("pid", pid),
+                field("tid", 0u64),
+            ]
+        };
+        let mut begin = common("b", ch.installed_at);
+        begin.push(field(
+            "args",
+            Json::Obj(vec![
+                field("crit_uops", ch.crit_uops),
+                field("cuc_hits", ch.cuc_hits),
+                field("fetched", ch.uops_fetched),
+                field("consumed", ch.uops_consumed),
+                field("poisoned", ch.uops_poisoned),
+                field("squashed", ch.uops_squashed),
+                field("wasted", ch.uops_wasted()),
+            ]),
+        ));
+        let end = common("e", ch.last_event.max(ch.installed_at));
+        [Json::Obj(begin), Json::Obj(end)]
+    })
 }
 
 /// The human-readable per-cell table: coverage, accuracy, and lead-time
@@ -401,13 +383,13 @@ mod tests {
         assert_eq!(cell.get("status").and_then(Json::as_str), Some("ok"));
         assert!(cell.get("measurement").is_some());
         assert!(cell.get("diagnostics").is_none());
-        assert_eq!(chain_trace_events(&sweep).render(), "[]");
+        assert_eq!(sweep.trace_json().render(), "[]");
     }
 
     #[test]
     fn chain_spans_balance_begin_end() {
         let sweep = explain_sweep(["astar_like"], vec![Mechanism::Cdf]);
-        let doc = Json::parse(&chain_trace_events(&sweep).render()).expect("valid JSON");
+        let doc = Json::parse(&sweep.trace_json().render()).expect("valid JSON");
         let events = doc.as_arr().unwrap();
         let count = |ph: &str| {
             events
@@ -417,6 +399,10 @@ mod tests {
         };
         assert!(count("b") > 0, "chains emitted");
         assert_eq!(count("b"), count("e"), "async spans balance");
+        assert_eq!(count("M"), 1, "one guest process, unprofiled");
+        for e in events {
+            assert_eq!(e.get("pid").and_then(Json::as_u64), Some(1));
+        }
     }
 
     #[test]

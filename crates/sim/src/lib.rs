@@ -22,15 +22,17 @@
 //! worker threads with per-cell fault isolation (a failed cell is a
 //! recorded [`SimError`], never a process abort), a per-run cycle-fuel
 //! watchdog, and stamped JSON result emission. Sweep results are
-//! bit-identical to running the grid serially. `cdf-sim sweep`, `record`
-//! and `explain` all run their grid here and differ only in what they
-//! attach and how they render the [`Sweep`].
+//! bit-identical to running the grid serially. Every `cdf-sim` command that
+//! simulates one core runs here: `run <workload>` and `compare <workload>`
+//! are one-workload grids, and `sweep`, `record` and `explain` differ only
+//! in what they attach and how they render the [`Sweep`]. Its one trace,
+//! [`Sweep::trace_json`], puts every cell's guest events on the cycle axis
+//! and its host profile in wall time, each in a process of its own.
 //!
 //! The [`telemetry`] module serializes the core's observation-only telemetry
 //! (cycle accounting, interval series, occupancy histograms, event sink —
-//! see [`cdf_core::Telemetry`]) into `cdf-telemetry/1` JSON and
-//! Chrome/Perfetto trace-event documents; enable collection per run via
-//! [`EvalConfig::telemetry`].
+//! see [`cdf_core::Telemetry`]) into `cdf-telemetry/1` JSON and the cell's
+//! trace events; enable collection per run via [`EvalConfig::telemetry`].
 //!
 //! The [`explain`] module is the criticality-provenance report: it renders
 //! a sweep run with [`cdf_core::CdfDiagnostics`] attached as `cdf-explain/1`
@@ -112,9 +114,7 @@ pub use golden::{
     collect as collect_golden, diff_golden, golden_to_json, GoldenConfig, GOLDEN_SCHEMA,
 };
 pub use mix::{mix_json, records_from_mix, run_mix, MixConfig, MixCoreResult, MixReport};
-pub use prof::{
-    profile_from_json, profile_json, profile_table, profile_trace_json, PROFILE_SCHEMA,
-};
+pub use prof::{profile_from_json, profile_json, profile_table, PROFILE_SCHEMA};
 pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, Reading, RunOutput};
 pub use store::{
@@ -124,4 +124,4 @@ pub use store::{
 };
 pub use sweep::{eval_config_hash, run_cell, run_sweep, Sweep, SweepCell, SweepConfig};
 pub use table1::table1_text;
-pub use telemetry::{accounting_table, telemetry_json, trace_events_json, TELEMETRY_SCHEMA};
+pub use telemetry::{accounting_table, telemetry_json, TELEMETRY_SCHEMA};

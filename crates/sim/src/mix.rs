@@ -30,7 +30,7 @@ use crate::json::{field, Json};
 use crate::provenance::provenance_json;
 use crate::run::{EvalConfig, Measurement, Mechanism, Reading};
 use crate::schema;
-use crate::store::{RecordPayload, ResultRecord};
+use crate::store::{RecordPayload, ResultRecord, TelemetrySummary};
 use crate::sweep::{gen_json, measurement_json};
 use crate::telemetry::telemetry_json;
 use cdf_core::{
@@ -390,7 +390,7 @@ pub fn records_from_mix(run_id: &str, prov: &Provenance, r: &MixReport) -> Vec<R
             let payload = RecordPayload::Cell {
                 measurement: c.measurement.clone(),
                 diagnostics: None,
-                telemetry: None,
+                telemetry: c.telemetry.as_ref().map(TelemetrySummary::from_telemetry),
             };
             let workload = format!("{}@c{}", c.workload, c.core);
             let key = (composition.as_str(), workload.as_str(), c.mechanism.label());

@@ -8,17 +8,18 @@
 //!   denominators (guest cycles and retired uops per wall second), the
 //!   per-stage attribution rows with the totality invariant materialized
 //!   (`Σ stages + untracked = total`), and the subsystem refinement.
-//!   Written by `cdf-sim profile --out` and embedded per-cell in sweep
-//!   JSON under `--profile`.
+//!   Embedded per cell in the sweep document under `--profile` (`cdf-sim
+//!   run --profile --out`, `sweep --profile`) and per mix in `cdf-mix/1`.
 //! * [`profile_from_json`] — the inverse, used by the round-trip tests and
 //!   by tooling that post-processes recorded profiles.
-//! * [`profile_table`] — the human-facing breakdown for `cdf-sim profile`:
-//!   one row per stage with %-of-wall, call counts, and heap churn, plus
-//!   untracked/total rows and the subsystem table.
-//! * [`profile_trace_json`] — the profile as Chrome/Perfetto trace-event
-//!   JSON (array-of-events form): stages as consecutive `X` slices on
-//!   track 0, subsystems on track 1, so a profile renders as a flame-style
-//!   timeline at <https://ui.perfetto.dev>.
+//! * [`profile_table`] — the human-facing breakdown, the profile view of
+//!   `cdf-sim run --profile` and `mix --profile`: one row per stage with
+//!   %-of-wall, call counts, and heap churn, plus untracked/total rows and
+//!   the subsystem table.
+//! * the profile's slices in the cell's host process of the one trace,
+//!   [`Sweep::trace_json`](crate::Sweep::trace_json), in wall microseconds:
+//!   stages end to end on lane 0, subsystems on lane 1, so a profile renders
+//!   as a flame-style timeline at <https://ui.perfetto.dev>.
 
 use crate::json::{field, Json};
 use crate::report::Table;
@@ -207,51 +208,47 @@ pub fn profile_table(p: &HostProfile) -> String {
     out
 }
 
-/// The profile as Chrome trace-event JSON, array-of-events form. Stages lay
-/// out as consecutive `X` (complete) slices on `tid` 0 — their order is the
-/// per-cycle execution order, and the untracked remainder closes the track
-/// so the timeline spans exactly the measured wall. Subsystems get parallel
-/// slices on `tid` 1 starting at 0 (a refinement, not a partition, so their
-/// offsets are not meaningful against the stage track). `ts`/`dur` are in
-/// microseconds per the trace-event spec.
-pub fn profile_trace_json(p: &HostProfile) -> Json {
-    let mut events = Vec::new();
-    let mut slice = |name: &str, tid: u64, ts_ns: u64, dur_ns: u64, args: Vec<(String, Json)>| {
+/// The profile as trace events of process `pid`, in wall microseconds
+/// (`ts`/`dur`, per the trace-event spec). Stages lay out as consecutive
+/// `X` (complete) slices on `tid` 0 — their order is the per-cycle
+/// execution order, and the untracked remainder closes the lane so it
+/// spans exactly the measured wall. Subsystems get parallel slices on
+/// `tid` 1 starting at 0 (a refinement, not a partition, so their offsets
+/// are not meaningful against the stage lane).
+pub(crate) fn trace_events(p: &HostProfile, pid: u64) -> Vec<Json> {
+    let slice = |name: &str, tid: u64, ts_ns: u64, dur_ns: u64, args: Vec<(String, Json)>| {
         let mut fields = vec![
             field("name", name),
             field("cat", "host"),
             field("ph", "X"),
             field("ts", ts_ns as f64 / 1e3),
             field("dur", dur_ns as f64 / 1e3),
-            field("pid", 1u64),
+            field("pid", pid),
             field("tid", tid),
         ];
         if !args.is_empty() {
             fields.push(field("args", Json::Obj(args)));
         }
-        events.push(Json::Obj(fields));
+        Json::Obj(fields)
     };
+    let mut events = Vec::new();
     let mut at = 0u64;
     for s in &p.stages {
-        slice(
-            &s.name,
-            0,
-            at,
-            s.ns,
-            vec![field("calls", s.calls), field("allocs", s.allocs)],
-        );
+        let args = vec![field("calls", s.calls), field("allocs", s.allocs)];
+        events.push(slice(&s.name, 0, at, s.ns, args));
         at += s.ns;
     }
-    slice("untracked", 0, at, p.untracked_ns, Vec::new());
+    events.push(slice("untracked", 0, at, p.untracked_ns, Vec::new()));
     for s in &p.subsystems {
-        slice(&s.name, 1, 0, s.ns, vec![field("ops", s.ops)]);
+        events.push(slice(&s.name, 1, 0, s.ns, vec![field("ops", s.ops)]));
     }
-    Json::Arr(events)
+    events
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EvalConfig, Measurement, Mechanism, Sweep, SweepCell, SweepConfig};
     use cdf_core::{HostProf, Stage, Subsystem};
 
     fn sample_profile() -> HostProfile {
@@ -263,6 +260,26 @@ mod tests {
         h.end_stage(Stage::Fetch, t);
         h.end_sub(Subsystem::MemPort, Some(std::time::Instant::now()));
         h.into_profile(1_000, 500, 10_000_000)
+    }
+
+    /// A one-cell sweep whose cell carries `profile` and nothing else.
+    fn observed(profile: HostProfile) -> Sweep {
+        let m = Mechanism::Cdf;
+        Sweep {
+            config: SweepConfig::new(["astar_like"], vec![m], EvalConfig::quick()),
+            cells: vec![SweepCell {
+                workload: "astar_like".to_string(),
+                mechanism: m,
+                result: Ok(Measurement::default()),
+                telemetry: None,
+                diagnostics: None,
+                profile: Some(profile),
+                wall_ms: 0,
+            }],
+            threads_used: 1,
+            config_hash: String::new(),
+            provenance: Default::default(),
+        }
     }
 
     #[test]
@@ -319,9 +336,18 @@ mod tests {
     #[test]
     fn trace_events_tile_the_wall_on_track_zero() {
         let p = sample_profile();
-        let doc = profile_trace_json(&p);
-        let parsed = Json::parse(&doc.render()).unwrap();
-        let events = parsed.as_arr().expect("array-of-events form");
+        let parsed = Json::parse(&observed(p.clone()).trace_json().render()).unwrap();
+        let (name, events) = parsed
+            .as_arr()
+            .expect("array-of-events form")
+            .split_first()
+            .expect("a named process");
+        assert_eq!(
+            name.get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Json::as_str),
+            Some("astar_like / CDF (host, wall us)")
+        );
         let track0: Vec<&Json> = events
             .iter()
             .filter(|e| e.get("tid").and_then(Json::as_u64) == Some(0))
@@ -336,7 +362,9 @@ mod tests {
         assert!((total_us - wall_us).abs() < 1e-6, "{total_us} vs {wall_us}");
         for e in events {
             assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
-            assert!(e.get("pid").is_some() && e.get("tid").is_some());
+            // Cell 0's host process: no cycle-axis event shares it.
+            assert_eq!(e.get("pid").and_then(Json::as_u64), Some(2));
+            assert!(e.get("tid").is_some());
         }
     }
 }

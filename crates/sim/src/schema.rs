@@ -12,10 +12,12 @@
 
 use crate::json::Json;
 
-/// Sweep reports (`cdf-sim sweep`): the (workload × mechanism) grid.
+/// Sweep reports (`cdf-sim sweep`, and `run --out` for one cell): the
+/// (workload × mechanism) grid, each cell embedding its observers' sections.
 pub const SWEEP: &str = "cdf-sweep/1";
-/// Telemetry dumps (`cdf-sim report` / `telemetry`): cycle accounting,
-/// interval series, occupancy histograms, event sink.
+/// Telemetry sections (`--telemetry N`), embedded per sweep cell and per
+/// mix core: cycle accounting, interval series, occupancy histograms,
+/// event-sink counters.
 pub const TELEMETRY: &str = "cdf-telemetry/1";
 /// Fuzz-campaign reports (`cdf-sim fuzz`).
 pub const FUZZ: &str = "cdf-fuzz/1";
@@ -43,8 +45,9 @@ pub const CAMPAIGN_JOURNAL: &str = "cdf-campaign-journal/1";
 /// Multi-core co-scheduled mix reports (`cdf-sim mix`): per-core
 /// measurements plus shared LLC/MSHR/DRAM contention statistics.
 pub const MIX: &str = "cdf-mix/1";
-/// Host-side self-profiles (`cdf-sim profile`): stage-level wall-clock
-/// attribution, subsystem timers, and host throughput denominators.
+/// Host-side self-profiles (`--profile`), embedded per sweep cell and per
+/// mix: stage-level wall-clock attribution, subsystem timers, and host
+/// throughput denominators.
 pub const PROFILE: &str = "cdf-profile/1";
 
 /// Every schema tag the workspace emits, for exhaustiveness checks.

@@ -18,13 +18,13 @@
 //!   experiment that produced it.
 
 use crate::error::SimError;
-use crate::explain::{diagnostics_json, DEFAULT_CHAIN_LIMIT};
+use crate::explain::{chain_events, diagnostics_json, DEFAULT_CHAIN_LIMIT};
 use crate::json::{field, Json};
-use crate::prof::profile_json;
+use crate::prof::{self, profile_json};
 use crate::provenance::provenance_json;
 use crate::report::Table;
 use crate::run::{run, EvalConfig, Measurement, Mechanism};
-use crate::telemetry::telemetry_json;
+use crate::telemetry::{self, telemetry_json};
 use cdf_core::{CdfDiagnostics, CoreMode, HostProfile, Provenance, Telemetry};
 use cdf_workloads::{registry, GenConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -317,6 +317,36 @@ impl Sweep {
         ])
     }
 
+    /// The sweep as one Chrome/Perfetto trace: trace-event JSON in the
+    /// array-of-events form (load it at <https://ui.perfetto.dev>). Cell `i`
+    /// is up to two processes, each named by a `process_name` event. With
+    /// telemetry or diagnostics it is guest process `2i + 1`, on the cycle
+    /// axis (one core cycle per trace microsecond): the telemetry episodes,
+    /// flushes and uop slices, then one span per chain. When profiled it is
+    /// also host process `2i + 2`, in wall microseconds: the stage and
+    /// subsystem slices. So the two clocks never share a process, and a
+    /// sweep without observers is `[]`.
+    pub fn trace_json(&self) -> Json {
+        let mut events = Vec::new();
+        for (i, c) in self.cells.iter().enumerate() {
+            let guest = 2 * i as u64 + 1;
+            if c.telemetry.is_some() || c.diagnostics.is_some() {
+                events.push(process_name(guest, c, "guest, cycles"));
+            }
+            if let Some(t) = &c.telemetry {
+                events.extend(telemetry::trace_events(t, guest));
+            }
+            if let Some(d) = &c.diagnostics {
+                events.extend(chain_events(d, guest));
+            }
+            if let Some(p) = &c.profile {
+                events.push(process_name(guest + 1, c, "host, wall us"));
+                events.extend(prof::trace_events(p, guest + 1));
+            }
+        }
+        Json::Arr(events)
+    }
+
     /// A text summary table: IPC per grid point, `ERROR(kind)` for failed
     /// cells.
     pub fn render_summary(&self) -> String {
@@ -345,6 +375,18 @@ impl Sweep {
             t.render()
         )
     }
+}
+
+/// The `process_name` event naming trace process `pid` after cell `c` and
+/// the clock its events run on.
+fn process_name(pid: u64, c: &SweepCell, clock: &str) -> Json {
+    let name = format!("{} / {} ({clock})", c.workload, c.mechanism.label());
+    Json::Obj(vec![
+        field("name", "process_name"),
+        field("ph", "M"),
+        field("pid", pid),
+        field("args", Json::Obj(vec![field("name", name)])),
+    ])
 }
 
 /// The `gen` object of a document or store row: the workload generation
@@ -698,6 +740,60 @@ mod tests {
             .to_json()
             .render()
             .contains("\"diagnostics\":true"));
+    }
+
+    #[test]
+    fn each_observed_cell_is_a_guest_and_a_host_process_of_one_trace() {
+        let mut eval = tiny_eval();
+        let grid = SweepConfig::new(
+            ["libq_like", "astar_like"],
+            vec![Mechanism::Cdf],
+            eval.clone(),
+        );
+        assert_eq!(run_sweep(&grid).trace_json().render(), "[]");
+        eval.telemetry = Some(cdf_core::TelemetryConfig::default());
+        let mut cfg = SweepConfig { eval, ..grid };
+        cfg.profile = true;
+        let doc = Json::parse(&run_sweep(&cfg).trace_json().render()).expect("trace parses");
+        let events = doc.as_arr().expect("array-of-events form");
+        let pid = |e: &Json| {
+            e.get("pid")
+                .and_then(Json::as_u64)
+                .expect("every event has a pid")
+        };
+        let names: Vec<(u64, &str)> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
+            .map(|e| {
+                (
+                    pid(e),
+                    e.get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(Json::as_str)
+                        .unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                (1, "libq_like / CDF (guest, cycles)"),
+                (2, "libq_like / CDF (host, wall us)"),
+                (3, "astar_like / CDF (guest, cycles)"),
+                (4, "astar_like / CDF (host, wall us)"),
+            ]
+        );
+        for e in events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
+        {
+            let host = e.get("cat").and_then(Json::as_str) == Some("host");
+            assert_eq!(
+                pid(e) % 2 == 0,
+                host,
+                "wall and cycle events share no process: {e:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Serialization and reporting for the core's telemetry collectors.
 //!
 //! `cdf-core` gathers telemetry as plain structs with no opinion on output
-//! formats; this module owns the two JSON encodings and the text report:
+//! formats; this module owns its JSON encoding, its trace events and its
+//! text report:
 //!
 //! * [`telemetry_json`] — the `cdf-telemetry/1` document: cycle-accounting
 //!   breakdown, interval time series (ring + running totals), and
-//!   log₂-bucketed occupancy histograms. Embedded per-cell in sweep JSON and
-//!   written standalone by `cdf-sim telemetry --out`.
-//! * [`trace_events_json`] — the event sink as Chrome/Perfetto trace-event
-//!   JSON in the array-of-events form (load it at `chrome://tracing` or
-//!   <https://ui.perfetto.dev>). One core cycle maps to one trace
-//!   microsecond; track 0 carries CDF-mode and stall episodes, track 1
-//!   flush instants, tracks 2+ per-stage uop slices.
+//!   log₂-bucketed occupancy histograms. Embedded per cell in the sweep
+//!   document (`cdf-sim run --telemetry N --out`, `sweep --telemetry N`).
+//! * the event sink's events in the cell's guest process of the one trace,
+//!   [`Sweep::trace_json`](crate::Sweep::trace_json): one core cycle maps to
+//!   one trace microsecond; lane 0 carries CDF-mode episodes, lane 1 stall
+//!   episodes and flush instants, lanes 2+ per-stage uop slices.
 //! * [`accounting_table`] — the top-down breakdown as an aligned percentage
-//!   table for `cdf-sim report`.
+//!   table, the telemetry view of `cdf-sim run --telemetry N`.
 
 use crate::json::{field, Json};
 use crate::report::Table;
@@ -92,7 +92,8 @@ pub(crate) fn series_json<S: Sample>(
 
 /// The full telemetry document (schema [`TELEMETRY_SCHEMA`]): accounting,
 /// interval series, occupancy histograms, and event-sink counters. The
-/// events themselves are a separate document — see [`trace_events_json`].
+/// events themselves go to the one trace,
+/// [`Sweep::trace_json`](crate::Sweep::trace_json).
 pub fn telemetry_json(t: &Telemetry) -> Json {
     let accounting_rows: Vec<Json> = t
         .accounting
@@ -142,35 +143,30 @@ pub fn telemetry_json(t: &Telemetry) -> Json {
     ])
 }
 
-/// The event sink as Chrome trace-event JSON, array-of-events form. Core
-/// cycles map 1:1 onto trace microseconds (`ts`/`dur`); every event carries
-/// `pid` 1 and its lane as `tid`.
-pub fn trace_events_json(t: &Telemetry) -> Json {
-    let events: Vec<Json> = t
-        .events()
-        .iter()
-        .map(|e| {
-            let mut fields = vec![
-                field("name", e.name),
-                field("cat", e.cat),
-                field("ph", e.ph.code()),
-                field("ts", e.ts),
-            ];
-            if e.ph == EventPhase::Complete {
-                fields.push(field("dur", e.dur));
-            }
-            fields.push(field("pid", 1u64));
-            fields.push(field("tid", e.tid));
-            if !e.args.is_empty() {
-                fields.push(field(
-                    "args",
-                    Json::Obj(e.args.iter().map(|&(k, v)| field(k, v)).collect()),
-                ));
-            }
-            Json::Obj(fields)
-        })
-        .collect();
-    Json::Arr(events)
+/// The event sink as trace events of process `pid` on the cycle axis:
+/// core cycles map 1:1 onto trace microseconds (`ts`/`dur`), and each
+/// event carries its lane as `tid`.
+pub(crate) fn trace_events(t: &Telemetry, pid: u64) -> impl Iterator<Item = Json> + '_ {
+    t.events().iter().map(move |e| {
+        let mut fields = vec![
+            field("name", e.name),
+            field("cat", e.cat),
+            field("ph", e.ph.code()),
+            field("ts", e.ts),
+        ];
+        if e.ph == EventPhase::Complete {
+            fields.push(field("dur", e.dur));
+        }
+        fields.push(field("pid", pid));
+        fields.push(field("tid", e.tid));
+        if !e.args.is_empty() {
+            fields.push(field(
+                "args",
+                Json::Obj(e.args.iter().map(|&(k, v)| field(k, v)).collect()),
+            ));
+        }
+        Json::Obj(fields)
+    })
 }
 
 /// The top-down breakdown as an aligned text table: one row per bucket with
@@ -195,6 +191,7 @@ pub fn accounting_table(a: &CycleAccounting) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EvalConfig, Measurement, Mechanism, Sweep, SweepCell, SweepConfig};
     use cdf_core::{CycleBucket, OccupancySample, TelemetryConfig};
 
     fn sample_telemetry() -> Telemetry {
@@ -222,6 +219,26 @@ mod tests {
         };
         t.sample_interval(8, &stats);
         t
+    }
+
+    /// A one-cell sweep whose cell carries `telemetry` and nothing else.
+    fn observed(telemetry: Telemetry) -> Sweep {
+        let m = Mechanism::Cdf;
+        Sweep {
+            config: SweepConfig::new(["astar_like"], vec![m], EvalConfig::quick()),
+            cells: vec![SweepCell {
+                workload: "astar_like".to_string(),
+                mechanism: m,
+                result: Ok(Measurement::default()),
+                telemetry: Some(telemetry),
+                diagnostics: None,
+                profile: None,
+                wall_ms: 0,
+            }],
+            threads_used: 1,
+            config_hash: String::new(),
+            provenance: Default::default(),
+        }
     }
 
     #[test]
@@ -265,22 +282,26 @@ mod tests {
 
     #[test]
     fn trace_events_are_valid_chrome_json() {
-        let t = sample_telemetry();
-        let doc = trace_events_json(&t);
-        let parsed = Json::parse(&doc.render()).unwrap();
+        let parsed = Json::parse(&observed(sample_telemetry()).trace_json().render()).unwrap();
         let events = parsed.as_arr().expect("array-of-events form");
-        assert_eq!(events.len(), 2, "one B/E pair");
-        assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("B"));
+        assert_eq!(events.len(), 3, "the process name, then one B/E pair");
         assert_eq!(
             events[0].get("name").and_then(Json::as_str),
+            Some("process_name")
+        );
+        assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("B"));
+        assert_eq!(
+            events[1].get("name").and_then(Json::as_str),
             Some("cdf_mode")
         );
-        assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("E"));
-        let args = events[1].get("args").unwrap();
+        assert_eq!(events[2].get("ph").and_then(Json::as_str), Some("E"));
+        let args = events[2].get("args").unwrap();
         assert_eq!(args.get("cycles").and_then(Json::as_u64), Some(4));
         for e in events {
-            assert!(e.get("pid").is_some() && e.get("tid").is_some());
+            // Cell 0's guest process.
+            assert_eq!(e.get("pid").and_then(Json::as_u64), Some(1));
         }
+        assert!(events[1..].iter().all(|e| e.get("tid").is_some()));
     }
 
     #[test]

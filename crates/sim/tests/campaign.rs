@@ -19,6 +19,8 @@
 //!   the run compares clean against itself;
 //! * **bad specs** — a misspelt or mistyped key exits 2 before any
 //!   campaign directory exists;
+//! * **telemetry** — a spec with a telemetry interval keeps each cell's
+//!   cycle accounting in its journal line and its store row;
 //! * an `#[ignore]`d at-scale run: the 5,000-cell seed-sweep example spec
 //!   across 4 OS processes.
 
@@ -27,8 +29,9 @@ use cdf_sim::campaign::checkpoint::journal_path;
 use cdf_sim::json::{field, Json};
 use cdf_sim::{
     campaign_status, compare_runs, finalize_campaign, init_campaign, load_campaign,
-    provenance_json, run_shard, run_sweep, CampaignSpec, CellMode, CellOutcome, CompareConfig,
-    EquivAxis, EvalConfig, Mechanism, RecordPayload, ResultStore, ShardOptions, SweepConfig,
+    provenance_json, run_cell, run_shard, run_sweep, CampaignSpec, CellMode, CellOutcome,
+    CompareConfig, EquivAxis, EvalConfig, Mechanism, RecordPayload, ResultStore, ShardOptions,
+    SweepConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -491,6 +494,47 @@ fn campaign_store_rows_have_distinct_keys_and_compare_clean() {
     );
     assert!(!report.has_regressions(), "{}", report.render_summary());
     assert_eq!(report.counts().unchanged, records.len());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A spec with `telemetry_interval` keeps what the collector found: the
+/// journal line and the store row of every cell carry a telemetry summary
+/// whose buckets sum to the cycles the cell's collector observed.
+#[test]
+fn telemetry_specs_keep_each_cells_accounting_in_journal_and_store() {
+    let mut spec = small_sweep_spec();
+    spec.seeds = vec![7];
+    spec.grid.rob = vec![256];
+    spec.eval.telemetry = Some(cdf_core::TelemetryConfig {
+        interval: 512,
+        ..Default::default()
+    });
+    let dir = tmp("telemetry");
+    let store = dir.join("store.jsonl");
+    run_uninterrupted(&spec, &dir, 1, &store);
+    let lines = |path: PathBuf| -> Vec<Json> {
+        let text = fs::read_to_string(path).unwrap();
+        text.lines().map(|l| Json::parse(l).unwrap()).collect()
+    };
+    // Skip the header and heartbeat lines.
+    let mut journal = lines(journal_path(&dir, 0));
+    journal.retain(|l| l.get("cell").is_some());
+    let rows = lines(store);
+    let cells = spec.cells();
+    assert_eq!((journal.len(), rows.len()), (cells.len(), cells.len()));
+    for ((p, line), row) in cells.iter().zip(&journal).zip(&rows) {
+        let m = p.mechanism.expect("sweep cell");
+        let eval = cdf_sim::campaign::cell_eval(&spec, p);
+        let cell = run_cell(&p.workload, m, p.point.apply_mode(m.mode()), &eval, false);
+        let observed = cell.telemetry.expect("collector").observed_cycles();
+        for doc in [line, row] {
+            let Some(Json::Obj(buckets)) = doc.get("telemetry") else {
+                panic!("no telemetry summary: {}", doc.render());
+            };
+            let sum: u64 = buckets.iter().map(|(_, c)| c.as_u64().unwrap()).sum();
+            assert_eq!(sum, observed, "cell {}: {}", p.id, doc.render());
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

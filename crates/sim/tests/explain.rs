@@ -19,7 +19,10 @@
 //!   flags, flags missing their value, and stray or missing positionals
 //!   with a hard usage error instead of silently running the default
 //!   configuration; its usage lists every flag it accepts; a watchdog or a
-//!   stalled pipeline exits 1 with a typed error, not a panic.
+//!   stalled pipeline exits 1 with a typed error, not a panic;
+//! * `cdf-sim run` attaches every observer the grid commands attach,
+//!   printing plain `run`'s output and then one view per observer, and
+//!   writes the one-cell document and the one trace.
 
 use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
@@ -30,6 +33,7 @@ use cdf_sim::{
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::{registry, GenConfig};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn small_gen() -> GenConfig {
     GenConfig {
@@ -390,16 +394,13 @@ fn cdf_sim(args: &[&str]) -> std::process::Output {
 fn every_subcommand_rejects_bad_input_with_a_usage_error() {
     for (cmd, message) in [
         // An unknown flag.
-        (
-            "report astar_like --warmupp 1000",
-            "unknown flag `--warmupp`",
-        ),
+        ("run astar_like --warmupp 1000", "unknown flag `--warmupp`"),
         ("explain --mech cdf", "unknown flag `--mech`"),
         ("run libq_like --mesure 1000", "unknown flag `--mesure`"),
         ("table1 --robb 512", "unknown flag `--robb`"),
         (
-            "telemetry astar_like --intreval 512",
-            "unknown flag `--intreval`",
+            "run astar_like --telemetyr 512",
+            "unknown flag `--telemetyr`",
         ),
         ("sweep --profiel", "unknown flag `--profiel`"),
         ("fuzz --minimise", "unknown flag `--minimise`"),
@@ -421,8 +422,8 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
         ),
         ("sweep --fast --threads", "missing value for --threads"),
         (
-            "telemetry libq_like --fast --interval",
-            "missing value for --interval",
+            "run libq_like --fast --telemetry",
+            "missing value for --telemetry",
         ),
         ("record --filter", "missing value for --filter"),
         (
@@ -474,15 +475,18 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
             "invalid value `0` for --telemetry",
         ),
         (
-            "telemetry astar_like --fast --interval 0",
-            "invalid value `0` for --interval",
+            "run astar_like --fast --telemetry 0",
+            "invalid value `0` for --telemetry",
         ),
         // A missing positional or required flag.
         ("run", "missing <workload>"),
         ("campaign status", "missing --dir"),
         ("campaign run --shards 2", "missing --spec"),
-        // No subcommand at all.
+        // No subcommand at all, or one that `run` absorbed.
         ("", "usage:"),
+        ("report astar_like", "usage:"),
+        ("telemetry astar_like", "usage:"),
+        ("profile astar_like", "usage:"),
     ] {
         let out = cdf_sim(&cmd.split_whitespace().collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -507,13 +511,19 @@ fn usage_lists_every_accepted_flag_under_its_subcommand() {
         rest[..end].to_string()
     };
     assert!(synopsis("explain").contains("[--record] [--store FILE]"));
+    for name in ["run", "sweep", "record", "mix"] {
+        let s = synopsis(name);
+        assert!(
+            s.contains("[--telemetry N]") && s.contains("[--profile]"),
+            "{s}"
+        );
+        assert_eq!(s.contains("[--explain]"), name != "mix", "{s}");
+    }
+    assert!(synopsis("run").contains("[--trace-out FILE]"));
     for name in [
         "table1",
         "run",
-        "report",
         "explain",
-        "telemetry",
-        "profile",
         "compare <workload>",
         "record",
         "sweep",
@@ -608,28 +618,87 @@ fn a_failed_run_exits_1_with_a_typed_error() {
     }
 }
 
+/// `run` takes the observers the grid commands take. Its stdout is plain
+/// `run`'s, then the accounting table, the provenance row and the profile
+/// tables; `--out` is the one-cell sweep document with a section per
+/// observer; `--trace-out` is the one trace, where every span closes and no
+/// wall-clock event shares a process with a cycle-axis one.
 #[test]
-fn report_still_accepts_its_documented_flags() {
+fn run_attaches_every_observer_and_writes_one_document_and_one_trace() {
+    let dir = std::env::temp_dir().join(format!("cdf-run-observed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (doc_path, trace_path) = (dir.join("run.json"), dir.join("trace.json"));
+    let plain = cdf_sim(&["run", "astar_like", "--fast"]);
+    assert_eq!(plain.status.code(), Some(0), "{plain:?}");
     let out = cdf_sim(&[
-        "report",
+        "run",
         "astar_like",
-        "--mech",
-        "cdf",
         "--fast",
-        "--warmup",
-        "2000",
-        "--measure",
-        "4000",
-        "--scale",
-        "0.03",
+        "--telemetry",
+        "512",
+        "--explain",
+        "--profile",
+        "--out",
+        doc_path.to_str().unwrap(),
+        "--trace-out",
+        trace_path.to_str().unwrap(),
     ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let (plain, stdout) = (
+        String::from_utf8(plain.stdout).unwrap(),
+        String::from_utf8(out.stdout).unwrap(),
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("IPC"), "{stdout}");
-    assert!(stdout.contains("cycle accounting"), "{stdout}");
+    let views = stdout
+        .strip_prefix(&plain)
+        .unwrap_or_else(|| panic!("{stdout}"));
+    let at = |view: &str| {
+        views
+            .find(view)
+            .unwrap_or_else(|| panic!("no {view:?}: {views}"))
+    };
+    assert!(at("cycle accounting") < at("intervals     :"), "{views}");
+    assert!(at("intervals     :") < at("Explain —"), "{views}");
+    assert!(at("Explain —") < at("host:"), "{views}");
+    assert!(at("host:") < at("subsystem"), "{views}");
+
+    let doc = Json::parse(&std::fs::read_to_string(&doc_path).unwrap()).expect("document parses");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("cdf-sweep/1")
+    );
+    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells");
+    assert_eq!(cells.len(), 1);
+    for section in ["telemetry", "diagnostics", "profile"] {
+        assert!(cells[0].get(section).is_some(), "no {section} section");
+    }
+
+    let trace = Json::parse(&std::fs::read_to_string(&trace_path).unwrap()).expect("trace parses");
+    let events = trace.as_arr().expect("array-of-events form");
+    let text = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).unwrap_or("").to_string();
+    let pid = |e: &Json| e.get("pid").and_then(Json::as_u64).expect("pid");
+    let mut open = BTreeMap::new();
+    let (mut wall, mut cycles) = (BTreeSet::new(), BTreeSet::new());
+    for e in events {
+        let ph = text(e, "ph");
+        let span = |lane: &str| (pid(e), text(e, "name"), e.get(lane).and_then(Json::as_u64));
+        match ph.as_str() {
+            "B" => *open.entry(span("tid")).or_insert(0) += 1,
+            "E" => *open.entry(span("tid")).or_insert(0) -= 1,
+            "b" => *open.entry(span("id")).or_insert(0) += 1,
+            "e" => *open.entry(span("id")).or_insert(0) -= 1,
+            _ => {}
+        }
+        if ph != "M" {
+            let clock = if text(e, "cat") == "host" {
+                &mut wall
+            } else {
+                &mut cycles
+            };
+            clock.insert(pid(e));
+        }
+    }
+    assert!(open.values().all(|&n| n == 0), "an unclosed span: {open:?}");
+    assert!(!wall.is_empty() && !cycles.is_empty(), "both clocks traced");
+    assert!(wall.is_disjoint(&cycles), "{wall:?} vs {cycles:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,16 +1,20 @@
 //! Multi-core mix test battery: a one-core `MultiCore` against a private
 //! `Core`, metamorphic contention properties, shared-MSHR conservation
-//! invariants over fuzz programs and under the lazy memory model, and
-//! scheduler and memory-model equivalence through the shared memory system.
+//! invariants over fuzz programs and under the lazy memory model,
+//! scheduler and memory-model equivalence through the shared memory system,
+//! and the telemetry summary each core's store row keeps.
 //!
 //! The metamorphic properties pin what contention **may** and **may not**
 //! change: co-runners may slow a core down (timing), but never alter its
 //! architectural execution (retired uops, branch outcomes), and bandwidth
 //! pressure must hurt monotonically.
 
-use cdf_core::{Core, CoreConfig, MemModelKind, MultiCore, SchedulerKind};
+use cdf_core::{Core, CoreConfig, MemModelKind, MultiCore, Provenance, SchedulerKind};
 use cdf_sim::sweep::parallel_map;
-use cdf_sim::{run_mix, GoldenConfig, Measurement, Mechanism, MixConfig, MixReport};
+use cdf_sim::{
+    records_from_mix, run_mix, GoldenConfig, Measurement, Mechanism, MixConfig, MixReport,
+    RecordPayload,
+};
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::registry;
 use proptest::prelude::*;
@@ -332,5 +336,35 @@ fn contention_roles_are_registered_extras() {
             !registry::NAMES.contains(&name),
             "{name} must not join the figure suite"
         );
+    }
+}
+
+/// A `--telemetry` mix keeps each core's cycle accounting in that core's
+/// store row: its buckets sum to the cycles the core's collector observed.
+#[test]
+fn each_core_row_of_a_telemetry_mix_keeps_its_cycle_accounting() {
+    let mut cfg = quick_mix(&["mcf_like", "stream_hog"], Mechanism::Cdf);
+    cfg.eval.telemetry = Some(cdf_core::TelemetryConfig {
+        interval: 512,
+        ..Default::default()
+    });
+    let report = run_mix(&cfg).expect("mix runs");
+    let rows = records_from_mix("r0001", &Provenance::default(), &report);
+    assert_eq!(rows.len(), report.cores.len());
+    for (row, core) in rows.iter().zip(&report.cores) {
+        let RecordPayload::Cell {
+            telemetry: Some(summary),
+            ..
+        } = &row.payload
+        else {
+            panic!("core {} row keeps no telemetry: {row:?}", core.core);
+        };
+        let observed = core
+            .telemetry
+            .as_ref()
+            .expect("collector")
+            .observed_cycles();
+        let sum: u64 = summary.buckets.iter().map(|(_, cycles)| cycles).sum();
+        assert_eq!(sum, observed, "core {}", core.core);
     }
 }

@@ -6,17 +6,14 @@
 //!   interval lengths and ring capacities (property-tested);
 //! * telemetry — enabled or disabled — never perturbs `CoreStats` or
 //!   `Measurement`s, in direct runs and through the sweep runner;
-//! * the emitted Perfetto trace and telemetry-enabled sweep JSON are
-//!   well-formed (validated with the crate's own parser, no `jq`).
+//! * the one trace (`Sweep::trace_json`) and telemetry-enabled sweep JSON
+//!   are well-formed (validated with the crate's own parser, no `jq`).
 
 use cdf_core::{
     CdfConfig, Core, CoreConfig, CoreMode, CoreStats, CycleBucket, Telemetry, TelemetryConfig,
 };
 use cdf_sim::json::Json;
-use cdf_sim::{
-    run, run_sweep, trace_events_json, EvalConfig, Mechanism, RunOutput, SweepConfig,
-    TELEMETRY_SCHEMA,
-};
+use cdf_sim::{run, run_sweep, EvalConfig, Mechanism, RunOutput, SweepConfig, TELEMETRY_SCHEMA};
 use cdf_workloads::{registry, GenConfig};
 use proptest::prelude::*;
 
@@ -193,25 +190,41 @@ fn sweep_results_match_with_telemetry_on_and_off() {
 
 #[test]
 fn perfetto_trace_is_valid_and_contains_cdf_episode() {
-    let cfg = EvalConfig {
+    let eval = EvalConfig {
         telemetry: Some(TelemetryConfig::default()),
         ..small_eval()
     };
-    let w = registry::lookup("astar_like", &cfg.gen).expect("registered");
-    let out = run_cdf(&w, &cfg);
-    let (m, tel) = (out.measurement, out.telemetry.expect("collector returned"));
+    let sweep = run_sweep(&SweepConfig::new(
+        ["astar_like"],
+        vec![Mechanism::Cdf],
+        eval,
+    ));
+    let m = sweep.expect("astar_like", Mechanism::Cdf);
     assert!(m.cdf_mode_cycles > 0, "workload must engage CDF: {m:?}");
 
-    let text = trace_events_json(&tel).render();
+    let text = sweep.trace_json().render();
     let doc = Json::parse(&text).expect("trace must be well-formed JSON");
-    let events = doc.as_arr().expect("Chrome array-of-events form");
+    let (name, events) = doc
+        .as_arr()
+        .expect("Chrome array-of-events form")
+        .split_first()
+        .expect("the cell's process is named first");
+    assert_eq!(
+        name.get("name").and_then(Json::as_str),
+        Some("process_name")
+    );
     assert!(!events.is_empty());
     for e in events {
         let ph = e.get("ph").and_then(Json::as_str).expect("phase present");
         assert!(matches!(ph, "B" | "E" | "X" | "i"), "unknown phase {ph}");
         assert!(e.get("name").and_then(Json::as_str).is_some());
         assert!(e.get("ts").and_then(Json::as_u64).is_some());
-        assert!(e.get("pid").is_some() && e.get("tid").is_some());
+        assert_eq!(
+            e.get("pid").and_then(Json::as_u64),
+            Some(1),
+            "guest process"
+        );
+        assert!(e.get("tid").is_some());
         if ph == "X" {
             assert!(e.get("dur").and_then(Json::as_u64).unwrap_or(0) >= 1);
         }
