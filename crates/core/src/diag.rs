@@ -33,8 +33,7 @@
 
 use crate::series::{interval_sample, IntervalSeries, INTERVAL};
 use crate::telemetry::Histogram;
-use cdf_isa::Pc;
-use std::collections::HashMap;
+use cdf_isa::{Pc, WordMap};
 
 /// Cap on distinct chain records kept; later chains still feed the aggregate
 /// counters but are not individually recorded (see
@@ -165,7 +164,7 @@ impl Coverage {
 #[derive(Clone, Debug, Default)]
 pub struct CdfDiagnostics {
     chains: Vec<ChainRecord>,
-    index: HashMap<u64, usize>,
+    index: WordMap<usize>,
     /// Chains beyond [`MAX_CHAIN_RECORDS`] that were aggregated but not
     /// individually recorded.
     pub chains_dropped: u64,
@@ -213,7 +212,7 @@ pub struct CdfDiagnostics {
     pub branch_resolution: Histogram,
 
     /// LLC-miss initiations still awaiting their replay (seq → issue cycle).
-    pending_leads: HashMap<u64, u64>,
+    pending_leads: WordMap<u64>,
 
     intervals: IntervalSeries<DiagIntervalSample>,
 }

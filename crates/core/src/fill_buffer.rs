@@ -11,8 +11,7 @@
 //! Cache traces by the core.
 
 use crate::mask_cache::MaskCache;
-use cdf_isa::{Pc, RegSet};
-use std::collections::HashSet;
+use cdf_isa::{Pc, RegSet, WordSet};
 use std::collections::VecDeque;
 
 /// One retired-uop record (Fig. 6: decoded uop, register bit-vectors, memory
@@ -159,7 +158,7 @@ impl FillBuffer {
         let n = self.entries.len();
         let mut marks = vec![false; n];
         let mut live_regs = RegSet::EMPTY;
-        let mut live_mem: HashSet<u64> = HashSet::new();
+        let mut live_mem = WordSet::default();
         for i in (0..n).rev() {
             let e = &self.entries[i];
             let mask_bit = mask_cache

@@ -1,6 +1,7 @@
 //! The partitioned reorder buffer (and the generic partitioned queue shared
 //! with the load/store queues).
 
+use crate::partition::Resize;
 use crate::types::Seq;
 use std::collections::VecDeque;
 
@@ -123,12 +124,19 @@ impl<T: HasSeq> PartitionedQueue<T> {
         self.crit.iter().chain(self.noncrit.iter())
     }
 
-    /// Mutable iteration over one section.
-    pub fn iter_mut_section(&mut self, critical: bool) -> impl Iterator<Item = &mut T> {
-        if critical {
-            self.crit.iter_mut()
-        } else {
-            self.noncrit.iter_mut()
+    /// The two sections, `[critical, non-critical]`, each in program order.
+    pub fn sections(&self) -> [&VecDeque<T>; 2] {
+        [&self.crit, &self.noncrit]
+    }
+
+    /// The entry with `seq`, found by binary search in each section.
+    pub fn get_mut(&mut self, seq: Seq) -> Option<&mut T> {
+        match self.crit.binary_search_by_key(&seq, T::seq) {
+            Ok(i) => self.crit.get_mut(i),
+            Err(_) => {
+                let i = self.noncrit.binary_search_by_key(&seq, T::seq).ok()?;
+                self.noncrit.get_mut(i)
+            }
         }
     }
 
@@ -154,6 +162,14 @@ impl<T: HasSeq> PartitionedQueue<T> {
         self.crit_cap -= moved;
         self.noncrit_cap += moved;
         moved
+    }
+
+    /// Grows the section `r` names by `step`; returns the capacity moved.
+    pub fn resize(&mut self, r: Resize, step: usize) -> usize {
+        match r {
+            Resize::GrowCritical => self.grow_critical(step),
+            Resize::GrowNonCritical => self.grow_noncritical(step),
+        }
     }
 }
 

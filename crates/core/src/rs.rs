@@ -1,70 +1,51 @@
 //! Reservation stations and execution-port accounting.
 
-use crate::types::Seq;
-
-/// Reservation-station occupancy tracking with a critical-partition limit
-/// (§3.5: RS is partitioned "by imposing a limit on the number of critical
-/// uops").
+/// Reservation-station occupancy with a critical-partition limit (§3.5: RS
+/// is partitioned "by imposing a limit on the number of critical uops").
 ///
-/// Wakeup/select runs in the core (it needs the instruction pool); this type
-/// owns capacity accounting and the entry list.
+/// The stations hold exactly the instruction pool's `Waiting` uops, so
+/// this type keeps only their counts, total and critical: dispatch inserts
+/// a uop, and issue or a flush removes it, each in O(1). Wakeup and select
+/// run in the core over the pool.
 #[derive(Clone, Debug)]
 pub(crate) struct ReservationStations {
-    entries: Vec<(Seq, bool)>,
-    cap: usize,
+    len: usize,
     crit_count: usize,
+    cap: usize,
     crit_limit: usize,
 }
 
 impl ReservationStations {
     pub fn new(cap: usize, crit_limit: usize) -> ReservationStations {
         ReservationStations {
-            entries: Vec::with_capacity(cap),
-            cap,
+            len: 0,
             crit_count: 0,
+            cap,
             crit_limit,
         }
     }
 
     pub fn has_space(&self, critical: bool) -> bool {
-        self.entries.len() < self.cap && (!critical || self.crit_count < self.crit_limit)
+        self.len < self.cap && (!critical || self.crit_count < self.crit_limit)
     }
 
-    pub fn insert(&mut self, seq: Seq, critical: bool) {
+    /// A uop enters the stations at dispatch.
+    pub fn insert(&mut self, critical: bool) {
         debug_assert!(self.has_space(critical));
-        self.entries.push((seq, critical));
-        if critical {
-            self.crit_count += 1;
-        }
+        self.len += 1;
+        self.crit_count += usize::from(critical);
     }
 
-    pub fn remove(&mut self, seq: Seq) {
-        if let Some(pos) = self.entries.iter().position(|&(s, _)| s == seq) {
-            let (_, critical) = self.entries.swap_remove(pos);
-            if critical {
-                self.crit_count -= 1;
-            }
-        }
-    }
-
-    /// Removes all entries younger than `target` (flush).
-    pub fn flush_after(&mut self, target: Seq) {
-        self.entries.retain(|&(s, _)| s <= target);
-        self.crit_count = self.entries.iter().filter(|&&(_, c)| c).count();
-    }
-
-    /// Waiting entries in ascending seq order (oldest-first select).
-    pub fn entries_oldest_first(&self) -> Vec<Seq> {
-        let mut v: Vec<Seq> = self.entries.iter().map(|&(s, _)| s).collect();
-        v.sort();
-        v
+    /// A waiting uop leaves the stations: it issued, or a flush removed it.
+    pub fn remove(&mut self, critical: bool) {
+        self.len -= 1;
+        self.crit_count -= usize::from(critical);
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    #[cfg(test)]
     pub fn critical_count(&self) -> usize {
         self.crit_count
     }
@@ -142,12 +123,12 @@ mod tests {
     #[test]
     fn capacity_and_critical_limit() {
         let mut rs = ReservationStations::new(4, 2);
-        rs.insert(Seq(1), true);
-        rs.insert(Seq(2), true);
+        rs.insert(true);
+        rs.insert(true);
         assert!(!rs.has_space(true), "critical limit");
         assert!(rs.has_space(false));
-        rs.insert(Seq(3), false);
-        rs.insert(Seq(4), false);
+        rs.insert(false);
+        rs.insert(false);
         assert!(!rs.has_space(false), "full");
         assert_eq!(rs.len(), 4);
         assert_eq!(rs.critical_count(), 2);
@@ -156,28 +137,28 @@ mod tests {
     #[test]
     fn remove_updates_critical_count() {
         let mut rs = ReservationStations::new(4, 2);
-        rs.insert(Seq(1), true);
-        rs.insert(Seq(2), false);
-        rs.remove(Seq(1));
+        rs.insert(true);
+        rs.insert(false);
+        rs.remove(true);
         assert_eq!(rs.critical_count(), 0);
         assert_eq!(rs.len(), 1);
-        rs.remove(Seq(99)); // absent: no-op
-        assert_eq!(rs.len(), 1);
+        rs.remove(false);
+        assert_eq!(rs.len(), 0);
+        assert!(rs.has_space(true));
     }
 
     #[test]
-    fn flush_and_ordering() {
+    fn critical_limit_moves_without_touching_occupancy() {
         let mut rs = ReservationStations::new(8, 4);
-        for i in [5u64, 1, 3, 7] {
-            rs.insert(Seq(i), i % 2 == 1);
+        for crit in [false, true, false, true] {
+            rs.insert(crit);
         }
-        assert_eq!(
-            rs.entries_oldest_first(),
-            vec![Seq(1), Seq(3), Seq(5), Seq(7)]
-        );
-        rs.flush_after(Seq(3));
-        assert_eq!(rs.entries_oldest_first(), vec![Seq(1), Seq(3)]);
-        assert_eq!(rs.critical_count(), 2);
+        rs.set_critical_limit(2);
+        assert!(!rs.has_space(true), "two critical uops fill a limit of two");
+        assert!(rs.has_space(false));
+        rs.set_critical_limit(3);
+        assert!(rs.has_space(true));
+        assert_eq!((rs.len(), rs.critical_count(), rs.capacity()), (4, 2, 8));
     }
 
     #[test]

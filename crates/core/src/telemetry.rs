@@ -42,7 +42,9 @@ pub struct TelemetryConfig {
     /// running totals.
     pub ring_capacity: usize,
     /// Maximum events kept by the sink; once full, further events are
-    /// counted in [`Telemetry::events_dropped`] instead of stored.
+    /// counted in [`Telemetry::events_dropped`] instead of stored. The
+    /// sink keeps a slot free for the `E` of every `B` it stored, so a kept
+    /// episode always closes: it stores a `B` only with room for both.
     pub max_events: usize,
     /// Emit per-stage uop slices for the first N retired sequence numbers
     /// (requires the core's pipe trace; `0` disables uop slices).
@@ -405,8 +407,9 @@ pub struct Telemetry {
     pub intervals: IntervalSeries<IntervalSample>,
     events: Vec<TraceEvent>,
     events_dropped: u64,
-    cdf_since: Option<u64>,
-    stall_since: Option<u64>,
+    /// The open episode of each kind in [`EPISODES`]: its start cycle and
+    /// whether the sink stored its `B` (and so holds a slot for its `E`).
+    open: [Option<(u64, bool)>; 2],
     observed_cycles: u64,
 }
 
@@ -421,8 +424,7 @@ impl Telemetry {
             intervals: IntervalSeries::new(ring),
             events: Vec::new(),
             events_dropped: 0,
-            cdf_since: None,
-            stall_since: None,
+            open: [None; 2],
             observed_cycles: 0,
         }
     }
@@ -454,13 +456,25 @@ impl Telemetry {
         seq < self.cfg.uop_events
     }
 
-    /// Pushes an event, honouring the sink bound.
-    pub fn push_event(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.cfg.max_events {
+    /// Whether the sink can store `n` more events and still close every
+    /// episode whose `B` it stored.
+    fn has_room(&self, n: usize) -> bool {
+        let reserved = self.open.iter().flatten().filter(|(_, kept)| *kept).count();
+        self.events.len() + reserved + n <= self.cfg.max_events
+    }
+
+    /// Stores `ev` if `keep`, or counts it as dropped.
+    fn store(&mut self, keep: bool, ev: TraceEvent) {
+        if keep {
             self.events.push(ev);
         } else {
             self.events_dropped += 1;
         }
+    }
+
+    /// Pushes an event, honouring the sink bound.
+    pub fn push_event(&mut self, ev: TraceEvent) {
+        self.store(self.has_room(1), ev);
     }
 
     /// Called by the core once per cycle with the attribution decision and
@@ -489,12 +503,33 @@ impl Telemetry {
     }
 
     /// Tracks CDF-mode and full-window-stall episode transitions, emitting
-    /// `B`/`E` event pairs.
+    /// `B`/`E` event pairs. A `B` is stored only with room for its `E` too,
+    /// and the `E` of a stored `B` always is, so the stored pairs balance.
     pub fn track_episodes(&mut self, now: u64, cdf_active: bool, stall_active: bool) {
-        let cdf = transition(&mut self.cdf_since, now, cdf_active, CDF_EPISODE);
-        let stall = transition(&mut self.stall_since, now, stall_active, STALL_EPISODE);
-        for ev in [cdf, stall].into_iter().flatten() {
-            self.push_event(ev);
+        for (i, active) in [cdf_active, stall_active].into_iter().enumerate() {
+            let (name, cat, tid) = EPISODES[i];
+            let (ph, keep, args) = match (active, self.open[i]) {
+                (true, None) => {
+                    let keep = self.has_room(2);
+                    self.open[i] = Some((now, keep));
+                    (EventPhase::Begin, keep, vec![])
+                }
+                (false, Some((start, keep))) => {
+                    self.open[i] = None;
+                    (EventPhase::End, keep, vec![("cycles", now - start)])
+                }
+                _ => continue,
+            };
+            let ev = TraceEvent {
+                name,
+                cat,
+                ph,
+                ts: now,
+                dur: 0,
+                tid,
+                args,
+            };
+            self.store(keep, ev);
         }
     }
 
@@ -547,35 +582,10 @@ impl Telemetry {
     }
 }
 
-/// The `(name, cat, tid)` of CDF-mode episode events.
-const CDF_EPISODE: (&str, &str, u64) = ("cdf_mode", "mode", 0);
-/// The `(name, cat, tid)` of full-window-stall episode events.
-const STALL_EPISODE: (&str, &str, u64) = ("full_window_stall", "stall", 1);
-
-/// One episode kind's `B` event when it starts at `now`, or its `E` event
-/// (with its length) when it ends; `since` holds the open episode's start.
-fn transition(
-    since: &mut Option<u64>,
-    now: u64,
-    active: bool,
-    (name, cat, tid): (&'static str, &'static str, u64),
-) -> Option<TraceEvent> {
-    let (ph, args) = match (active, *since) {
-        (true, None) => (EventPhase::Begin, vec![]),
-        (false, Some(start)) => (EventPhase::End, vec![("cycles", now - start)]),
-        _ => return None,
-    };
-    *since = active.then_some(now);
-    Some(TraceEvent {
-        name,
-        cat,
-        ph,
-        ts: now,
-        dur: 0,
-        tid,
-        args,
-    })
-}
+/// The `(name, cat, tid)` of the episode kinds: CDF mode, then full-window
+/// stalls.
+const EPISODES: [(&str, &str, u64); 2] =
+    [("cdf_mode", "mode", 0), ("full_window_stall", "stall", 1)];
 
 #[cfg(test)]
 mod tests {
@@ -677,6 +687,52 @@ mod tests {
             .find(|e| e.name == "full_window_stall" && e.ph == EventPhase::End)
             .unwrap();
         assert_eq!(stall_end.args, vec![("cycles", 6)]);
+    }
+
+    /// Episodes opening and closing past the sink's bound, between flush
+    /// instants that fill it: the sink never exceeds its bound, counts
+    /// every event it does not store, and closes every `B` it stored with
+    /// an `E` before the kind's next `B`.
+    #[test]
+    fn a_full_sink_keeps_every_stored_episode_closed() {
+        for max_events in 0..12 {
+            let mut t = Telemetry::new(TelemetryConfig {
+                max_events,
+                ..TelemetryConfig::default()
+            });
+            let (mut emitted, mut was) = (0, (false, false));
+            for now in 0..=40u64 {
+                let is = if now < 40 {
+                    (now % 5 < 3, now % 7 < 2)
+                } else {
+                    (false, false)
+                };
+                t.track_episodes(now, is.0, is.1);
+                emitted += u64::from(is.0 != was.0) + u64::from(is.1 != was.1);
+                was = is;
+                if now % 3 == 0 {
+                    t.note_flush(now, "mispredict", now);
+                    emitted += 1;
+                }
+                assert!(t.events().len() <= max_events);
+            }
+            assert_eq!(t.events().len() as u64 + t.events_dropped(), emitted);
+            for (name, _, _) in EPISODES {
+                let mut open = false;
+                for e in t.events().iter().filter(|e| e.name == name) {
+                    assert_eq!(e.ph == EventPhase::End, open, "{name} at {}", e.ts);
+                    open = !open;
+                }
+                assert!(!open, "{name}'s last stored B is closed");
+            }
+            if max_events >= 8 {
+                assert!(t.events_dropped() > 0, "the flushes overflow the sink");
+                assert!(
+                    t.events().iter().any(|e| e.ph == EventPhase::Begin),
+                    "episodes are kept while there is room"
+                );
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@
 
 mod builder;
 mod exec;
+mod hash;
 mod mem_image;
 mod op;
 mod program;
@@ -56,6 +57,7 @@ mod uop;
 
 pub use builder::{BuildError, Label, ProgramBuilder};
 pub use exec::{ArchState, ExecError, Executor, StepEvent};
+pub use hash::{word_hash, WordHash, WordHasher, WordMap, WordSet};
 pub use mem_image::MemoryImage;
 pub use op::{AluOp, Cond, Op};
 pub use program::{BasicBlock, BlockId, Pc, Program};

@@ -1,6 +1,6 @@
 //! A sparse 64-bit memory image.
 
-use std::collections::HashMap;
+use crate::WordMap;
 
 /// Sparse data memory backing functional execution.
 ///
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MemoryImage {
-    words: HashMap<u64, u64>,
+    words: WordMap<u64>,
 }
 
 impl MemoryImage {

@@ -21,8 +21,9 @@
 use crate::mshr::{Mshr, MshrOutcome};
 use crate::prof::{HeapProf, TimerKind};
 use crate::MemModelKind;
+use cdf_isa::WordMap;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Event-driven Miss Status Holding Registers: the same visible semantics
 /// as [`Mshr`](crate::Mshr) (lazy reference implementation), but entries
@@ -35,7 +36,7 @@ use std::collections::{BinaryHeap, HashMap};
 pub struct EventMshr {
     capacity: usize,
     /// line address → completion cycle, entries with `done > watermark`.
-    entries: HashMap<u64, u64>,
+    entries: WordMap<u64>,
     /// Min-heap of `(completion cycle, line address)` mirroring `entries`.
     expiry: BinaryHeap<Reverse<(u64, u64)>>,
     /// Largest `now` seen; advance-only time assertion.
@@ -52,7 +53,10 @@ impl EventMshr {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         EventMshr {
             capacity,
-            entries: HashMap::with_capacity(capacity),
+            // Twice the entries it can hold: the table then always
+            // rehashes its tombstones in place instead of growing, so a
+            // full file never allocates.
+            entries: WordMap::with_capacity_and_hasher(2 * capacity, Default::default()),
             expiry: BinaryHeap::with_capacity(capacity),
             watermark: 0,
         }

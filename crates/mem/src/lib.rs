@@ -69,7 +69,7 @@ pub use hierarchy::{
     MemoryHierarchy, MshrFull, MshrLevel,
 };
 pub use mshr::{Mshr, MshrOutcome};
-pub use prefetch::{PrefetcherConfig, StreamPrefetcher};
+pub use prefetch::{PrefetchRun, PrefetcherConfig, StreamPrefetcher};
 pub use prof::MemProfReport;
 pub use shared::{CoreShareStats, MultiCoreMemory, SharedMemConfig};
 

@@ -1,6 +1,6 @@
 //! Miss Status Holding Registers.
 
-use std::collections::HashMap;
+use cdf_isa::WordMap;
 
 /// Outcome of trying to allocate an MSHR for a line miss.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,7 +34,7 @@ pub enum MshrOutcome {
 pub struct Mshr {
     capacity: usize,
     /// line address → completion cycle.
-    entries: HashMap<u64, u64>,
+    entries: WordMap<u64>,
 }
 
 impl Mshr {
@@ -47,7 +47,10 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         Mshr {
             capacity,
-            entries: HashMap::with_capacity(capacity),
+            // Twice the entries it can hold: the table then always
+            // rehashes its tombstones in place instead of growing, so a
+            // full file never allocates.
+            entries: WordMap::with_capacity_and_hasher(2 * capacity, Default::default()),
         }
     }
 

@@ -37,6 +37,54 @@ struct Stream {
     lru: u64,
 }
 
+/// The lines one demand miss asks to prefetch: `count` consecutive lines
+/// in one direction, starting next to the missing line. It iterates their
+/// byte addresses in issue order, nearest first, and is `Copy`, so training
+/// the prefetcher allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct PrefetchRun {
+    /// Line number (byte address / [`LINE_BYTES`]) of the next line.
+    line: i64,
+    /// +1 ascending, -1 descending.
+    dir: i64,
+    /// Lines left.
+    count: u32,
+}
+
+impl PrefetchRun {
+    /// No lines to prefetch.
+    const EMPTY: PrefetchRun = PrefetchRun {
+        line: 0,
+        dir: 0,
+        count: 0,
+    };
+
+    /// Whether the run holds no lines.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
+
+impl Iterator for PrefetchRun {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        self.count -= 1;
+        let addr = (self.line as u64) * LINE_BYTES;
+        self.line += self.dir;
+        Some(addr)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.count as usize, Some(self.count as usize))
+    }
+}
+
+impl ExactSizeIterator for PrefetchRun {}
+
 /// A 4KB-page-based stream prefetcher.
 ///
 /// Trained on demand accesses that miss in the L1D; after two same-direction
@@ -50,9 +98,9 @@ struct Stream {
 /// use cdf_mem::{StreamPrefetcher, PrefetcherConfig};
 /// let mut p = StreamPrefetcher::new(PrefetcherConfig::default());
 /// assert!(p.on_demand_miss(0x1000).is_empty()); // first touch: trains only
-/// let pf = p.on_demand_miss(0x1040);            // second: direction known
+/// let mut pf = p.on_demand_miss(0x1040);        // second: direction known
 /// assert!(!pf.is_empty());
-/// assert_eq!(pf[0], 0x1080);
+/// assert_eq!(pf.next(), Some(0x1080));
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamPrefetcher {
@@ -105,11 +153,11 @@ impl StreamPrefetcher {
         self.useful_total += 1;
     }
 
-    /// Trains on a demand L1D miss at `addr`; returns line addresses to
-    /// prefetch (possibly empty).
-    pub fn on_demand_miss(&mut self, addr: u64) -> Vec<u64> {
+    /// Trains on a demand L1D miss at `addr`; returns the line addresses to
+    /// prefetch (possibly none).
+    pub fn on_demand_miss(&mut self, addr: u64) -> PrefetchRun {
         if !self.cfg.enabled {
-            return Vec::new();
+            return PrefetchRun::EMPTY;
         }
         self.accesses += 1;
         self.lru_clock += 1;
@@ -138,7 +186,7 @@ impl StreamPrefetcher {
                     valid: true,
                     lru: self.lru_clock,
                 };
-                return Vec::new();
+                return PrefetchRun::EMPTY;
             }
         };
 
@@ -150,7 +198,7 @@ impl StreamPrefetcher {
             std::cmp::Ordering::Equal => 0,
         };
         if dir == 0 {
-            return Vec::new();
+            return PrefetchRun::EMPTY;
         }
         if s.dir == dir {
             s.confidence = (s.confidence + 1).min(3);
@@ -160,18 +208,17 @@ impl StreamPrefetcher {
         }
         s.last_line = line;
         if s.confidence == 0 {
-            return Vec::new();
+            return PrefetchRun::EMPTY;
         }
-        let degree = self.degree as i64;
-        let dir = s.dir;
-        let base = line as i64;
         // Prefetches may cross page boundaries, so no page filter here.
-        let out: Vec<u64> = (1..=degree)
-            .map(|k| ((base + dir * k) as u64) * LINE_BYTES)
-            .collect();
-        self.issued_window += out.len() as u64;
-        self.issued_total += out.len() as u64;
-        out
+        let run = PrefetchRun {
+            line: line as i64 + s.dir,
+            dir: s.dir,
+            count: self.degree,
+        };
+        self.issued_window += u64::from(self.degree);
+        self.issued_total += u64::from(self.degree);
+        run
     }
 
     /// FDP: raise degree when accurate, lower when polluting.
@@ -201,7 +248,7 @@ mod tests {
     fn ascending_stream_detected() {
         let mut p = pf();
         assert!(p.on_demand_miss(0x1000).is_empty());
-        let out = p.on_demand_miss(0x1040);
+        let out: Vec<u64> = p.on_demand_miss(0x1040).collect();
         assert_eq!(out.len(), p.degree() as usize);
         assert_eq!(out[0], 0x1080);
         assert!(out.windows(2).all(|w| w[1] == w[0] + LINE_BYTES));
@@ -211,8 +258,9 @@ mod tests {
     fn descending_stream_detected() {
         let mut p = pf();
         p.on_demand_miss(0x2200);
-        let out = p.on_demand_miss(0x21C0);
+        let out: Vec<u64> = p.on_demand_miss(0x21C0).collect();
         assert_eq!(out[0], 0x2180);
+        assert!(out.windows(2).all(|w| w[1] == w[0] - LINE_BYTES));
     }
 
     #[test]
@@ -221,7 +269,7 @@ mod tests {
         p.on_demand_miss(0x1000);
         p.on_demand_miss(0x1040);
         // Flip direction: retrains within the page.
-        let out = p.on_demand_miss(0x1000);
+        let out: Vec<u64> = p.on_demand_miss(0x1000).collect();
         assert!(!out.is_empty());
         assert_eq!(out[0], 0x1000 - LINE_BYTES);
     }

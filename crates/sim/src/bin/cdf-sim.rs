@@ -286,16 +286,16 @@ fn append_run(
     )
 }
 
-/// With `--record`, [`append_run`]s and says on stderr that it recorded
-/// `n` `what`.
-fn record_run(
+/// With `--record`, [`append_run`]s under the provenance `prov` reads
+/// and says on stderr that it recorded `n` `what`.
+fn record_run<'p>(
     a: &Args,
-    prov: &Provenance,
+    prov: impl FnOnce() -> &'p Provenance,
     (n, what): (usize, &str),
     build: impl FnOnce(&str, &Provenance) -> Vec<ResultRecord>,
 ) {
     if a.has("--record") {
-        let (run_id, _) = append_run(a, prov, build);
+        let (run_id, _) = append_run(a, prov(), build);
         let path = store_path(a);
         eprintln!("recorded {n} {what} to {} as run {run_id}", path.display());
     }
@@ -391,9 +391,12 @@ fn run_explain_command(a: &Args) {
         write_out(path, sweep.trace_json().render(), "trace events");
     }
     let n = (sweep.cells.len(), "cell(s)");
-    record_run(a, &sweep.provenance, n, |id, prov| {
-        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
-    });
+    record_run(
+        a,
+        || sweep.provenance(),
+        n,
+        |id, prov| cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells),
+    );
     if sweep.counts().1 > 0 {
         exit(3);
     }
@@ -406,9 +409,12 @@ fn run_sweep_command(a: &Args) {
         write_out(path, sweep.to_json().render_pretty(), "");
     }
     let n = (sweep.cells.len(), "cell(s)");
-    record_run(a, &sweep.provenance, n, |id, prov| {
-        cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
-    });
+    record_run(
+        a,
+        || sweep.provenance(),
+        n,
+        |id, prov| cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells),
+    );
     // Failed cells are recorded, not fatal — but reflect them in the exit
     // status so scripts notice.
     if sweep.counts().1 > 0 {
@@ -478,9 +484,12 @@ fn run_mix_command(a: &Args) {
     }
     // One record per core, plus the profile row of a profiled mix.
     let n = report.cores.len() + usize::from(report.profile.is_some());
-    record_run(a, &report.provenance, (n, "core(s)"), |id, prov| {
-        cdf_sim::records_from_mix(id, prov, &report)
-    });
+    record_run(
+        a,
+        || report.provenance(),
+        (n, "core(s)"),
+        |id, prov| cdf_sim::records_from_mix(id, prov, &report),
+    );
 }
 
 /// `record`: the grid, `--filter`ed, appended to the store as one run.
@@ -492,7 +501,7 @@ fn run_record_command(a: &Args) {
         eprintln!("the filter matched no cells");
         exit(2);
     }
-    let (run_id, _) = append_run(a, &sweep.provenance, |id, prov| {
+    let (run_id, _) = append_run(a, sweep.provenance(), |id, prov| {
         cdf_sim::records_from_cells(id, prov, &sweep.config.eval, &sweep.cells)
     });
     let failed = sweep.counts().1;

@@ -45,7 +45,7 @@ pub fn to_json(sweep: &Sweep, chain_limit: usize) -> Json {
     let [workloads, mechanisms] = sweep.config.axes_json();
     Json::Obj(vec![
         field("schema", EXPLAIN_SCHEMA),
-        field("provenance", provenance_json(&sweep.provenance)),
+        field("provenance", provenance_json(sweep.provenance())),
         field("gen", gen_json(&eval.gen)),
         field(
             "eval",

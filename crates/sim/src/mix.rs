@@ -39,6 +39,7 @@ use cdf_core::{
 };
 use cdf_workloads::registry;
 use cdf_workloads::Workload;
+use std::sync::OnceLock;
 
 /// Schema tag of serialized mix reports (see [`crate::schema`]).
 pub const MIX_SCHEMA: &str = schema::MIX;
@@ -125,8 +126,9 @@ pub struct MixCoreResult {
 /// A finished mix: per-core results plus shared-resource totals.
 #[derive(Clone, Debug)]
 pub struct MixReport {
-    /// Where and when the mix ran.
-    pub provenance: Provenance,
+    /// Where and when the mix ran, captured by
+    /// [`provenance`](Self::provenance) on first use.
+    provenance: OnceLock<Provenance>,
     /// The sizing the mix ran with.
     pub eval: EvalConfig,
     /// Per-core results, index = core id.
@@ -140,6 +142,14 @@ pub struct MixReport {
     /// interleaves cores on one host thread (disjoint wall intervals);
     /// shared-system timers are drained once and folded in.
     pub profile: Option<HostProfile>,
+}
+
+impl MixReport {
+    /// The provenance header, captured (spawning `git` and `rustc`) the
+    /// first time a document or store row reads it.
+    pub fn provenance(&self) -> &Provenance {
+        self.provenance.get_or_init(Provenance::capture)
+    }
 }
 
 /// Runs one mix. Workload names resolve through the full registry
@@ -267,7 +277,7 @@ pub fn run_mix(cfg: &MixConfig) -> Result<MixReport, SimError> {
         })
         .collect();
     Ok(MixReport {
-        provenance: Provenance::capture(),
+        provenance: OnceLock::new(),
         eval: cfg.eval.clone(),
         cores,
         shared,
@@ -312,7 +322,7 @@ pub fn mix_json(r: &MixReport) -> Json {
         .collect();
     let mut doc = vec![
         field("schema", schema::MIX),
-        field("provenance", provenance_json(&r.provenance)),
+        field("provenance", provenance_json(r.provenance())),
         field("gen", gen_json(&r.eval.gen)),
         field(
             "window_instructions",
@@ -481,7 +491,7 @@ mod tests {
     fn symmetric_mix_records_get_distinct_keys() {
         let cfg = quick_mix(&["lbm_like", "lbm_like"], &[Mechanism::Baseline]);
         let r = run_mix(&cfg).expect("mix runs");
-        let recs = records_from_mix("r1", &r.provenance, &r);
+        let recs = records_from_mix("r1", r.provenance(), &r);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].key.kind, "mix[lbm_like:base+lbm_like:base]");
         assert_eq!(recs[0].key.workload, "lbm_like@c0");
@@ -529,7 +539,7 @@ mod tests {
             "per-core telemetry embeds"
         );
         assert!(json.contains("cdf-profile/1"), "mix profile embeds");
-        let recs = records_from_mix("r1", &obs.provenance, &obs);
+        let recs = records_from_mix("r1", obs.provenance(), &obs);
         assert_eq!(recs.len(), 3, "two cell rows plus one profile row");
         assert_eq!(recs[2].key.kind, "profile");
         assert_eq!(recs[2].key.workload, "mix[ptr_chase:CDF+stream_hog:CDF]");

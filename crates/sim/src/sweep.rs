@@ -29,7 +29,7 @@ use cdf_core::{CdfDiagnostics, CoreMode, HostProfile, Provenance, Telemetry};
 use cdf_workloads::{registry, GenConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// The JSON schema tag stamped on every emitted sweep document.
@@ -145,8 +145,9 @@ pub struct Sweep {
     /// FNV-1a hash (hex) of the full configuration.
     pub config_hash: String,
     /// The uniform provenance header (commit, dirty flag, toolchain, host,
-    /// timestamp) captured when the sweep ran.
-    pub provenance: Provenance,
+    /// timestamp), captured by [`provenance`](Self::provenance) on first
+    /// use.
+    pub(crate) provenance: OnceLock<Provenance>,
 }
 
 /// Runs the sweep: every grid cell the filter keeps, through [`run_cell`].
@@ -162,13 +163,13 @@ pub fn run_sweep(config: &SweepConfig) -> Sweep {
         threads_used: effective_threads(config.threads, cells.len()),
         cells,
         config_hash: config_hash(config),
-        provenance: Provenance::capture(),
+        provenance: OnceLock::new(),
     }
 }
 
-/// The cells of [`run_sweep`] in grid order, without the provenance it
-/// captures (which spawns `git` and `rustc`): the equivalence workload
-/// axis compares two grids' cells and reads nothing else.
+/// The cells of [`run_sweep`] in grid order, without the rest of a
+/// [`Sweep`]: the equivalence workload axis compares two grids' cells and
+/// reads nothing else.
 pub(crate) fn sweep_cells(config: &SweepConfig) -> Vec<SweepCell> {
     let jobs: Vec<(&str, Mechanism)> = config
         .workloads
@@ -225,6 +226,13 @@ pub fn run_cell(
 }
 
 impl Sweep {
+    /// The provenance header, captured (spawning `git` and `rustc`) the
+    /// first time a document, store row or header reads it, so a sweep
+    /// that writes none of them never captures it.
+    pub fn provenance(&self) -> &Provenance {
+        self.provenance.get_or_init(Provenance::capture)
+    }
+
     /// The cell for one grid point, if it was in the grid.
     pub fn cell(&self, workload: &str, mechanism: Mechanism) -> Option<&SweepCell> {
         self.cells
@@ -275,7 +283,7 @@ impl Sweep {
         Json::Obj(vec![
             field("schema", SWEEP_SCHEMA),
             field("config_hash", self.config_hash.as_str()),
-            field("provenance", provenance_json(&self.provenance)),
+            field("provenance", provenance_json(self.provenance())),
             field("threads", self.threads_used),
             field("gen", gen_json(&self.config.eval.gen)),
             field(

@@ -237,7 +237,7 @@ mod tests {
             }],
             threads_used: 1,
             config_hash: String::new(),
-            provenance: Default::default(),
+            provenance: cdf_core::Provenance::default().into(),
         }
     }
 

@@ -22,7 +22,9 @@
 //!   stalled pipeline exits 1 with a typed error, not a panic;
 //! * `cdf-sim run` attaches every observer the grid commands attach,
 //!   printing plain `run`'s output and then one view per observer, and
-//!   writes the one-cell document and the one trace.
+//!   writes the one-cell document and the one trace;
+//! * provenance (`git`, `rustc`) is captured only when a document, store
+//!   row or header that carries it is written.
 
 use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
@@ -700,5 +702,70 @@ fn run_attaches_every_observer_and_writes_one_document_and_one_trace() {
     assert!(open.values().all(|&n| n == 0), "an unclosed span: {open:?}");
     assert!(!wall.is_empty() && !cycles.is_empty(), "both clocks traced");
     assert!(wall.is_disjoint(&cycles), "{wall:?} vs {cycles:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Provenance is captured only where it is written. Stub `git` and `rustc`,
+/// alone on `PATH`, note each call in a marker file: `run` without `--out`,
+/// `compare <workload>` and `mix` without `--out` or `--record` call
+/// neither, and `run --out` calls both once its document renders.
+#[cfg(unix)]
+#[test]
+fn provenance_is_captured_only_for_what_is_written() {
+    use std::os::unix::fs::PermissionsExt;
+    let dir = std::env::temp_dir().join(format!("cdf-provenance-{}", std::process::id()));
+    let bin = dir.join("bin");
+    std::fs::create_dir_all(&bin).expect("temp dir");
+    let marker = dir.join("called");
+    for tool in ["git", "rustc"] {
+        let path = bin.join(tool);
+        let script = format!("#!/bin/sh\necho {tool} >> '{}'\nexit 1\n", marker.display());
+        std::fs::write(&path, script).expect("stub written");
+        std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    }
+    let sized = [
+        "astar_like",
+        "--fast",
+        "--warmup",
+        "1000",
+        "--measure",
+        "1000",
+    ];
+    let run = |args: &[&str]| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_cdf-sim"));
+        for pin in [
+            "CDF_GIT_COMMIT",
+            "CDF_GIT_DIRTY",
+            "CDF_RUSTC",
+            "CDF_HOST",
+            "CDF_TIMESTAMP",
+        ] {
+            cmd.env_remove(pin);
+        }
+        let out = cmd
+            .args(args)
+            .env("PATH", &bin)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+    };
+    let mix = [
+        "mix",
+        "--workloads",
+        "mcf_like,stream_hog",
+        "--mechs",
+        "base",
+    ];
+    for command in [&["run", sized[0]][..], &["compare", sized[0]], &mix] {
+        run(&[command, &sized[1..]].concat());
+        assert!(!marker.exists(), "`{}` captured provenance", command[0]);
+    }
+    let doc = dir.join("run.json");
+    run(&[&["run"][..], &sized, &["--out", doc.to_str().unwrap()]].concat());
+    let called = std::fs::read_to_string(&marker).expect("`run --out` captured provenance");
+    assert!(
+        called.contains("git") && called.contains("rustc"),
+        "{called}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
