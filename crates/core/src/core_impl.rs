@@ -9,11 +9,11 @@
 //! workload and mode.
 
 use crate::cdf_engine::{CdfEngine, CmqEntry, DbqEntry};
-use crate::config::{BoundaryKind, CoreConfig, CoreMode, SchedulerKind};
+use crate::config::{CoreConfig, CoreMode, SchedulerKind};
 use crate::fill_buffer::FbEntry;
 use crate::frontend::{DecodePipe, FetchedUop};
 use crate::lsq::{ForwardResult, Lsq};
-use crate::memport::{MemSide, MessagePort};
+use crate::memport::MemSide;
 use crate::partition::{PartitionController, Resize};
 use crate::pre::RunaheadState;
 use crate::regfile::{Rat, RatKind, RegFile, RenameLog, RenameLogEntry};
@@ -177,26 +177,19 @@ pub struct Core<'p> {
 }
 
 impl<'p> Core<'p> {
-    /// Builds a core over `program` with the given initial data memory.
-    /// The private memory system sits behind the boundary selected by
-    /// `cfg.boundary` (request/response by default; the direct-call
-    /// reference for equivalence runs).
+    /// Builds a core over `program` with the given initial data memory and
+    /// a private memory hierarchy built from `cfg.mem`.
     pub fn new(program: &'p Program, mem: MemoryImage, cfg: CoreConfig) -> Core<'p> {
-        let hierarchy = MemoryHierarchy::with_model(cfg.mem.clone(), cfg.mem_model);
-        let memsys = match cfg.boundary {
-            BoundaryKind::RequestResponse => MemSide::Message(MessagePort::new(hierarchy)),
-            BoundaryKind::ReferenceDirect => MemSide::Direct(hierarchy),
-        };
+        let memsys = MemSide::Private(Box::new(MemoryHierarchy::new(cfg.mem.clone())));
         Core::with_memsys(program, mem, cfg, memsys)
     }
 
     /// Builds core `core_id` of a multi-core system: its memory requests go
     /// to `sys`, the [`MultiCoreMemory`] it shares with its co-runners
     /// (private L1 slice, shared LLC/MSHR pool/DRAM). `sys` was built from
-    /// one core's `cfg.mem` and `cfg.mem_model` (the first core's, in
+    /// one core's `cfg.mem` (the first core's, in
     /// [`MultiCore::new`](crate::MultiCore::new)), so this core's must
-    /// match them; `cfg.boundary` is ignored (a shared port is
-    /// message-passing by construction).
+    /// match it.
     pub fn new_shared(
         program: &'p Program,
         mem: MemoryImage,
@@ -695,8 +688,8 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Memory-port envelope: counts (and on sampled cycles times) the
-    /// synchronous [`MemSide::access`] call under
+    /// Memory port: counts (and on sampled cycles times) the
+    /// [`MemSide::access`] call under
     /// [`crate::prof::Subsystem::MemPort`] when profiling is on.
     #[inline]
     fn mem_access(

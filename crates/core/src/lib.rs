@@ -88,14 +88,15 @@ mod sched;
 mod stats;
 mod types;
 
-pub use cdf_mem::{CoreShareStats, DramStats, MemModelKind, MultiCoreMemory, SharedMemConfig};
+pub use cdf_mem::{CoreShareStats, DramStats, MultiCoreMemory, SharedMemConfig};
 pub use config::{
-    BoundaryKind, CdfConfig, CoreConfig, CoreMode, ExecPorts, PreConfig, SchedulerKind,
+    BoundaryKind, CdfConfig, CoreConfig, CoreMode, ExecPorts, MemModelKind, PreConfig,
+    SchedulerKind,
 };
 pub use core_impl::Core;
 pub use diag::{CdfDiagnostics, ChainRecord, Coverage, DiagIntervalSample, MAX_CHAIN_RECORDS};
 pub use grid::{ConfigGrid, ConfigPoint};
-pub use memport::{MemReqKind, MemRequest, MemResponse, MemSide, MemView, MessagePort};
+pub use memport::{MemSide, MemView};
 pub use multicore::{CoreOutcome, MultiCore, SharedStatsReport};
 pub use prof::{
     CountingAlloc, HostProf, HostProfile, Stage, StageSample, Subsystem, SubsystemSample,

@@ -8,7 +8,7 @@
 //! [`CdfDiagnostics`](crate::diag::CdfDiagnostics) — that splits each cycle
 //! of the per-cycle loop into its pipeline stages and counts heap churn per
 //! stage through [`CountingAlloc`]. Subsystem boundaries (scheduler
-//! wakeup/select, the MSHR/MLP completion heaps, the memport envelope, the
+//! wakeup/select, the MSHR/MLP completion heaps, the memory port, the
 //! shared LLC) get their own timers, placed *inside* the stages; the stage
 //! rows alone answer the totality question.
 //!
@@ -113,8 +113,9 @@ pub enum Subsystem {
     SchedWake,
     /// Event-driven scheduler select loop.
     SchedSelect,
-    /// The core↔memory boundary envelope (demand accesses, runahead
-    /// prefetches, MLP samples through [`MemSide`](crate::MemSide)).
+    /// The core↔memory boundary: the access calls themselves (demand
+    /// accesses, runahead prefetches, MLP samples through
+    /// [`MemSide`](crate::MemSide)), with the memory system's work inside.
     MemPort,
     /// MSHR completion-heap operations (from `cdf-mem`).
     MshrHeap,

@@ -1,37 +1,40 @@
-//! Event-wheel bookkeeping for the event-driven memory model.
+//! Event-wheel bookkeeping of outstanding misses.
 //!
-//! The reference hierarchy tracks outstanding misses with lazily-filtered
-//! `HashMap`s and `Vec`s: every query rescans the container and compares
-//! each completion cycle against `now`. That is O(capacity) per access and
-//! per cycle. The structures here key the same state on completion cycles
-//! in a min-heap instead, so expiry pops exactly the entries whose time has
-//! come and every query is O(1) (map lookup / heap peek) amortized.
+//! Every MSHR file and every MLP tracker keys its entries on completion
+//! cycles in a min-heap, so expiry pops exactly the entries whose time has
+//! come and every query is O(1) (map lookup / heap peek) amortized. The
+//! invariant behind every query: after `advance(now)` exactly the entries
+//! with `done > now` remain (the completion cycle itself counts as done).
+//! That holds as long as `now` never moves backwards, which the core
+//! guarantees (all call sites pass its monotonic cycle counter) and a debug
+//! watermark asserts.
 //!
-//! Both implementations are kept compiled and runtime-selectable via
-//! [`MemModelKind`](crate::MemModelKind): the memory system holds every
-//! MSHR file as an [`MshrFile`] and every MLP tracker as an [`MlpTracker`],
-//! which dispatch to one or the other. The `cdf-sim equiv --mem`
-//! harness proves them bit-identical. The equivalence argument is small:
-//! queries on the lazy structures filter by `done > now`, and the event
-//! structures maintain the invariant that after `advance(now)` exactly the
-//! entries with `done > now` remain — identical visible state as long as
-//! `now` never moves backwards, which the core guarantees (all call sites
-//! pass its monotonic cycle counter) and a debug watermark asserts.
+//! The memory system holds each MSHR file as an [`MshrFile`] and each MLP
+//! tracker as an [`MlpTracker`]: the structure plus an optional host timer.
 
-use crate::mshr::{Mshr, MshrOutcome};
 use crate::prof::{HeapProf, TimerKind};
-use crate::MemModelKind;
 use cdf_isa::WordMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Event-driven Miss Status Holding Registers: the same visible semantics
-/// as [`Mshr`](crate::Mshr) (lazy reference implementation), but entries
-/// retire on a completion-cycle min-heap instead of being rescanned.
+/// Outcome of trying to allocate an MSHR for a line miss.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MshrOutcome {
+    /// The line already has an outstanding miss; the new request merges and
+    /// completes at the recorded cycle.
+    Merged(u64),
+    /// A new entry was allocated.
+    Allocated,
+    /// All entries are in use — the requester must retry later. This is the
+    /// mechanism that bounds memory-level parallelism.
+    Full,
+}
+
+/// A fixed-capacity set of Miss Status Holding Registers keyed by line
+/// address, whose entries retire on a completion-cycle min-heap.
 ///
-/// Requires monotonically non-decreasing `now` across calls; the lazy
-/// implementation tolerates time moving backwards, this one asserts it
-/// away (debug builds) because popped entries cannot be resurrected.
+/// Requires monotonically non-decreasing `now` across calls (asserted in
+/// debug builds): popped entries cannot be resurrected.
 #[derive(Clone, Debug)]
 pub struct EventMshr {
     capacity: usize,
@@ -63,10 +66,10 @@ impl EventMshr {
     }
 
     /// Pops every entry whose completion cycle has passed (the completion
-    /// cycle itself counts as done, matching the reference `done > now`
-    /// filter). `entries` and `expiry` stay in bijection: lines are
-    /// inserted into both together and only removed here, and a line
-    /// cannot be re-allocated while still present in `entries`.
+    /// cycle itself counts as done). `entries` and `expiry` stay in
+    /// bijection: lines are inserted into both together and only removed
+    /// here, and a line cannot be re-allocated while still present in
+    /// `entries`.
     fn advance(&mut self, now: u64) {
         debug_assert!(
             now >= self.watermark,
@@ -84,8 +87,8 @@ impl EventMshr {
         }
     }
 
-    /// Attempts to track a miss of `line` completing at `completes_at`.
-    /// Same contract as [`Mshr::try_alloc`](crate::Mshr::try_alloc).
+    /// Attempts to track a miss of `line` that will complete at
+    /// `completes_at`. See [`MshrOutcome`].
     pub fn try_alloc(&mut self, line: u64, now: u64, completes_at: u64) -> MshrOutcome {
         self.advance(now);
         if let Some(&done) = self.entries.get(&line) {
@@ -121,8 +124,9 @@ impl EventMshr {
         self.capacity
     }
 
-    /// The soonest cycle at which an outstanding entry completes — a heap
-    /// peek instead of the reference implementation's full-map minimum.
+    /// The soonest cycle at which an outstanding entry completes and frees
+    /// its register — the retry hint carried by MSHR-full backpressure; a
+    /// heap peek.
     pub fn earliest_release(&mut self, now: u64) -> Option<u64> {
         self.advance(now);
         self.expiry.peek().map(|&Reverse((done, _))| done)
@@ -130,9 +134,7 @@ impl EventMshr {
 }
 
 /// Outstanding-demand-miss tracker for MLP measurement (Fig. 14): a
-/// completion-cycle min-heap, popped on advance, counted in O(1) — versus
-/// the reference `Vec` that is `retain`ed on every insert and filtered on
-/// every per-cycle sample.
+/// completion-cycle min-heap, popped on advance, counted in O(1).
 #[derive(Clone, Debug, Default)]
 pub struct EventOutstanding {
     heap: BinaryHeap<Reverse<u64>>,
@@ -157,31 +159,20 @@ impl EventOutstanding {
     }
 }
 
-/// An MSHR file, dispatching to the lazy or event-driven implementation.
-/// All methods take `&mut self` because the event model advances its
-/// expiry heap on every query. Every operation is counted by an optional
-/// host timer ([`HeapProf`]), which times it on sampled cycles, so profiled
+/// An [`EventMshr`] whose every operation is counted by an optional host
+/// timer ([`HeapProf`]), which times it on sampled cycles, so profiled
 /// runs can attribute wall time to MSHR bookkeeping; an unprofiled file
 /// pays one null check per call.
 #[derive(Clone, Debug)]
 pub(crate) struct MshrFile {
-    imp: MshrImpl,
+    mshr: EventMshr,
     pub(crate) prof: Option<Box<HeapProf>>,
 }
 
-#[derive(Clone, Debug)]
-enum MshrImpl {
-    Lazy(Mshr),
-    Event(EventMshr),
-}
-
 impl MshrFile {
-    pub(crate) fn new(capacity: usize, model: MemModelKind) -> MshrFile {
+    pub(crate) fn new(capacity: usize) -> MshrFile {
         MshrFile {
-            imp: match model {
-                MemModelKind::EventDriven => MshrImpl::Event(EventMshr::new(capacity)),
-                MemModelKind::ReferenceLazy => MshrImpl::Lazy(Mshr::new(capacity)),
-            },
+            mshr: EventMshr::new(capacity),
             prof: None,
         }
     }
@@ -195,47 +186,32 @@ impl MshrFile {
 
     pub(crate) fn try_alloc(&mut self, line: u64, now: u64, completes_at: u64) -> MshrOutcome {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.try_alloc(line, now, completes_at),
-            MshrImpl::Event(m) => m.try_alloc(line, now, completes_at),
-        };
+        let r = self.mshr.try_alloc(line, now, completes_at);
         self.finish(t0);
         r
     }
 
     pub(crate) fn outstanding(&mut self, line: u64, now: u64) -> Option<u64> {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.outstanding(line, now),
-            MshrImpl::Event(m) => m.outstanding(line, now),
-        };
+        let r = self.mshr.outstanding(line, now);
         self.finish(t0);
         r
     }
 
     pub(crate) fn len(&mut self, now: u64) -> usize {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.len(now),
-            MshrImpl::Event(m) => m.len(now),
-        };
+        let r = self.mshr.len(now);
         self.finish(t0);
         r
     }
 
     pub(crate) fn capacity(&self) -> usize {
-        match &self.imp {
-            MshrImpl::Lazy(m) => m.capacity(),
-            MshrImpl::Event(m) => m.capacity(),
-        }
+        self.mshr.capacity()
     }
 
     pub(crate) fn earliest_release(&mut self, now: u64) -> Option<u64> {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MshrHeap, now);
-        let r = match &mut self.imp {
-            MshrImpl::Lazy(m) => m.earliest_release(now),
-            MshrImpl::Event(m) => m.earliest_release(now),
-        };
+        let r = self.mshr.earliest_release(now);
         self.finish(t0);
         r
     }
@@ -244,31 +220,13 @@ impl MshrFile {
 /// Completion cycles of outstanding *demand* LLC misses, for MLP
 /// measurement (merged and prefetch requests are not double counted).
 /// Operations carry the same optional host timer as [`MshrFile`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct MlpTracker {
-    imp: MlpImpl,
+    misses: EventOutstanding,
     pub(crate) prof: Option<Box<HeapProf>>,
 }
 
-#[derive(Clone, Debug)]
-enum MlpImpl {
-    /// Reference: `retain` on insert, filter-count on sample.
-    Lazy(Vec<u64>),
-    /// Event-driven: min-heap popped as completions pass.
-    Event(EventOutstanding),
-}
-
 impl MlpTracker {
-    pub(crate) fn new(model: MemModelKind) -> MlpTracker {
-        MlpTracker {
-            imp: match model {
-                MemModelKind::EventDriven => MlpImpl::Event(EventOutstanding::default()),
-                MemModelKind::ReferenceLazy => MlpImpl::Lazy(Vec::new()),
-            },
-            prof: None,
-        }
-    }
-
     #[inline]
     fn finish(&mut self, t0: Option<std::time::Instant>) {
         if let Some(p) = self.prof.as_mut() {
@@ -278,22 +236,13 @@ impl MlpTracker {
 
     pub(crate) fn note(&mut self, done: u64, now: u64) {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
-        match &mut self.imp {
-            MlpImpl::Lazy(v) => {
-                v.retain(|&d| d > now);
-                v.push(done);
-            }
-            MlpImpl::Event(h) => h.note(done),
-        }
+        self.misses.note(done);
         self.finish(t0);
     }
 
     pub(crate) fn outstanding(&mut self, now: u64) -> usize {
         let t0 = HeapProf::start(self.prof.is_some(), TimerKind::MlpHeap, now);
-        let r = match &mut self.imp {
-            MlpImpl::Lazy(v) => v.iter().filter(|&&d| d > now).count(),
-            MlpImpl::Event(h) => h.outstanding(now),
-        };
+        let r = self.misses.outstanding(now);
         self.finish(t0);
         r
     }
@@ -303,6 +252,7 @@ impl MlpTracker {
 mod tests {
     use super::*;
 
+    /// Merge, full, and a slot freed by expiry.
     #[test]
     fn matches_reference_doctest_sequence() {
         let mut m = EventMshr::new(2);
@@ -320,6 +270,25 @@ mod tests {
         assert_eq!(m.outstanding(0x0, 9), Some(10));
         assert_eq!(m.outstanding(0x0, 10), None);
         assert!(m.is_empty(10));
+    }
+
+    #[test]
+    fn outstanding_and_len() {
+        let mut m = EventMshr::new(4);
+        m.try_alloc(0x0, 0, 10);
+        m.try_alloc(0x40, 0, 20);
+        assert_eq!(m.outstanding(0x0, 5), Some(10));
+        assert_eq!(m.len(5), 2);
+        assert!(!m.is_empty(5));
+        assert_eq!(m.len(15), 1);
+        assert!(m.is_empty(25));
+        assert_eq!(m.capacity(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero")]
+    fn zero_capacity_panics() {
+        EventMshr::new(0);
     }
 
     #[test]
@@ -343,62 +312,5 @@ mod tests {
         assert_eq!(s.outstanding(10), 2);
         assert_eq!(s.outstanding(19), 2);
         assert_eq!(s.outstanding(20), 0);
-    }
-
-    /// The two MSHR files against each other, counted instead of timed, on
-    /// a stream of independent hashed misses into 128-entry files: up to
-    /// two a cycle, each outstanding 200–263 cycles, so the files sit full
-    /// and a rejected miss waits for the retry hint. Each miss makes the
-    /// calls an L1D miss makes (merge lookup, occupancy check, then the
-    /// retry hint or the allocation) on both files in lockstep. The lazy
-    /// file walks its whole map in every `retain` (`try_alloc`) and filter
-    /// (`len`, `earliest_release`); the event file pops expired entries and
-    /// peeks once per call.
-    #[test]
-    fn lazy_file_walks_more_entries_than_the_event_file_pops() {
-        const CAPACITY: usize = 128;
-        let mut lazy = Mshr::new(CAPACITY);
-        let mut event = EventMshr::new(CAPACITY);
-        // Entries in the lazy map: only `try_alloc` changes it, leaving
-        // exactly the entries outstanding at its `now`.
-        let mut lazy_entries = 0u64;
-        let (mut walked, mut heap_ops) = (0u64, 0u64);
-        let (mut miss, mut retry_at) = (0u64, 0u64);
-        for now in 0..20_000u64 {
-            for _port in 0..2 {
-                if now < retry_at {
-                    break;
-                }
-                let line = (miss.wrapping_mul(0x9E37_79B9) & ((1 << 22) - 1)) & !63;
-                let done = now + 200 + (line >> 6) % 64;
-                // The first call at `now` pops what expired; later calls at
-                // the same `now` only peek.
-                let queued = event.expiry.len();
-                let merge = lazy.outstanding(line, now);
-                assert_eq!(event.outstanding(line, now), merge);
-                heap_ops += 1 + (queued - event.expiry.len()) as u64;
-                let occupied = lazy.len(now);
-                assert_eq!(event.len(now), occupied);
-                walked += lazy_entries;
-                heap_ops += 1;
-                if merge.is_none() && occupied >= CAPACITY {
-                    retry_at = lazy.earliest_release(now).expect("a full file");
-                    assert_eq!(event.earliest_release(now), Some(retry_at));
-                    walked += lazy_entries;
-                    heap_ops += 1;
-                    break;
-                }
-                let outcome = lazy.try_alloc(line, now, done);
-                assert_eq!(event.try_alloc(line, now, done), outcome);
-                walked += lazy_entries;
-                heap_ops += 1;
-                lazy_entries = lazy.len(now) as u64;
-                miss += 1;
-            }
-        }
-        assert!(
-            10 * walked >= 12 * heap_ops,
-            "lazy walks {walked} entries, event pops and peeks {heap_ops} over {miss} misses"
-        );
     }
 }

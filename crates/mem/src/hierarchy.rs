@@ -56,34 +56,6 @@ impl Default for MemConfig {
     }
 }
 
-/// Which bookkeeping implementation the memory system runs on, private
-/// hierarchies and mixes alike. Both produce bit-identical timing and
-/// statistics (proven by `cdf-sim equiv --mem`); only the cost of tracking
-/// outstanding misses differs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MemModelKind {
-    /// Outstanding misses retire on completion-cycle min-heaps
-    /// ([`EventMshr`](crate::EventMshr)): O(1) occupancy queries and
-    /// per-cycle MLP samples. Requires monotonically non-decreasing access
-    /// times, which the core guarantees. The default.
-    #[default]
-    EventDriven,
-    /// The original lazy implementation ([`Mshr`](crate::Mshr) + `Vec`
-    /// retain/filter): every query rescans entries against `now`. Kept
-    /// compiled as the equivalence oracle.
-    ReferenceLazy,
-}
-
-impl MemModelKind {
-    /// Stable label used in serialized reports and result-store keys.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MemModelKind::EventDriven => "mem-event",
-            MemModelKind::ReferenceLazy => "mem-lazy",
-        }
-    }
-}
-
 /// What kind of access the core is performing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AccessKind {
@@ -219,27 +191,16 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Creates a hierarchy from a configuration, using the default
-    /// (event-driven) bookkeeping model.
+    /// Creates a hierarchy from a configuration.
     pub fn new(cfg: MemConfig) -> MemoryHierarchy {
-        MemoryHierarchy::with_model(cfg, MemModelKind::default())
-    }
-
-    /// Creates a hierarchy running on an explicit bookkeeping model.
-    pub fn with_model(cfg: MemConfig, model: MemModelKind) -> MemoryHierarchy {
         MemoryHierarchy {
-            sys: MultiCoreMemory::with_model(SharedMemConfig { cores: 1, mem: cfg }, model),
+            sys: MultiCoreMemory::new(SharedMemConfig { cores: 1, mem: cfg }),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &MemConfig {
         &self.sys.config().mem
-    }
-
-    /// The bookkeeping model this hierarchy runs on.
-    pub fn model(&self) -> MemModelKind {
-        self.sys.model()
     }
 
     /// The one-core system this hierarchy is; its core 0 is this
@@ -575,66 +536,5 @@ mod tests {
         m.access(0x5000, AccessKind::Load, 0, false);
         assert_eq!(m.system().llc_occupancy(0), 1);
         assert_eq!(m.system().config().cores, 1);
-    }
-
-    /// Both bookkeeping models, driven with the identical access sequence,
-    /// agree on every outcome and every statistic (the in-crate smoke
-    /// version of the `cdf-sim equiv --mem` proof).
-    #[test]
-    fn models_agree_on_mixed_sequence() {
-        let cfg = MemConfig {
-            l1d_mshrs: 4,
-            llc_mshrs: 3,
-            ..MemConfig::default()
-        };
-        let mut event = MemoryHierarchy::with_model(cfg.clone(), MemModelKind::EventDriven);
-        let mut lazy = MemoryHierarchy::with_model(cfg, MemModelKind::ReferenceLazy);
-        assert_eq!(event.model(), MemModelKind::EventDriven);
-        assert_eq!(lazy.model(), MemModelKind::ReferenceLazy);
-
-        let mut now = 0u64;
-        let mut x = 0x1234_5678u64;
-        for i in 0..4000u64 {
-            // Deterministic mixed pattern: streams, random lines, stores,
-            // fetches, occasional runahead prefetches; bursty timing so
-            // MSHRs saturate and drain.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            now += x % 7;
-            let addr = match i % 4 {
-                0 => 0x10_0000 + (i / 4) * LINE_BYTES, // ascending stream
-                1 => (x >> 16) & 0x3F_FFC0,            // random line
-                2 => 0x40_0000 + (x & 0xFFF8),         // hot region
-                _ => 0x80_0000 + (i % 512) * 8,        // fetch region
-            };
-            let kind = match i % 4 {
-                3 => AccessKind::InstFetch,
-                2 => AccessKind::Store,
-                _ => AccessKind::Load,
-            };
-            let a = event.access(addr, kind, now, i % 64 == 9);
-            let b = lazy.access(addr, kind, now, i % 64 == 9);
-            assert_eq!(a, b, "access {i} at cycle {now} diverged");
-            if i % 16 == 5 {
-                assert_eq!(
-                    event.runahead_prefetch(addr ^ 0x1_0000, now),
-                    lazy.runahead_prefetch(addr ^ 0x1_0000, now)
-                );
-            }
-            assert_eq!(
-                event.outstanding_demand_misses(now),
-                lazy.outstanding_demand_misses(now),
-                "MLP sample {i} diverged"
-            );
-        }
-        assert_eq!(event.stats(), lazy.stats());
-        assert_eq!(event.l1d_stats(), lazy.l1d_stats());
-        assert_eq!(event.llc_stats(), lazy.llc_stats());
-        assert_eq!(event.dram_stats(), lazy.dram_stats());
-        assert!(
-            event.stats().rejections > 0,
-            "sequence exercised backpressure"
-        );
     }
 }

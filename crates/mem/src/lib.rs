@@ -23,13 +23,11 @@
 //! LLC MSHR pool and DRAM, and the private [`MemoryHierarchy`] a single
 //! core talks to is that system with one core.
 //!
-//! Outstanding-miss bookkeeping comes in two runtime-selectable, bit-
-//! identical implementations ([`MemModelKind`]): the lazy reference
-//! (`HashMap`/`Vec` rescanned against `now` on every query) and the
-//! event-driven default ([`EventMshr`]/[`EventOutstanding`] min-heaps
-//! popped as completion cycles pass). DRAM bank/channel occupancy and
-//! prefetcher training are already keyed by completion cycles and shared
-//! verbatim between the two.
+//! Outstanding misses are kept on completion-cycle min-heaps
+//! ([`EventMshr`] for every MSHR file, [`EventOutstanding`] for every MLP
+//! tracker), popped as completion cycles pass, so occupancy queries and
+//! per-cycle MLP samples cost O(1) instead of a rescan. DRAM bank/channel
+//! occupancy and prefetcher training are keyed by completion cycles too.
 //!
 //! ```
 //! use cdf_mem::{MemoryHierarchy, MemConfig, AccessKind};
@@ -56,19 +54,17 @@ mod cache;
 mod dram;
 mod event;
 mod hierarchy;
-mod mshr;
 mod prefetch;
 pub mod prof;
 mod shared;
 
 pub use cache::{Cache, CacheConfig, Eviction};
 pub use dram::{Dram, DramConfig, DramStats};
-pub use event::{EventMshr, EventOutstanding};
+pub use event::{EventMshr, EventOutstanding, MshrOutcome};
 pub use hierarchy::{
-    AccessKind, AccessOutcome, AccessResult, HitLevel, MemConfig, MemModelKind, MemStats,
-    MemoryHierarchy, MshrFull, MshrLevel,
+    AccessKind, AccessOutcome, AccessResult, HitLevel, MemConfig, MemStats, MemoryHierarchy,
+    MshrFull, MshrLevel,
 };
-pub use mshr::{Mshr, MshrOutcome};
 pub use prefetch::{PrefetchRun, PrefetcherConfig, StreamPrefetcher};
 pub use prof::MemProfReport;
 pub use shared::{CoreShareStats, MultiCoreMemory, SharedMemConfig};

@@ -42,7 +42,7 @@ pub enum TimerKind {
     SchedWake,
     /// `cdf-core`'s scheduler select timer.
     SchedSelect,
-    /// `cdf-core`'s memory-port envelope timer.
+    /// `cdf-core`'s memory-port timer.
     MemPort,
     /// MSHR completion-heap operations.
     MshrHeap,

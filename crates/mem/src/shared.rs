@@ -8,8 +8,8 @@
 //! fill/eviction/writeback/prefetch ordering): the private
 //! [`MemoryHierarchy`](crate::MemoryHierarchy) is this system with one core,
 //! so a single-core run and a mix read their LLC misses, MLP and DRAM
-//! traffic off the same code. Every MSHR file and MLP tracker runs on the
-//! system's [`MemModelKind`].
+//! traffic off the same code. Every MSHR file and MLP tracker is a
+//! completion-cycle heap ([`crate::EventMshr`], [`crate::EventOutstanding`]).
 //!
 //! On top of the access algorithm the system keeps the contention
 //! accounting a multi-core mix needs:
@@ -42,13 +42,11 @@
 
 use crate::cache::Cache;
 use crate::dram::{Dram, DramStats};
-use crate::event::{MlpTracker, MshrFile};
+use crate::event::{MlpTracker, MshrFile, MshrOutcome};
 use crate::hierarchy::{
-    AccessKind, AccessOutcome, AccessResult, HitLevel, MemConfig, MemModelKind, MemStats, MshrFull,
-    MshrLevel,
+    AccessKind, AccessOutcome, AccessResult, HitLevel, MemConfig, MemStats, MshrFull, MshrLevel,
 };
 use crate::line_addr;
-use crate::mshr::MshrOutcome;
 use crate::prefetch::StreamPrefetcher;
 use crate::prof::{HeapProf, MemProfReport, TimerKind};
 use std::cmp::Reverse;
@@ -115,7 +113,6 @@ struct CoreL1 {
 #[derive(Clone, Debug)]
 pub struct MultiCoreMemory {
     cfg: SharedMemConfig,
-    model: MemModelKind,
     cores: Vec<CoreL1>,
     llc: Cache,
     llc_mshr: MshrFile,
@@ -136,32 +133,21 @@ pub struct MultiCoreMemory {
 }
 
 impl MultiCoreMemory {
-    /// Creates a memory system using the default (event-driven)
-    /// bookkeeping model.
+    /// Creates a memory system.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.cores` is zero.
     pub fn new(cfg: SharedMemConfig) -> MultiCoreMemory {
-        MultiCoreMemory::with_model(cfg, MemModelKind::default())
-    }
-
-    /// Creates a memory system whose MSHR files and MLP trackers run on
-    /// `model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.cores` is zero.
-    pub fn with_model(cfg: SharedMemConfig, model: MemModelKind) -> MultiCoreMemory {
         assert!(cfg.cores > 0, "a shared memory system needs cores");
         let m = &cfg.mem;
         let cores = (0..cfg.cores)
             .map(|_| CoreL1 {
                 l1i: Cache::new(m.l1i),
                 l1d: Cache::new(m.l1d),
-                l1d_mshr: MshrFile::new(m.l1d_mshrs, model),
+                l1d_mshr: MshrFile::new(m.l1d_mshrs),
                 prefetcher: StreamPrefetcher::new(m.prefetcher),
-                demand_outstanding: MlpTracker::new(model),
+                demand_outstanding: MlpTracker::default(),
                 stats: MemStats::default(),
                 share: CoreShareStats::default(),
             })
@@ -169,14 +155,13 @@ impl MultiCoreMemory {
         MultiCoreMemory {
             cores,
             llc: Cache::new(m.llc),
-            llc_mshr: MshrFile::new(m.llc_mshrs, model),
+            llc_mshr: MshrFile::new(m.llc_mshrs),
             dram: Dram::new(m.dram),
             stats: MemStats::default(),
             inflight: vec![0; cfg.cores],
             inflight_expiry: BinaryHeap::new(),
             total_steals: 0,
             prof: None,
-            model,
             cfg,
         }
     }
@@ -217,11 +202,6 @@ impl MultiCoreMemory {
     /// The configuration.
     pub fn config(&self) -> &SharedMemConfig {
         &self.cfg
-    }
-
-    /// The bookkeeping model every MSHR file and MLP tracker runs on.
-    pub fn model(&self) -> MemModelKind {
-        self.model
     }
 
     /// Retires in-flight-per-core entries whose completion cycle has
@@ -307,8 +287,8 @@ impl MultiCoreMemory {
         let line = line_addr(addr);
         self.advance_inflight(now);
 
-        // --- Admission (no mutation of architectural state; the event
-        // model may advance its expiry heaps, which is not visible). The
+        // --- Admission (no mutation of architectural state; the MSHR
+        // files may advance their expiry heaps, which is not visible). The
         // probes mirror exactly the lookups the accepted path performs, so
         // acceptance here cannot turn into a structural conflict below.
         let l1_hit = if is_inst {
@@ -549,8 +529,8 @@ impl MultiCoreMemory {
     }
 
     /// `core`'s demand LLC misses still outstanding at `now` (its MLP
-    /// sample). Takes `&mut self` because the event-driven model retires
-    /// completed entries here instead of rescanning them on every sample.
+    /// sample). Takes `&mut self` because the tracker retires completed
+    /// entries here instead of rescanning them on every sample.
     pub fn outstanding_demand_misses(&mut self, core: usize, now: u64) -> usize {
         self.cores[core].demand_outstanding.outstanding(now)
     }
@@ -761,47 +741,29 @@ mod tests {
         pair.check_invariants(u64::MAX / 2);
     }
 
-    /// Both bookkeeping models conserve the shared pool, and agree on every
-    /// outcome and counter, with two cores contending for it.
+    /// The shared pool stays conserved, and backpressures, with two cores
+    /// contending for it.
     #[test]
-    fn two_cores_conserve_the_shared_pool_under_both_models() {
-        let cfg = SharedMemConfig {
+    fn two_cores_conserve_the_shared_pool() {
+        let mut m = MultiCoreMemory::new(SharedMemConfig {
             cores: 2,
             mem: small_cfg(),
-        };
-        let mut event = MultiCoreMemory::with_model(cfg.clone(), MemModelKind::EventDriven);
-        let mut lazy = MultiCoreMemory::with_model(cfg, MemModelKind::ReferenceLazy);
-        assert_eq!(lazy.model(), MemModelKind::ReferenceLazy);
+        });
         drive(&mut |addr, kind, now, wp, _| {
             // Core 1 hammers a conflicting region at the same cycles.
-            let a = [
-                event.access(0, addr, kind, now, wp),
-                event.access(1, addr ^ 0x100_0000, kind, now, wp),
-            ];
-            let b = [
-                lazy.access(0, addr, kind, now, wp),
-                lazy.access(1, addr ^ 0x100_0000, kind, now, wp),
-            ];
-            assert_eq!(a, b, "models diverged at cycle {now}");
-            event.check_invariants(now);
-            lazy.check_invariants(now);
+            m.access(0, addr, kind, now, wp);
+            m.access(1, addr ^ 0x100_0000, kind, now, wp);
+            m.check_invariants(now);
         });
         assert!(
-            event.shared_stats().rejections > 0,
+            m.shared_stats().rejections > 0,
             "the tiny pool must have backpressured"
         );
-        assert!(event.dram_stats().reads > 0);
+        assert!(m.dram_stats().reads > 0);
         assert!(
-            event.channel_busy().iter().sum::<u64>() > 0,
+            m.channel_busy().iter().sum::<u64>() > 0,
             "channel busy counters must accumulate"
         );
-        for core in 0..2 {
-            assert_eq!(event.core_stats(core), lazy.core_stats(core));
-            assert_eq!(event.core_share(core), lazy.core_share(core));
-            assert_eq!(event.llc_occupancy(core), lazy.llc_occupancy(core));
-        }
-        assert_eq!(event.dram_stats(), lazy.dram_stats());
-        assert_eq!(event.total_steals(), lazy.total_steals());
     }
 
     #[test]

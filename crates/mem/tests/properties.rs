@@ -1,9 +1,9 @@
 //! Property tests for the memory system: the set-associative cache against a
-//! reference LRU model, MSHR bookkeeping, and DRAM timing sanity.
+//! reference LRU model, MSHR and MLP bookkeeping against eager models, and
+//! DRAM timing sanity.
 
 use cdf_mem::{
-    AccessKind, Cache, CacheConfig, Dram, DramConfig, EventMshr, MemConfig, MemModelKind,
-    MemoryHierarchy, Mshr, MshrOutcome, LINE_BYTES,
+    Cache, CacheConfig, Dram, DramConfig, EventMshr, EventOutstanding, MshrOutcome, LINE_BYTES,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -77,7 +77,7 @@ proptest! {
     /// completion; expiry frees capacity.
     #[test]
     fn mshr_capacity_invariants(ops in prop::collection::vec((0u64..16, 1u64..50), 1..100)) {
-        let mut mshr = Mshr::new(4);
+        let mut mshr = EventMshr::new(4);
         let mut now = 0u64;
         for (line, dur) in ops {
             now += 3;
@@ -99,14 +99,13 @@ proptest! {
         }
     }
 
-    /// MSHR retry semantics: the lazy reference file, the event-driven
-    /// file, and an eagerly-expired model agree on every outcome, on
-    /// occupancy, and on `earliest_release` under arbitrary monotonic
-    /// alloc/expire interleavings — and when an allocation reports Full,
-    /// retrying at the reported release cycle succeeds.
+    /// MSHR retry semantics: the event-driven file and an eagerly-expired
+    /// model agree on every outcome, on occupancy, and on
+    /// `earliest_release` under arbitrary monotonic alloc/expire
+    /// interleavings — and when an allocation reports Full, retrying at the
+    /// reported release cycle succeeds.
     #[test]
-    fn mshr_lazy_event_and_eager_agree(ops in prop::collection::vec((0u64..12, 0u64..8, 1u64..60), 1..150)) {
-        let mut lazy = Mshr::new(3);
+    fn mshr_event_and_eager_agree(ops in prop::collection::vec((0u64..12, 0u64..8, 1u64..60), 1..150)) {
         let mut event = EventMshr::new(3);
         // Eager model: entries removed the moment their completion passes.
         let mut eager: Vec<(u64, u64)> = Vec::new();
@@ -123,67 +122,36 @@ proptest! {
                 eager.push((line_addr, now + dur));
                 MshrOutcome::Allocated
             };
-            let a = lazy.try_alloc(line_addr, now, now + dur);
-            let b = event.try_alloc(line_addr, now, now + dur);
-            prop_assert_eq!(a, expect, "lazy vs eager at cycle {}", now);
-            prop_assert_eq!(b, expect, "event vs eager at cycle {}", now);
+            prop_assert_eq!(event.try_alloc(line_addr, now, now + dur), expect, "at cycle {}", now);
             let eager_min = eager.iter().map(|&(_, done)| done).min();
-            prop_assert_eq!(lazy.len(now), eager.len());
             prop_assert_eq!(event.len(now), eager.len());
-            prop_assert_eq!(lazy.earliest_release(now), eager_min);
             prop_assert_eq!(event.earliest_release(now), eager_min);
             if expect == MshrOutcome::Full {
                 // The retry hint is honest: a slot is free at that cycle.
-                let retry = lazy.earliest_release(now).expect("full file has entries");
+                let retry = eager_min.expect("full file has entries");
                 prop_assert!(retry > now);
-                let mut l = lazy.clone();
                 let mut e = event.clone();
-                prop_assert_eq!(l.try_alloc(line_addr, retry, retry + dur), MshrOutcome::Allocated);
                 prop_assert_eq!(e.try_alloc(line_addr, retry, retry + dur), MshrOutcome::Allocated);
             }
         }
     }
 
-    /// The two full-hierarchy bookkeeping models are indistinguishable
-    /// under arbitrary monotonic access sequences: same outcomes, same
-    /// statistics, same MLP samples (the property-level version of the
-    /// `cdf-sim equiv --mem` proof).
+    /// The MLP tracker's heap counts what a rescanned `Vec` of completion
+    /// cycles counts, under arbitrary monotonic note/sample interleavings.
     #[test]
-    fn hierarchy_models_agree(
-        ops in prop::collection::vec((0u64..0x800, 0u64..3, 0u64..40, any::<bool>()), 1..250)
-    ) {
-        let cfg = MemConfig {
-            l1d: CacheConfig { capacity_bytes: 1024, ways: 2 },
-            llc: CacheConfig { capacity_bytes: 4096, ways: 4 },
-            l1d_mshrs: 3,
-            llc_mshrs: 2,
-            ..MemConfig::default()
-        };
-        let mut event = MemoryHierarchy::with_model(cfg.clone(), MemModelKind::EventDriven);
-        let mut lazy = MemoryHierarchy::with_model(cfg, MemModelKind::ReferenceLazy);
+    fn outstanding_heap_matches_a_scan(ops in prop::collection::vec((0u64..6, 1u64..80, any::<bool>()), 1..250)) {
+        let mut heap = EventOutstanding::default();
+        let mut scan: Vec<u64> = Vec::new();
         let mut now = 0u64;
-        for (addr_raw, kind_raw, gap, wrong_path) in ops {
+        for (gap, dur, note) in ops {
             now += gap;
-            // Offset away from address zero: a descending stream below the
-            // first page would underflow the prefetcher's candidate lines.
-            let addr = 0x10_0000 + addr_raw * 32;
-            let kind = match kind_raw {
-                0 => AccessKind::Load,
-                1 => AccessKind::Store,
-                _ => AccessKind::InstFetch,
-            };
-            let a = event.access(addr, kind, now, wrong_path);
-            let b = lazy.access(addr, kind, now, wrong_path);
-            prop_assert_eq!(a, b, "outcome diverged at cycle {}", now);
-            prop_assert_eq!(
-                event.outstanding_demand_misses(now),
-                lazy.outstanding_demand_misses(now)
-            );
+            if note {
+                heap.note(now + dur);
+                scan.push(now + dur);
+            }
+            let expect = scan.iter().filter(|&&done| done > now).count();
+            prop_assert_eq!(heap.outstanding(now), expect, "at cycle {}", now);
         }
-        prop_assert_eq!(event.stats(), lazy.stats());
-        prop_assert_eq!(event.l1d_stats(), lazy.l1d_stats());
-        prop_assert_eq!(event.llc_stats(), lazy.llc_stats());
-        prop_assert_eq!(event.dram_stats(), lazy.dram_stats());
     }
 
     /// DRAM completions are causal (after issue + minimum latency), and

@@ -104,14 +104,10 @@ fuzz options:
 
 const EQUIV: &str = "\
 equiv options:
-  --seeds N          fuzz programs to run under both variants (default 500)
+  --seeds N          fuzz programs to run under both schedulers (default 500)
   --start N          first seed (default 1)
   --mechs a,b,c      mechanisms (default: all seven)
   --threads N        worker threads (default: all hardware threads)
-  --mem              compare the memory-model pair (event-driven vs lazy
-                     reference) instead of the scheduler pair
-  --boundary         compare the core-memory boundary pair (request/
-                     response vs direct-call reference); not with --mem
   --report FILE      write the cdf-equiv/1 JSON report to FILE";
 
 const CAMPAIGN_RUN: &str = "\
@@ -194,12 +190,6 @@ fn run_fuzz_command(a: &Args) {
 
 fn run_equiv_command(a: &Args) {
     let mut cfg = cdf_sim::EquivConfig::default();
-    cfg.axis = match (a.has("--mem"), a.has("--boundary")) {
-        (true, true) => a.fail("--mem and --boundary select different campaigns; run each alone"),
-        (true, false) => cdf_sim::EquivAxis::MemModel,
-        (false, true) => cdf_sim::EquivAxis::Boundary,
-        (false, false) => cdf_sim::EquivAxis::Scheduler,
-    };
     cfg.seeds = a.get("--seeds").unwrap_or(cfg.seeds);
     cfg.start_seed = a.get("--start").unwrap_or(cfg.start_seed);
     cfg.threads = a.get("--threads").unwrap_or(cfg.threads);

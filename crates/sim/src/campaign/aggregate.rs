@@ -408,7 +408,6 @@ mod tests {
     use super::*;
     use crate::campaign::checkpoint::CellOutcome;
     use crate::run::{EvalConfig, Measurement, Mechanism};
-    use crate::EquivAxis;
     use cdf_core::ConfigGrid;
 
     fn spec() -> CampaignSpec {
@@ -421,7 +420,6 @@ mod tests {
             seeds: vec![1, 2],
             grid: ConfigGrid::default(),
             eval: EvalConfig::default(),
-            equiv_axis: EquivAxis::Scheduler,
         }
     }
 

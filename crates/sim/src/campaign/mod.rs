@@ -376,7 +376,7 @@ pub fn run_campaign_cell(spec: &CampaignSpec, p: &CellParams) -> CellRecord {
         }
         CellMode::Equiv => {
             let m = p.mechanism.expect("equiv cells carry a mechanism");
-            let (checked, mismatches) = check_seed(p.seed, &[m], spec.equiv_axis);
+            let (checked, mismatches) = check_seed(p.seed, &[m]);
             let details: Vec<String> = mismatches
                 .iter()
                 .map(|mm| format!("{}: {}", mm.mechanism, mm.detail))
@@ -535,7 +535,6 @@ pub fn spawn_shards(
 mod tests {
     use super::*;
     use crate::run::Mechanism;
-    use crate::EquivAxis;
     use cdf_core::ConfigGrid;
 
     fn prov() -> Provenance {
@@ -560,7 +559,6 @@ mod tests {
             seeds: (0..seeds).collect(),
             grid: ConfigGrid::default(),
             eval,
-            equiv_axis: EquivAxis::Scheduler,
         }
     }
 

@@ -18,7 +18,6 @@ use crate::json::{field, Json};
 use crate::run::{EvalConfig, Mechanism};
 use crate::schema;
 use crate::sweep::fnv1a_hex;
-use crate::EquivAxis;
 use cdf_core::{ConfigGrid, ConfigPoint, TelemetryConfig};
 
 /// What one campaign cell executes.
@@ -88,8 +87,6 @@ pub struct CampaignSpec {
     /// Shared evaluation sizing; each cell overrides `gen.seed` (and the
     /// core template, per its config point).
     pub eval: EvalConfig,
-    /// The implementation axis equiv-mode cells flip.
-    pub equiv_axis: EquivAxis,
 }
 
 /// One expanded grid point: the parameters of a single campaign cell.
@@ -248,7 +245,6 @@ impl CampaignSpec {
                     field("diagnostics", t.diagnostics),
                 ]),
             ),
-            field("equiv_axis", self.equiv_axis.as_str()),
         ])
     }
 
@@ -372,12 +368,6 @@ impl CampaignSpec {
                 }
             }
         };
-        let equiv_axis = match text("equiv_axis")? {
-            None | Some("scheduler") => EquivAxis::Scheduler,
-            Some("mem_model") | Some("mem-model") => EquivAxis::MemModel,
-            Some("boundary") => EquivAxis::Boundary,
-            Some(other) => return Err(format!("unknown equiv_axis {other:?}")),
-        };
         let spec = CampaignSpec {
             name,
             hypothesis,
@@ -387,7 +377,6 @@ impl CampaignSpec {
             seeds,
             grid,
             eval,
-            equiv_axis,
         };
         if spec.cell_count() == 0 {
             return Err("the spec expands to zero cells".to_string());
@@ -411,7 +400,7 @@ impl CampaignSpec {
 /// [`CampaignSpec::to_json`] writes all but `seed_start`, `seed_count` and
 /// `eval.seed`.
 const TOP_KEYS: &str = "schema name hypothesis mode workloads mechanisms seeds seed_start \
-                        seed_count grid eval equiv_axis";
+                        seed_count grid eval";
 const GRID_KEYS: &str = "rob cuc_sets partition_step";
 const EVAL_KEYS: &str = "warmup measure scale iters seed max_cycles telemetry_interval diagnostics";
 
@@ -584,8 +573,9 @@ scale = 0.03
             ("name = \"x\"\nseeds = [1]\nseed_count = 2", "not both"),
             ("name = \"x\"\nseed_start = 1", "seed_count"),
             ("name = \"x\"\nworkloads = []", "zero cells"),
-            ("name = \"x\"\nequiv_axis = \"both\"", "equiv_axis"),
-            // A misspelt key at any level, and a value of the wrong type.
+            // A misspelt or retired key at any level, and a value of the
+            // wrong type.
+            ("name = \"x\"\nequiv_axis = \"both\"", "`equiv_axis`"),
             ("name = \"x\"\nmechanims = [\"cdf\"]", "`mechanims`"),
             ("name = \"x\"\nshards = 4", "`shards`"),
             ("name = \"x\"\n[grid]\nrobb = [192]", "`robb` in [grid]"),

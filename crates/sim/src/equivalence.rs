@@ -1,28 +1,26 @@
-//! Implementation-equivalence harness: proves a hot-path rewrite
-//! produces **bit-identical** results to the reference implementation it
-//! replaced. Three axes are covered ([`EquivAxis`]): the wakeup/select
-//! scheduler ([`SchedulerKind`], PR 4), the memory-hierarchy bookkeeping
-//! ([`MemModelKind`], PR 6), and the request/response core↔memory
-//! boundary ([`BoundaryKind`], PR 9).
+//! Implementation-equivalence harness: proves the event-driven
+//! wakeup/select scheduler produces **bit-identical** results to the
+//! reference per-cycle scan it replaced ([`SchedulerKind`]).
 //!
-//! The core keeps both implementations of each axis compiled and
-//! runtime-selectable; this module drives them against each other two ways:
+//! The core keeps both schedulers compiled and runtime-selectable; this
+//! module drives them against each other two ways:
 //!
 //! 1. **Fuzz-seed lockstep** ([`run_equivalence`]): every seed builds one
-//!    random program, which runs to completion under *both* variants of
-//!    the chosen axis for each requested mechanism — each run with the
+//!    random program, which runs to completion under *both* schedulers
+//!    for each requested mechanism — each run with the
 //!    PR-3 [`OracleLockstep`] observer attached, so every retired uop is
 //!    also checked against the functional executor. The two runs must
 //!    agree on the FNV retirement digest, the per-uop comparison count,
 //!    and the complete final [`CoreStats`] struct, field for field.
-//! 2. **Workload windows** ([`workload_equivalence_axis`]): full warmup+measure
+//! 2. **Workload windows** ([`workload_equivalence`]): full warmup+measure
 //!    windows over the registry kernels, compared [`Measurement`] for
 //!    [`Measurement`] (which folds in DRAM traffic and energy, so a
 //!    variant that perturbed the memory-system event order would show up
 //!    here even if the retirement stream matched).
 //!
 //! Reports serialize as `cdf-equiv/1` JSON for the `cdf-sim equiv`
-//! subcommand and the CI equivalence job.
+//! subcommand and the CI equivalence job. Their `axis` field is the
+//! constant `"scheduler"`, which keeps the document's shape.
 //!
 //! [`OracleLockstep`]: cdf_core::OracleLockstep
 //! [`CoreStats`]: cdf_core::CoreStats
@@ -32,76 +30,16 @@ use crate::fuzz::{run_lockstep_full, LockstepOutcome};
 use crate::json::{field, Json};
 use crate::run::{EvalConfig, Mechanism};
 use crate::sweep::{parallel_map, sweep_cells, SweepConfig};
-use cdf_core::{BoundaryKind, MemModelKind, SchedulerKind};
+use cdf_core::SchedulerKind;
 use cdf_workloads::fuzz::FuzzSpec;
 use std::fmt::Debug;
 
 /// Schema tag of the equivalence report document.
 pub use crate::schema::EQUIV as EQUIV_SCHEMA;
 
-/// Which pair of runtime-selectable implementations a campaign compares.
-/// Each axis flips exactly one implementation while pinning the other to
-/// its default, so a disagreement is attributable to a single swap.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EquivAxis {
-    /// Event-driven wakeup/select vs the reference per-cycle RS scan
-    /// ([`SchedulerKind`]).
-    #[default]
-    Scheduler,
-    /// Event-driven memory-hierarchy bookkeeping vs the lazy rescanning
-    /// reference ([`MemModelKind`]).
-    MemModel,
-    /// Request/response core↔memory boundary vs the synchronous direct
-    /// call ([`BoundaryKind`]).
-    Boundary,
-}
-
-impl EquivAxis {
-    /// Stable machine-readable tag (used in reports and filenames).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EquivAxis::Scheduler => "scheduler",
-            EquivAxis::MemModel => "mem-model",
-            EquivAxis::Boundary => "boundary",
-        }
-    }
-
-    /// The two `(scheduler, mem model, boundary)` configurations compared:
-    /// the default/new variant first, the reference second.
-    pub fn pair(self) -> [(SchedulerKind, MemModelKind, BoundaryKind); 2] {
-        let d = (
-            SchedulerKind::default(),
-            MemModelKind::default(),
-            BoundaryKind::default(),
-        );
-        match self {
-            EquivAxis::Scheduler => [
-                (SchedulerKind::EventDriven, d.1, d.2),
-                (SchedulerKind::ReferenceScan, d.1, d.2),
-            ],
-            EquivAxis::MemModel => [
-                (d.0, MemModelKind::EventDriven, d.2),
-                (d.0, MemModelKind::ReferenceLazy, d.2),
-            ],
-            EquivAxis::Boundary => [
-                (d.0, d.1, BoundaryKind::RequestResponse),
-                (d.0, d.1, BoundaryKind::ReferenceDirect),
-            ],
-        }
-    }
-
-    /// The names of the two sides of [`pair`](Self::pair), in the same
-    /// order: the `as_str` of the implementation kind this axis flips
-    /// (`event`/`scan`, `mem-event`/`mem-lazy`, `msg`/`direct`).
-    pub fn labels(self) -> [&'static str; 2] {
-        let [a, b] = self.pair();
-        match self {
-            EquivAxis::Scheduler => [a.0.as_str(), b.0.as_str()],
-            EquivAxis::MemModel => [a.1.as_str(), b.1.as_str()],
-            EquivAxis::Boundary => [a.2.as_str(), b.2.as_str()],
-        }
-    }
-}
+/// The two schedulers compared, the event-driven default first and the
+/// reference scan second; each side is named by its `as_str`.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::EventDriven, SchedulerKind::ReferenceScan];
 
 /// Configuration of a fuzz-seed equivalence campaign.
 #[derive(Clone, Debug)]
@@ -114,8 +52,6 @@ pub struct EquivConfig {
     pub mechanisms: Vec<Mechanism>,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Which implementation pair to compare.
-    pub axis: EquivAxis,
 }
 
 impl Default for EquivConfig {
@@ -125,12 +61,11 @@ impl Default for EquivConfig {
             start_seed: 1,
             mechanisms: Mechanism::ALL.to_vec(),
             threads: 0,
-            axis: EquivAxis::Scheduler,
         }
     }
 }
 
-/// One disagreement between the two variants of an axis.
+/// One disagreement between the two schedulers.
 #[derive(Clone, Debug)]
 pub struct EquivMismatch {
     /// Fuzz seed (or the workload generator seed for window runs).
@@ -144,8 +79,6 @@ pub struct EquivMismatch {
 /// Result of an equivalence campaign.
 #[derive(Clone, Debug)]
 pub struct EquivReport {
-    /// The implementation pair compared.
-    pub axis: EquivAxis,
     /// Seeds run.
     pub seeds: u64,
     /// First seed.
@@ -174,7 +107,7 @@ impl EquivReport {
                 "provenance",
                 crate::provenance::provenance_json(&cdf_core::Provenance::capture()),
             ),
-            field("axis", self.axis.as_str()),
+            field("axis", "scheduler"),
             field("seeds", self.seeds),
             field("start_seed", self.start_seed),
             field(
@@ -209,9 +142,8 @@ impl EquivReport {
     /// One-paragraph human summary.
     pub fn render_summary(&self) -> String {
         let mut out = format!(
-            "{} equivalence: {} seeds x {} mechanisms = {} dual-run cases, \
+            "scheduler equivalence: {} seeds x {} mechanisms = {} dual-run cases, \
              {} retired uops oracle-checked, {} mismatches",
-            self.axis.as_str(),
             self.seeds,
             self.mechanisms.len(),
             self.cases,
@@ -256,21 +188,16 @@ pub fn divergence<T: PartialEq + Debug>(
     Some(format!("{what} differs but the Debug renderings agree"))
 }
 
-/// Runs one fuzz seed under every mechanism with both variants of `axis`
-/// and returns the oracle-checked uop count plus any disagreements.
-pub fn check_seed(
-    seed: u64,
-    mechanisms: &[Mechanism],
-    axis: EquivAxis,
-) -> (u64, Vec<EquivMismatch>) {
+/// Runs one fuzz seed under every mechanism with both schedulers and
+/// returns the oracle-checked uop count plus any disagreements.
+pub fn check_seed(seed: u64, mechanisms: &[Mechanism]) -> (u64, Vec<EquivMismatch>) {
     let fp = FuzzSpec::from_seed(seed).build();
-    let [(ev_sched, ev_mem, ev_bound), (sc_sched, sc_mem, sc_bound)] = axis.pair();
-    let sides @ [la, lb] = axis.labels();
+    let sides @ [la, lb] = SCHEDULERS.map(SchedulerKind::as_str);
     let mut checked_total = 0u64;
     let mut mismatches = Vec::new();
     for &mech in mechanisms {
-        let (ev, ev_stats) = run_lockstep_full(&fp, mech, ev_sched, ev_mem, ev_bound);
-        let (sc, sc_stats) = run_lockstep_full(&fp, mech, sc_sched, sc_mem, sc_bound);
+        let [(ev, ev_stats), (sc, sc_stats)] =
+            SCHEDULERS.map(|scheduler| run_lockstep_full(&fp, mech, scheduler));
         let mut fail = |detail: String| {
             mismatches.push(EquivMismatch {
                 seed,
@@ -317,7 +244,7 @@ pub fn check_seed(
 pub fn run_equivalence(cfg: &EquivConfig) -> EquivReport {
     let seeds: Vec<u64> = (cfg.start_seed..cfg.start_seed + cfg.seeds).collect();
     let per_seed = parallel_map(&seeds, cfg.threads, |&seed| {
-        check_seed(seed, &cfg.mechanisms, cfg.axis)
+        check_seed(seed, &cfg.mechanisms)
     });
     let mut checked_uops = 0u64;
     let mut mismatches = Vec::new();
@@ -327,7 +254,6 @@ pub fn run_equivalence(cfg: &EquivConfig) -> EquivReport {
     }
     mismatches.sort_by(|a, b| (a.seed, &a.mechanism).cmp(&(b.seed, &b.mechanism)));
     EquivReport {
-        axis: cfg.axis,
         seeds: cfg.seeds,
         start_seed: cfg.start_seed,
         mechanisms: cfg
@@ -342,28 +268,25 @@ pub fn run_equivalence(cfg: &EquivConfig) -> EquivReport {
 }
 
 /// Runs full warmup+measure windows over `workloads × mechanisms` under both
-/// variants of `axis`, as one sweep per variant, and compares the complete
+/// schedulers, as one sweep per scheduler, and compares the complete
 /// [`Measurement`](crate::Measurement)s cell by cell. Returns every
 /// disagreement (empty = bit-identical end to end, including DRAM traffic
 /// and energy).
-pub fn workload_equivalence_axis(
+pub fn workload_equivalence(
     workloads: &[&str],
     mechanisms: &[Mechanism],
     cfg: &EvalConfig,
-    axis: EquivAxis,
 ) -> Vec<EquivMismatch> {
-    let [a, b] = axis.pair().map(|(scheduler, mem_model, boundary)| {
+    let [a, b] = SCHEDULERS.map(|scheduler| {
         let mut eval = cfg.clone();
         eval.core.scheduler = scheduler;
-        eval.core.mem_model = mem_model;
-        eval.core.boundary = boundary;
         sweep_cells(&SweepConfig::new(
             workloads.iter().copied(),
             mechanisms.to_vec(),
             eval,
         ))
     });
-    let sides @ [la, lb] = axis.labels();
+    let sides @ [la, lb] = SCHEDULERS.map(SchedulerKind::as_str);
     a.iter()
         .zip(&b)
         .filter_map(|(x, y)| {
@@ -388,7 +311,7 @@ mod tests {
 
     #[test]
     fn divergence_reports_field() {
-        let sides = EquivAxis::Scheduler.labels();
+        let sides = SCHEDULERS.map(SchedulerKind::as_str);
         let a = CoreStats::default();
         assert!(divergence("stats field", sides, &a, &CoreStats::default()).is_none());
         let b = CoreStats {
@@ -399,61 +322,37 @@ mod tests {
         assert!(d.contains("cycles"), "diff names the field: {d}");
     }
 
+    /// The two sides are named after the schedulers they run, in every
+    /// mismatch the harness reports.
     #[test]
     fn every_axis_names_its_own_two_sides() {
-        let cases = [
-            (
-                EquivAxis::Scheduler,
-                "event `cycles: 0` vs scan `cycles: 7`",
-            ),
-            (
-                EquivAxis::MemModel,
-                "mem-event `cycles: 0` vs mem-lazy `cycles: 7`",
-            ),
-            (EquivAxis::Boundary, "msg `cycles: 0` vs direct `cycles: 7`"),
-        ];
+        let sides = SCHEDULERS.map(SchedulerKind::as_str);
         let b = CoreStats {
             cycles: 7,
             ..CoreStats::default()
         };
-        for (axis, wording) in cases {
-            let d = divergence("stats field", axis.labels(), &CoreStats::default(), &b);
-            assert_eq!(d, Some(format!("stats field diverged: {wording}")));
-            // A window that cannot run names the variant that failed.
-            let [first, _] = axis.labels();
-            let mm = workload_equivalence_axis(
-                &["no_such_kernel"],
-                &[Mechanism::Baseline],
-                &EvalConfig::quick(),
-                axis,
-            );
-            assert_eq!(mm.len(), 1, "{mm:?}");
-            assert_eq!(mm[0].mechanism, "no_such_kernel/base");
-            let prefix = format!("{first} variant window failed: unknown workload");
-            assert!(mm[0].detail.starts_with(&prefix), "{}", mm[0].detail);
-        }
+        let d = divergence("stats field", sides, &CoreStats::default(), &b);
+        assert_eq!(
+            d.as_deref(),
+            Some("stats field diverged: event `cycles: 0` vs scan `cycles: 7`")
+        );
+        // A window that cannot run names the scheduler that failed.
+        let mm = workload_equivalence(
+            &["no_such_kernel"],
+            &[Mechanism::Baseline],
+            &EvalConfig::quick(),
+        );
+        assert_eq!(mm.len(), 1, "{mm:?}");
+        assert_eq!(mm[0].mechanism, "no_such_kernel/base");
+        let prefix = "event variant window failed: unknown workload";
+        assert!(mm[0].detail.starts_with(prefix), "{}", mm[0].detail);
     }
 
     #[test]
     fn one_seed_both_schedulers_agree() {
-        let (checked, mm) = check_seed(
-            42,
-            &[Mechanism::Baseline, Mechanism::Cdf],
-            EquivAxis::Scheduler,
-        );
+        let (checked, mm) = check_seed(42, &[Mechanism::Baseline, Mechanism::Cdf]);
         assert!(checked > 0, "oracle compared retired uops");
         assert!(mm.is_empty(), "schedulers agree on seed 42: {mm:?}");
-    }
-
-    #[test]
-    fn one_seed_both_mem_models_agree() {
-        let (checked, mm) = check_seed(
-            42,
-            &[Mechanism::Baseline, Mechanism::Cdf],
-            EquivAxis::MemModel,
-        );
-        assert!(checked > 0, "oracle compared retired uops");
-        assert!(mm.is_empty(), "mem models agree on seed 42: {mm:?}");
     }
 
     #[test]
@@ -463,7 +362,6 @@ mod tests {
             start_seed: 7,
             mechanisms: vec![Mechanism::Baseline],
             threads: 1,
-            ..EquivConfig::default()
         });
         assert!(report.clean(), "{}", report.render_summary());
         assert_eq!(report.cases, 2);

@@ -20,9 +20,7 @@ use crate::error::SimError;
 use crate::json::{field, Json};
 use crate::run::Mechanism;
 use crate::sweep::parallel_map;
-use cdf_core::{
-    BoundaryKind, Core, CoreConfig, CoreStats, MemModelKind, OracleLockstep, SchedulerKind,
-};
+use cdf_core::{Core, CoreConfig, CoreStats, OracleLockstep, SchedulerKind};
 use cdf_isa::Executor;
 use cdf_workloads::fuzz::{FuzzProgram, FuzzSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,26 +155,16 @@ impl LockstepOutcome {
 /// Runs one generated program on one mechanism with per-retired-uop oracle
 /// checking, a final architectural state comparison, and panic isolation.
 pub fn run_lockstep(fp: &FuzzProgram, mechanism: Mechanism) -> LockstepOutcome {
-    run_lockstep_full(
-        fp,
-        mechanism,
-        SchedulerKind::default(),
-        MemModelKind::default(),
-        BoundaryKind::default(),
-    )
-    .0
+    run_lockstep_full(fp, mechanism, SchedulerKind::default()).0
 }
 
-/// The fully explicit lockstep primitive: scheduler, memory-model, and
-/// core↔memory boundary implementation are all chosen by the caller. The
-/// equivalence harness pins two axes to their defaults while flipping the
-/// third, so each campaign isolates a single implementation swap.
+/// The lockstep primitive with the scheduler chosen by the caller, which
+/// also returns the run's final statistics: the equivalence harness runs
+/// each seed under both schedulers and compares the two.
 pub fn run_lockstep_full(
     fp: &FuzzProgram,
     mechanism: Mechanism,
     scheduler: SchedulerKind,
-    mem_model: MemModelKind,
-    boundary: BoundaryKind,
 ) -> (LockstepOutcome, Option<CoreStats>) {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let checker = OracleLockstep::new(&fp.program, fp.memory.clone());
@@ -184,8 +172,6 @@ pub fn run_lockstep_full(
         let cfg = CoreConfig {
             mode: mechanism.mode(),
             scheduler,
-            mem_model,
-            boundary,
             ..CoreConfig::default()
         };
         let mut core = Core::new(&fp.program, fp.memory.clone(), cfg);

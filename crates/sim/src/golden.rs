@@ -15,7 +15,7 @@
 use crate::json::{field, Json};
 use crate::run::Mechanism;
 use crate::sweep::parallel_map;
-use cdf_core::{BoundaryKind, Core, CoreConfig, CoreStats, MemModelKind, RobMix};
+use cdf_core::{Core, CoreConfig, CoreStats, RobMix};
 use cdf_workloads::{registry, GenConfig};
 
 /// Schema tag of the golden snapshot document.
@@ -36,15 +36,6 @@ pub struct GoldenConfig {
     pub cycle_budget: u64,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Memory-model implementation each cell runs under. The blessed
-    /// snapshot is collected with the default; collecting with the other
-    /// kind and diffing is the grid-level mem-equivalence proof.
-    pub mem_model: MemModelKind,
-    /// Core↔memory boundary each cell runs under (tagged request/response
-    /// messages vs direct calls). Same proof structure as
-    /// [`mem_model`](Self::mem_model): collect under the non-default
-    /// boundary, diff against the blessed snapshot.
-    pub boundary: BoundaryKind,
 }
 
 impl Default for GoldenConfig {
@@ -60,8 +51,6 @@ impl Default for GoldenConfig {
             max_instructions: 30_000,
             cycle_budget: 2_000_000,
             threads: 0,
-            mem_model: MemModelKind::default(),
-            boundary: BoundaryKind::default(),
         }
     }
 }
@@ -90,8 +79,6 @@ pub fn collect(cfg: &GoldenConfig) -> Vec<GoldenCell> {
             registry::lookup(w, &cfg.gen).unwrap_or_else(|e| panic!("golden grid workload: {e}"));
         let core_cfg = CoreConfig {
             mode: m.mode(),
-            mem_model: cfg.mem_model,
-            boundary: cfg.boundary,
             ..CoreConfig::default()
         };
         let mut core = Core::new(&workload.program, workload.memory.clone(), core_cfg);

@@ -101,8 +101,7 @@ pub use compare::{
     MetricDelta, COMPARE_SCHEMA, DEFAULT_WALL_TOLERANCE,
 };
 pub use equivalence::{
-    run_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig, EquivMismatch, EquivReport,
-    EQUIV_SCHEMA,
+    run_equivalence, workload_equivalence, EquivConfig, EquivMismatch, EquivReport, EQUIV_SCHEMA,
 };
 pub use error::{SimError, WatchdogPhase};
 pub use explain::{diagnostics_json, EXPLAIN_SCHEMA};

@@ -23,7 +23,7 @@ pub const TELEMETRY: &str = "cdf-telemetry/1";
 pub const FUZZ: &str = "cdf-fuzz/1";
 /// Individual fuzz counterexamples written to the corpus directory.
 pub const FUZZ_CASE: &str = "cdf-fuzz-case/1";
-/// Scheduler / memory-model lockstep-equivalence reports (`cdf-sim equiv`).
+/// Scheduler lockstep-equivalence reports (`cdf-sim equiv`).
 pub const EQUIV: &str = "cdf-equiv/1";
 /// Criticality-provenance explain reports (`cdf-sim explain`).
 pub const EXPLAIN: &str = "cdf-explain/1";

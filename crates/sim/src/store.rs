@@ -75,7 +75,9 @@ pub struct ResultKey {
     pub mechanism: String,
     /// Scheduler axis label ([`cdf_core::SchedulerKind::as_str`]).
     pub scheduler: String,
-    /// Memory-model axis label ([`cdf_core::MemModelKind::as_str`]).
+    /// Memory-model label ([`cdf_core::MemModelKind::as_str`]): always
+    /// `mem-event` since the lazy model was retired, kept so rows recorded
+    /// before and after join on one key.
     pub mem_model: String,
 }
 

@@ -30,8 +30,7 @@ use cdf_sim::json::{field, Json};
 use cdf_sim::{
     campaign_status, compare_runs, finalize_campaign, init_campaign, load_campaign,
     provenance_json, run_cell, run_shard, run_sweep, CampaignSpec, CellMode, CellOutcome,
-    CompareConfig, EquivAxis, EvalConfig, Mechanism, RecordPayload, ResultStore, ShardOptions,
-    SweepConfig,
+    CompareConfig, EvalConfig, Mechanism, RecordPayload, ResultStore, ShardOptions, SweepConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -76,7 +75,6 @@ fn small_sweep_spec() -> CampaignSpec {
             partition_step: Vec::new(),
         },
         eval,
-        equiv_axis: EquivAxis::Scheduler,
     }
 }
 
@@ -197,7 +195,6 @@ fn campaign_matches_sweep_bit_for_bit_under_sharding() {
         seeds: vec![eval.gen.seed],
         grid: ConfigGrid::default(),
         eval,
-        equiv_axis: EquivAxis::Scheduler,
     };
     assert_eq!(spec.cell_count(), 98);
 
@@ -442,6 +439,8 @@ fn bad_specs_exit_2_before_a_campaign_exists() {
         ("[grid]\ncuc = [32]\n", "cuc"),
         ("[eval]\nmesure = 3000\n", "mesure"),
         ("[eval]\nscale = \"0.03\"\n", "scale"),
+        // The retired memory-model and boundary equivalence axes.
+        ("equiv_axis = \"boundary\"\n", "equiv_axis"),
         (
             "[eval]\ntelemetry_interval = \"1024\"\n",
             "telemetry_interval",

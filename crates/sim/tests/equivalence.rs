@@ -12,9 +12,7 @@
 //! [`CoreStats`]: cdf_core::CoreStats
 
 use cdf_core::ExecPorts;
-use cdf_sim::{
-    run_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig, EvalConfig, Mechanism,
-};
+use cdf_sim::{run_equivalence, workload_equivalence, EquivConfig, EvalConfig, Mechanism};
 
 #[test]
 fn bounded_fuzz_equivalence_all_mechanisms() {
@@ -68,11 +66,10 @@ fn workload_windows_bit_identical_across_schedulers() {
         (&["astar_like", "mcf_like"], wide),
     ];
     for (workloads, cfg) in &cases {
-        let mismatches = workload_equivalence_axis(
+        let mismatches = workload_equivalence(
             workloads,
             &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
             cfg,
-            EquivAxis::Scheduler,
         );
         assert!(mismatches.is_empty(), "windows diverged: {mismatches:#?}");
     }

@@ -1,15 +1,14 @@
 //! Multi-core mix test battery: a one-core `MultiCore` against a private
 //! `Core`, metamorphic contention properties, shared-MSHR conservation
-//! invariants over fuzz programs and under the lazy memory model,
-//! scheduler and memory-model equivalence through the shared memory system,
-//! and the telemetry summary each core's store row keeps.
+//! invariants over fuzz programs, scheduler equivalence through the shared
+//! memory system, and the telemetry summary each core's store row keeps.
 //!
 //! The metamorphic properties pin what contention **may** and **may not**
 //! change: co-runners may slow a core down (timing), but never alter its
 //! architectural execution (retired uops, branch outcomes), and bandwidth
 //! pressure must hurt monotonically.
 
-use cdf_core::{Core, CoreConfig, MemModelKind, MultiCore, Provenance, SchedulerKind};
+use cdf_core::{Core, CoreConfig, MultiCore, Provenance, SchedulerKind};
 use cdf_sim::sweep::parallel_map;
 use cdf_sim::{
     records_from_mix, run_mix, GoldenConfig, Measurement, Mechanism, MixConfig, MixReport,
@@ -272,60 +271,6 @@ fn mixes_bit_identical_across_schedulers() {
         let scan = run_with(&cfg, |c| c.scheduler = SchedulerKind::ReferenceScan);
         assert_same_mix(&event, &scan, "scheduler");
     }
-}
-
-/// Memory-model equivalence through the shared memory system: a mix runs
-/// the first core's `mem_model`, and the lazy reference agrees with the
-/// event-driven default on every per-core and shared counter.
-#[test]
-fn mixes_bit_identical_across_mem_models() {
-    let mixes = [
-        quick_mix(
-            &["mcf_like", "astar_like", "lbm_like", "stream_hog"],
-            Mechanism::Baseline,
-        ),
-        quick_mix(&["mcf_like", "stream_hog"], Mechanism::Cdf),
-        quick_mix(&["astar_like", "ptr_chase"], Mechanism::Pre),
-    ];
-    for cfg in mixes {
-        let event = run_with(&cfg, |c| c.mem_model = MemModelKind::EventDriven);
-        let lazy = run_with(&cfg, |c| c.mem_model = MemModelKind::ReferenceLazy);
-        assert_same_mix(&event, &lazy, "mem model");
-    }
-}
-
-/// The shared-pool conservation asserts, checked after every round-robin
-/// sweep, hold on the lazy MSHR file too.
-#[test]
-fn lazy_model_mix_conserves_the_shared_pool() {
-    let gen = cdf_workloads::GenConfig {
-        scale: 1.0 / 16.0,
-        ..cdf_workloads::GenConfig::default()
-    };
-    let loaded: Vec<_> = ["mcf_like", "stream_hog", "astar_like"]
-        .iter()
-        .map(|n| registry::lookup(n, &gen).expect("registry workload"))
-        .collect();
-    let cores = loaded
-        .iter()
-        .zip(FUZZ_MODES)
-        .map(|(w, mech)| {
-            let cfg = CoreConfig {
-                mode: mech.mode(),
-                mem_model: MemModelKind::ReferenceLazy,
-                ..CoreConfig::default()
-            };
-            (&w.program, w.memory.clone(), cfg)
-        })
-        .collect();
-    let mut mc = MultiCore::new(cores);
-    assert_eq!(mc.shared().borrow().model(), MemModelKind::ReferenceLazy);
-    let out = mc.run_checked(20_000, 5_000_000);
-    assert!(out.iter().all(|o| o.stats.retired >= 20_000));
-    assert!(
-        mc.shared_report().mem.rejections > 0,
-        "the pool must have backpressured for the asserts to bite"
-    );
 }
 
 #[test]
