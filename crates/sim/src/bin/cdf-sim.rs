@@ -6,8 +6,8 @@
 use cdf_core::{CoreConfig, Provenance, Telemetry, TelemetryConfig};
 use cdf_sim::cli::{or_exit, Args, Cli};
 use cdf_sim::{
-    accounting_table, explain, profile_table, run_sweep, table1_text, EvalConfig, Mechanism,
-    ResultRecord, ResultStore, SweepConfig,
+    accounting_table, experiments, explain, profile_table, run_sweep, table1_text, EvalConfig,
+    Mechanism, ResultRecord, ResultStore, SweepConfig,
 };
 use cdf_workloads::registry;
 use std::num::NonZeroU64;
@@ -139,6 +139,7 @@ static CDF_SIM: Cli = Cli {
     commands: &[
         ("list", &[]),
         ("table1", &[SIZING]),
+        ("figure <name>", &[SIZING]),
         ("run <workload>", &[MECH, OBSERVE, DIAGNOSE, RUN, SIZING]),
         ("explain", &[GRID, EXPLAIN, STORE, SIZING]),
         ("compare <workload>", &[SIZING]),
@@ -336,6 +337,30 @@ fn run_run_command(a: &Args) {
     }
     if let Some(path) = a.value("--trace-out") {
         write_out(path, sweep.trace_json().render(), "trace events");
+    }
+}
+
+/// `figure`: one paper figure, or `all` of them in paper order, each
+/// printed as its driver renders it; a failed cell exits 1 with its error.
+fn run_figure_command(a: &Args) {
+    let name = a.positional(0);
+    let figures: Vec<_> = experiments::FIGURES
+        .iter()
+        .filter(|(n, _)| name == "all" || *n == name)
+        .collect();
+    if figures.is_empty() {
+        let known: Vec<&str> = experiments::FIGURES.iter().map(|(n, _)| *n).collect();
+        a.fail(format!(
+            "unknown figure `{name}` (known: {}, all)",
+            known.join(", ")
+        ));
+    }
+    let eval = parse_eval(a);
+    for (name, driver) in figures {
+        println!(
+            "{}",
+            or_exit(driver(&eval).map_err(|e| format!("figure {name}: {e}")))
+        );
     }
 }
 
@@ -704,6 +729,7 @@ fn main() {
             }
         }
         "table1" => print!("{}", table1_text(&parse_eval(&a).core)),
+        "figure <name>" => run_figure_command(&a),
         "run <workload>" => run_run_command(&a),
         "explain" => run_explain_command(&a),
         "compare <workload>" => run_compare_workload(&a),

@@ -1,17 +1,96 @@
-//! Experiment drivers: one function per paper table/figure.
+//! Experiment drivers: one per paper table/figure, run by `cdf-sim figure
+//! <name>`.
 //!
-//! Each driver runs the necessary (workload × mechanism) grid through the
-//! [`sweep`](crate::sweep) harness — parallel, fault-isolated, deterministic
-//! — and returns typed rows plus a `render`ed paper-style text table. The
-//! drivers keep an all-or-nothing contract (a failed cell panics with its
-//! recorded error); callers that want to tolerate failures use
-//! [`run_sweep`] directly. Each driver also exposes its underlying
-//! [`Sweep`] so bench targets can emit the stamped JSON records.
+//! [`FIGURES`] names each figure, the kernels (and for Fig. 17 the ROB
+//! sizes) it runs on, and its driver. A driver simulates only the cells its
+//! text prints — a grid through [`run_sweep`], a custom CDF configuration
+//! through [`run_cell`] — and renders the paper-style table; the first
+//! failed cell ends it with that cell's [`SimError`].
 
+use crate::error::SimError;
 use crate::report::{geomean, pct_delta, Table};
-use crate::run::{run, EvalConfig, Measurement, Mechanism};
-use crate::sweep::{parallel_map, run_sweep, Sweep, SweepConfig};
-use cdf_workloads::registry;
+use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::sweep::{parallel_map, run_cell, run_sweep, SweepConfig};
+use cdf_core::{CdfConfig, CoreMode};
+use cdf_workloads::registry::NAMES;
+
+/// A figure driver: simulates the figure's cells at the given sizing and
+/// returns the text `cdf-sim figure` prints.
+pub type Driver = fn(&EvalConfig) -> Result<String, SimError>;
+
+/// Every figure `cdf-sim figure <name>` runs, in paper order. Figs. 13–16
+/// render their four tables from one matrix sweep.
+pub const FIGURES: &[(&str, Driver)] = &[
+    ("fig01", |cfg| Ok(Fig01::run(cfg, NAMES)?.render())),
+    ("fig13-16", |cfg| {
+        let m = MatrixFigures::run(cfg, NAMES)?;
+        let tables = [
+            m.render_fig13(),
+            m.render_fig14(),
+            m.render_fig15(),
+            m.render_fig16(),
+        ];
+        // Each table ends in a newline, so this separates them by a blank
+        // line, as printing each on its own line does.
+        Ok(tables.join("\n"))
+    }),
+    ("fig17", |cfg| {
+        // The MLP- and window-sensitive kernels of the §4.4 argument.
+        let kernels = ["astar_like", "soplex_like", "fotonik_like", "roms_like"];
+        Ok(Fig17::run(cfg, &kernels, &[192, 256, 352, 512])?.render())
+    }),
+    ("ablation-branches", |cfg| {
+        let branchy = [
+            "astar_like",
+            "bzip_like",
+            "mcf_like",
+            "soplex_like",
+            "xalanc_like",
+        ];
+        Ok(AblationBranches::run(cfg, &branchy)?.render())
+    }),
+    ("ablation-design", |cfg| {
+        let branchy = [
+            "astar_like",
+            "bzip_like",
+            "soplex_like",
+            "mcf_like",
+            "xalanc_like",
+        ];
+        Ok(AblationDesign::run(cfg, &branchy)?.render())
+    }),
+    ("sensitivity", |cfg| {
+        let kernels = ["astar_like", "mcf_like", "soplex_like", "nab_like"];
+        Ok(SensitivityCdfStructures::run(cfg, &kernels)?.render())
+    }),
+];
+
+/// Runs the `names` × `mechs` grid as one sweep and maps each workload's
+/// measurements, in `mechs` order, to a row; the first failed cell's error
+/// otherwise.
+fn grid_rows<R>(
+    cfg: &EvalConfig,
+    names: &[&str],
+    mechs: &[Mechanism],
+    row: impl Fn(&str, &[Measurement]) -> R,
+) -> Result<Vec<R>, SimError> {
+    let sweep = run_sweep(&SweepConfig::new(
+        names.iter().copied(),
+        mechs.to_vec(),
+        cfg.clone(),
+    ));
+    names
+        .iter()
+        .zip(sweep.cells.chunks(mechs.len()))
+        .map(|(name, cells)| {
+            let ms = cells
+                .iter()
+                .map(|c| c.result.clone())
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(row(name, &ms))
+        })
+        .collect()
+}
 
 /// Baseline, CDF and PRE measurements for one workload.
 #[derive(Clone, Debug)]
@@ -26,63 +105,21 @@ pub struct WorkloadRuns {
     pub pre: Measurement,
 }
 
-/// Runs the (workload × {base, CDF, PRE}) sweep that feeds Figs. 13–16.
-pub fn matrix_sweep(cfg: &EvalConfig, names: &[&str]) -> Sweep {
-    run_sweep(&SweepConfig::new(
-        names.iter().copied(),
-        vec![Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
-        cfg.clone(),
-    ))
-}
-
-fn runs_from_sweep(sweep: &Sweep, names: &[&str]) -> Vec<WorkloadRuns> {
-    names
-        .iter()
-        .map(|&name| WorkloadRuns {
-            name: name.to_string(),
-            base: sweep.expect(name, Mechanism::Baseline).clone(),
-            cdf: sweep.expect(name, Mechanism::Cdf).clone(),
-            pre: sweep.expect(name, Mechanism::Pre).clone(),
-        })
-        .collect()
-}
-
-/// Runs the full (workload × {base, CDF, PRE}) matrix in parallel. This
-/// single matrix feeds Figs. 13, 14, 15 and 16.
-///
-/// # Panics
-///
-/// Panics with the recorded [`crate::SimError`] if any cell fails.
-pub fn run_matrix(cfg: &EvalConfig, names: &[&str]) -> Vec<WorkloadRuns> {
-    runs_from_sweep(&matrix_sweep(cfg, names), names)
-}
-
 /// Fig. 1: distribution of critical vs non-critical instructions in the ROB
 /// during full-window stalls, on the baseline core.
 #[derive(Clone, Debug)]
 pub struct Fig01 {
     /// `(workload, critical fraction)` rows.
     pub rows: Vec<(String, f64)>,
-    /// The underlying sweep (for JSON emission).
-    pub sweep: Sweep,
 }
 
 impl Fig01 {
     /// Runs the classify-mode sweep.
-    pub fn run(cfg: &EvalConfig, names: &[&str]) -> Fig01 {
-        let sweep = run_sweep(&SweepConfig::new(
-            names.iter().copied(),
-            vec![Mechanism::BaselineClassify],
-            cfg.clone(),
-        ));
-        let rows = names
-            .iter()
-            .map(|&name| {
-                let m = sweep.expect(name, Mechanism::BaselineClassify);
-                (name.to_string(), m.rob_critical_fraction)
-            })
-            .collect();
-        Fig01 { rows, sweep }
+    pub fn run(cfg: &EvalConfig, names: &[&str]) -> Result<Fig01, SimError> {
+        let rows = grid_rows(cfg, names, &[Mechanism::BaselineClassify], |name, m| {
+            (name.to_string(), m[0].rob_critical_fraction)
+        })?;
+        Ok(Fig01 { rows })
     }
 
     /// Paper-style text.
@@ -105,23 +142,24 @@ impl Fig01 {
     }
 }
 
-/// Figs. 13–16 rows derived from the run matrix.
+/// Figs. 13–16 rows derived from the (workload × {base, CDF, PRE}) matrix.
 #[derive(Clone, Debug)]
 pub struct MatrixFigures {
     /// The underlying runs.
     pub runs: Vec<WorkloadRuns>,
-    /// The underlying sweep (for JSON emission).
-    pub sweep: Sweep,
 }
 
 impl MatrixFigures {
-    /// Runs the matrix over `names`.
-    pub fn run(cfg: &EvalConfig, names: &[&str]) -> MatrixFigures {
-        let sweep = matrix_sweep(cfg, names);
-        MatrixFigures {
-            runs: runs_from_sweep(&sweep, names),
-            sweep,
-        }
+    /// Runs the matrix over `names` as one sweep.
+    pub fn run(cfg: &EvalConfig, names: &[&str]) -> Result<MatrixFigures, SimError> {
+        let mechs = [Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre];
+        let runs = grid_rows(cfg, names, &mechs, |name, m| WorkloadRuns {
+            name: name.to_string(),
+            base: m[0].clone(),
+            cdf: m[1].clone(),
+            pre: m[2].clone(),
+        })?;
+        Ok(MatrixFigures { runs })
     }
 
     /// Per-workload `(cdf_speedup, pre_speedup)` over baseline IPC.
@@ -260,14 +298,14 @@ impl MatrixFigures {
 #[derive(Clone, Debug)]
 pub struct Fig17 {
     /// `(rob_entries, base_ipc_geo, cdf_ipc_geo, base_energy_geo_rel,
-    /// cdf_energy_geo_rel)` rows; energies are relative to the 352-entry
-    /// baseline.
+    /// cdf_energy_geo_rel)` rows; energies are relative to the baseline at
+    /// the first window size.
     pub rows: Vec<(usize, f64, f64, f64, f64)>,
 }
 
 impl Fig17 {
-    /// Runs the scaling sweep over `robs` window sizes and `names` kernels.
-    pub fn run(cfg: &EvalConfig, names: &[&str], robs: &[usize]) -> Fig17 {
+    /// Runs one base and CDF sweep per window size in `robs` over `names`.
+    pub fn run(cfg: &EvalConfig, names: &[&str], robs: &[usize]) -> Result<Fig17, SimError> {
         let mut rows = Vec::new();
         let mut ref_energy: Option<Vec<f64>> = None;
         for &rob in robs {
@@ -275,29 +313,30 @@ impl Fig17 {
                 core: cfg.core.clone().with_scaled_window(rob),
                 ..cfg.clone()
             };
-            let runs = run_matrix(&scaled, names);
-            let base_ipc = geomean(&runs.iter().map(|r| r.base.ipc).collect::<Vec<_>>());
-            let cdf_ipc = geomean(&runs.iter().map(|r| r.cdf.ipc).collect::<Vec<_>>());
-            let base_e: Vec<f64> = runs.iter().map(|r| r.base.energy_nj).collect();
-            let cdf_e: Vec<f64> = runs.iter().map(|r| r.cdf.energy_nj).collect();
-            let reference = ref_energy.get_or_insert_with(|| base_e.clone());
-            let base_rel = geomean(
-                &base_e
+            let mechs = [Mechanism::Baseline, Mechanism::Cdf];
+            // Per workload: base IPC, CDF IPC, base energy, CDF energy.
+            let runs = grid_rows(&scaled, names, &mechs, |_, m| {
+                [m[0].ipc, m[1].ipc, m[0].energy_nj, m[1].energy_nj]
+            })?;
+            let reference = ref_energy.get_or_insert_with(|| runs.iter().map(|r| r[2]).collect());
+            // The geomean over workloads of `f(row, reference energy)`.
+            let column = |f: fn(&[f64; 4], f64) -> f64| {
+                let values: Vec<f64> = runs
                     .iter()
                     .zip(reference.iter())
-                    .map(|(e, r)| e / r)
-                    .collect::<Vec<_>>(),
-            );
-            let cdf_rel = geomean(
-                &cdf_e
-                    .iter()
-                    .zip(reference.iter())
-                    .map(|(e, r)| e / r)
-                    .collect::<Vec<_>>(),
-            );
-            rows.push((rob, base_ipc, cdf_ipc, base_rel, cdf_rel));
+                    .map(|(r, &e)| f(r, e))
+                    .collect();
+                geomean(&values)
+            };
+            rows.push((
+                rob,
+                column(|r, _| r[0]),
+                column(|r, _| r[1]),
+                column(|r, e| r[2] / e),
+                column(|r, e| r[3] / e),
+            ));
         }
-        Fig17 { rows }
+        Ok(Fig17 { rows })
     }
 
     /// Paper-style text.
@@ -335,32 +374,20 @@ impl Fig17 {
 pub struct AblationBranches {
     /// `(workload, full CDF speedup, no-branch CDF speedup)`.
     pub rows: Vec<(String, f64, f64)>,
-    /// The underlying sweep (for JSON emission).
-    pub sweep: Sweep,
 }
 
 impl AblationBranches {
     /// Runs the ablation.
-    pub fn run(cfg: &EvalConfig, names: &[&str]) -> AblationBranches {
-        let sweep = run_sweep(&SweepConfig::new(
-            names.iter().copied(),
-            vec![
-                Mechanism::Baseline,
-                Mechanism::Cdf,
-                Mechanism::CdfNoBranches,
-            ],
-            cfg.clone(),
-        ));
-        let rows = names
-            .iter()
-            .map(|&name| {
-                let base = sweep.expect(name, Mechanism::Baseline);
-                let full = sweep.expect(name, Mechanism::Cdf);
-                let nobr = sweep.expect(name, Mechanism::CdfNoBranches);
-                (name.to_string(), full.ipc / base.ipc, nobr.ipc / base.ipc)
-            })
-            .collect();
-        AblationBranches { rows, sweep }
+    pub fn run(cfg: &EvalConfig, names: &[&str]) -> Result<AblationBranches, SimError> {
+        let mechs = [
+            Mechanism::Baseline,
+            Mechanism::Cdf,
+            Mechanism::CdfNoBranches,
+        ];
+        let rows = grid_rows(cfg, names, &mechs, |name, m| {
+            (name.to_string(), m[1].ipc / m[0].ipc, m[2].ipc / m[0].ipc)
+        })?;
+        Ok(AblationBranches { rows })
     }
 
     /// `(geomean with branches, geomean without)`.
@@ -393,41 +420,29 @@ pub struct AblationDesign {
     /// `(workload, full, static-partition, no-mask-cache)` IPC speedups over
     /// baseline, plus dependence violations without the mask cache.
     pub rows: Vec<(String, f64, f64, f64, u64, u64)>,
-    /// The underlying sweep (for JSON emission).
-    pub sweep: Sweep,
 }
 
 impl AblationDesign {
     /// Runs both design-choice ablations.
-    pub fn run(cfg: &EvalConfig, names: &[&str]) -> AblationDesign {
-        let sweep = run_sweep(&SweepConfig::new(
-            names.iter().copied(),
-            vec![
-                Mechanism::Baseline,
-                Mechanism::Cdf,
-                Mechanism::CdfStaticPartition,
-                Mechanism::CdfNoMaskCache,
-            ],
-            cfg.clone(),
-        ));
-        let rows = names
-            .iter()
-            .map(|&name| {
-                let base = sweep.expect(name, Mechanism::Baseline);
-                let full = sweep.expect(name, Mechanism::Cdf);
-                let stat = sweep.expect(name, Mechanism::CdfStaticPartition);
-                let nomask = sweep.expect(name, Mechanism::CdfNoMaskCache);
-                (
-                    name.to_string(),
-                    full.ipc / base.ipc,
-                    stat.ipc / base.ipc,
-                    nomask.ipc / base.ipc,
-                    full.dependence_violations,
-                    nomask.dependence_violations,
-                )
-            })
-            .collect();
-        AblationDesign { rows, sweep }
+    pub fn run(cfg: &EvalConfig, names: &[&str]) -> Result<AblationDesign, SimError> {
+        let mechs = [
+            Mechanism::Baseline,
+            Mechanism::Cdf,
+            Mechanism::CdfStaticPartition,
+            Mechanism::CdfNoMaskCache,
+        ];
+        let rows = grid_rows(cfg, names, &mechs, |name, m| {
+            let [base, full, stat, nomask] = [&m[0], &m[1], &m[2], &m[3]];
+            (
+                name.to_string(),
+                full.ipc / base.ipc,
+                stat.ipc / base.ipc,
+                nomask.ipc / base.ipc,
+                full.dependence_violations,
+                nomask.dependence_violations,
+            )
+        })?;
+        Ok(AblationDesign { rows })
     }
 
     /// Paper-style text.
@@ -468,18 +483,86 @@ impl AblationDesign {
     }
 }
 
-/// The subset of kernels the paper's §4.4 scaling argument concerns
-/// (MLP-sensitive, window-scaling-sensitive).
-pub const SCALING_KERNELS: &[&str] = &["astar_like", "soplex_like", "fotonik_like", "roms_like"];
+/// Structure-capacity sensitivity (§4.1: "The Critical Uop Cache can hold
+/// more critical instructions compared to PRE's Stalling Slice Table and
+/// hence provides better performance"): CDF speedup as the Critical Uop
+/// Cache shrinks, plus Fill Buffer and Delayed Branch Queue sweeps.
+#[derive(Clone, Debug)]
+pub struct SensitivityCdfStructures {
+    /// `(label, geomean CDF speedup)` rows, one per configuration point.
+    pub rows: Vec<(String, f64)>,
+}
 
-/// Branch-heavy kernels for the branch-criticality ablation.
-pub const BRANCHY_KERNELS: &[&str] = &[
-    "astar_like",
-    "bzip_like",
-    "mcf_like",
-    "soplex_like",
-    "xalanc_like",
-];
+impl SensitivityCdfStructures {
+    /// Runs one baseline cell per kernel in `names`, then per configuration
+    /// point one CDF cell per kernel, each through [`run_cell`] on one
+    /// worker pool. A point is a custom [`CdfConfig`], not a named
+    /// [`Mechanism`], so its cells are `CDF` cells with the point's mode.
+    pub fn run(cfg: &EvalConfig, names: &[&str]) -> Result<SensitivityCdfStructures, SimError> {
+        let mut points: Vec<(String, CdfConfig)> = Vec::new();
+        for lines in [1usize, 2, 4, 8] {
+            let kb = lines * 64 * 64 / 1024;
+            let cdf = CdfConfig {
+                uop_cache_lines_per_set: lines,
+                ..CdfConfig::default()
+            };
+            points.push((format!("uop cache {lines} lines/set ({kb}KB-class)"), cdf));
+        }
+        for fill in [256usize, 1024, 4096] {
+            let cdf = CdfConfig {
+                fill_buffer: fill,
+                ..CdfConfig::default()
+            };
+            points.push((format!("fill buffer {fill} entries"), cdf));
+        }
+        for dbq in [64usize, 256, 1024] {
+            let cdf = CdfConfig {
+                dbq,
+                ..CdfConfig::default()
+            };
+            points.push((format!("DBQ {dbq} entries"), cdf));
+        }
+        let modes = std::iter::once((Mechanism::Baseline, CoreMode::Baseline)).chain(
+            points
+                .iter()
+                .map(|(_, c)| (Mechanism::Cdf, CoreMode::Cdf(c.clone()))),
+        );
+        let jobs: Vec<(&str, Mechanism, CoreMode)> = modes
+            .flat_map(|(m, mode)| names.iter().map(move |&w| (w, m, mode.clone())))
+            .collect();
+        let ipcs = parallel_map(&jobs, 0, |(w, m, mode)| {
+            run_cell(w, *m, mode.clone(), cfg, false)
+                .result
+                .map(|r| r.ipc)
+        })
+        .into_iter()
+        .collect::<Result<Vec<f64>, SimError>>()?;
+        let (base, cdf) = ipcs.split_at(names.len());
+        let rows = points
+            .into_iter()
+            .zip(cdf.chunks(names.len()))
+            .map(|((label, _), cdf)| {
+                let speedups: Vec<f64> = cdf.iter().zip(base).map(|(c, b)| c / b).collect();
+                (label, geomean(&speedups))
+            })
+            .collect();
+        Ok(SensitivityCdfStructures { rows })
+    }
+
+    /// Paper-style text.
+    pub fn render(&self) -> String {
+        let mut t = Table::new(&["configuration", "CDF speedup (geomean)"]);
+        for (label, s) in &self.rows {
+            t.row(&[label.as_str(), &pct_delta(*s)]);
+        }
+        format!(
+            "Sensitivity (§4.1): CDF structure capacities\n{}\n\
+             (paper: the Critical Uop Cache's capacity advantage over PRE's SST is part\n\
+              of why CDF outperforms; lookahead is bounded by the DBQ)\n",
+            t.render()
+        )
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -500,7 +583,7 @@ mod tests {
 
     #[test]
     fn matrix_produces_all_rows() {
-        let m = MatrixFigures::run(&tiny(), &["libq_like", "astar_like"]);
+        let m = MatrixFigures::run(&tiny(), &["libq_like", "astar_like"]).unwrap();
         assert_eq!(m.runs.len(), 2);
         let text = m.render_fig13();
         assert!(text.contains("astar_like"));
@@ -512,7 +595,7 @@ mod tests {
 
     #[test]
     fn fig01_fractions_in_range() {
-        let f = Fig01::run(&tiny(), &["astar_like"]);
+        let f = Fig01::run(&tiny(), &["astar_like"]).unwrap();
         assert_eq!(f.rows.len(), 1);
         let frac = f.rows[0].1;
         assert!((0.0..=1.0).contains(&frac), "{frac}");
@@ -521,95 +604,57 @@ mod tests {
 
     #[test]
     fn fig17_rows_per_rob() {
-        let f = Fig17::run(&tiny(), &["astar_like"], &[192, 352]);
+        let f = Fig17::run(&tiny(), &["astar_like"], &[192, 352]).unwrap();
         assert_eq!(f.rows.len(), 2);
         assert!(f.render().contains("352"));
     }
 
     #[test]
     fn ablation_branches_runs() {
-        let a = AblationBranches::run(&tiny(), &["astar_like"]);
+        let a = AblationBranches::run(&tiny(), &["astar_like"]).unwrap();
         let (gf, gn) = a.geomeans();
         assert!(gf > 0.0 && gn > 0.0);
         assert!(a.render().contains("branch"));
     }
-}
 
-/// Structure-capacity sensitivity (§4.1: "The Critical Uop Cache can hold
-/// more critical instructions compared to PRE's Stalling Slice Table and
-/// hence provides better performance"): CDF speedup as the Critical Uop
-/// Cache shrinks, plus Fill Buffer and Delayed Branch Queue sweeps.
-#[derive(Clone, Debug)]
-pub struct SensitivityCdfStructures {
-    /// `(label, geomean CDF speedup)` rows, one per configuration point.
-    pub rows: Vec<(String, f64)>,
-}
-
-impl SensitivityCdfStructures {
-    /// Runs the sweeps over `names`.
-    pub fn run(cfg: &EvalConfig, names: &[&str]) -> SensitivityCdfStructures {
-        use cdf_core::{CdfConfig, CoreMode};
-        let mut rows = Vec::new();
-        let mut point = |label: String, cdf_cfg: CdfConfig| {
-            // Each point is a custom CdfConfig, not a named Mechanism, so it
-            // goes through `run` with a free-form label on the sweep's worker
-            // pool rather than a full run_sweep grid.
-            let jobs: Vec<&str> = names.to_vec();
-            let speedups: Vec<f64> = parallel_map(&jobs, 0, |&name| {
-                let w = registry::lookup(name, &cfg.gen).unwrap_or_else(|e| panic!("{e}"));
-                let ipc = |mode, label: &str| {
-                    run(&w, mode, label, cfg, false)
-                        .map(|out| out.measurement.ipc)
-                        .unwrap_or_else(|e| panic!("sensitivity ({name}, {label}): {e}"))
-                };
-                ipc(CoreMode::Cdf(cdf_cfg.clone()), &label) / ipc(CoreMode::Baseline, "base")
-            });
-            rows.push((label, geomean(&speedups)));
-        };
-        for lines in [1usize, 2, 4, 8] {
-            point(
-                format!(
-                    "uop cache {lines} lines/set ({}KB-class)",
-                    lines * 64 * 64 / 1024
-                ),
-                CdfConfig {
-                    uop_cache_lines_per_set: lines,
-                    ..CdfConfig::default()
-                },
-            );
+    #[test]
+    fn ablation_design_has_a_row_per_kernel_and_a_geomean() {
+        let a = AblationDesign::run(&tiny(), &["astar_like", "mcf_like"]).unwrap();
+        let kernels: Vec<&str> = a.rows.iter().map(|r| r.0.as_str()).collect();
+        assert_eq!(kernels, ["astar_like", "mcf_like"]);
+        for (name, full, stat, nomask, ..) in &a.rows {
+            assert!(*full > 0.0 && *stat > 0.0 && *nomask > 0.0, "{name}");
         }
-        for fill in [256usize, 1024, 4096] {
-            point(
-                format!("fill buffer {fill} entries"),
-                CdfConfig {
-                    fill_buffer: fill,
-                    ..CdfConfig::default()
-                },
-            );
-        }
-        for dbq in [64usize, 256, 1024] {
-            point(
-                format!("DBQ {dbq} entries"),
-                CdfConfig {
-                    dbq,
-                    ..CdfConfig::default()
-                },
-            );
-        }
-        SensitivityCdfStructures { rows }
+        let text = a.render();
+        assert!(text.starts_with("Ablation (§3.5/§3.2"), "{text}");
+        assert!(text.contains("geomean"), "{text}");
     }
 
-    /// Paper-style text.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(&["configuration", "CDF speedup (geomean)"]);
-        for (label, s) in &self.rows {
-            t.row(&[label.as_str(), &pct_delta(*s)]);
+    /// The default configuration appears three times among the points (the
+    /// 4-line uop cache, the 1024-entry fill buffer, the 256-entry DBQ);
+    /// each reads the CDF-over-base geomean of a plain sweep of the kernels.
+    #[test]
+    fn sensitivity_default_points_match_a_plain_sweep() {
+        let kernels = ["astar_like", "mcf_like"];
+        let s = SensitivityCdfStructures::run(&tiny(), &kernels).unwrap();
+        assert_eq!(s.rows.len(), 10);
+        let speedup = |label: &str| {
+            s.rows
+                .iter()
+                .find(|(l, _)| l.starts_with(label))
+                .unwrap_or_else(|| panic!("no `{label}` row"))
+                .1
+        };
+        let mechs = vec![Mechanism::Baseline, Mechanism::Cdf];
+        let plain = run_sweep(&SweepConfig::new(kernels, mechs, tiny()));
+        let ipc = |w, m| plain.get(w, m).expect("cell ran").ipc;
+        let want = geomean(&kernels.map(|w| ipc(w, Mechanism::Cdf) / ipc(w, Mechanism::Baseline)));
+        for label in [
+            "uop cache 4 lines/set",
+            "fill buffer 1024 entries",
+            "DBQ 256 entries",
+        ] {
+            assert_eq!(speedup(label), want, "{label}");
         }
-        format!(
-            "Sensitivity (§4.1): CDF structure capacities\n{}\n\
-             (paper: the Critical Uop Cache's capacity advantage over PRE's SST is part\n\
-              of why CDF outperforms; lookahead is bounded by the DBQ)\n",
-            t.render()
-        )
     }
 }

@@ -3,15 +3,16 @@
 //! Ties the whole stack together: builds a workload from `cdf-workloads`,
 //! runs it on a `cdf-core` configuration with warmup-then-measure windowing,
 //! and produces the [`Measurement`]s that the experiment drivers in
-//! [`experiments`] turn into the paper's tables and figures (each bench
-//! target in `crates/bench` calls one driver and prints its rows).
+//! [`experiments`] turn into the paper's tables and figures (`cdf-sim
+//! figure <name>` runs one driver of [`experiments::FIGURES`] and prints
+//! its tables).
 //!
 //! Every cell takes one run path. [`run`] builds the core, attaches the
 //! observers [`EvalConfig`] asks for (plus the host profiler on request),
 //! runs the warmup and measurement windows, and returns a [`RunOutput`].
 //! [`run_cell`] adds the registry lookup, panic isolation and wall time;
-//! it has two callers, the cell loop of [`run_sweep`] and the campaign's
-//! cell runner.
+//! its callers are the cell loop of [`run_sweep`], the campaign's cell
+//! runner and the sensitivity figure, which patch in a custom mode.
 //! [`simulate`] is the by-name convenience that panics on failure. A
 //! [`Measurement`] is the difference of two [`Reading`]s of a core
 //! ([`Measurement::between`]), so a caller stepping a core itself derives
@@ -113,7 +114,7 @@ pub use golden::{
     collect as collect_golden, diff_golden, golden_to_json, GoldenConfig, GOLDEN_SCHEMA,
 };
 pub use mix::{mix_json, records_from_mix, run_mix, MixConfig, MixCoreResult, MixReport};
-pub use prof::{profile_from_json, profile_json, profile_table, PROFILE_SCHEMA};
+pub use prof::{profile_json, profile_table, PROFILE_SCHEMA};
 pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{run, simulate, EvalConfig, Measurement, Mechanism, Reading, RunOutput};
 pub use store::{

@@ -1,5 +1,5 @@
 //! Plain-text table formatting and small numeric helpers for the paper-style
-//! reports printed by the bench targets.
+//! reports `cdf-sim figure` prints.
 
 /// Geometric mean of a slice of positive values (1.0 for empty input).
 ///

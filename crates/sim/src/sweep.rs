@@ -246,26 +246,6 @@ impl Sweep {
             .and_then(|c| c.result.as_ref().ok())
     }
 
-    /// The measurement for one grid point.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the recorded error if the cell failed or was not in the
-    /// grid — the figure drivers use this to keep their all-or-nothing
-    /// contract.
-    pub fn expect(&self, workload: &str, mechanism: Mechanism) -> &Measurement {
-        match self.cell(workload, mechanism) {
-            None => panic!(
-                "({workload}, {}) was not in the sweep grid",
-                mechanism.label()
-            ),
-            Some(c) => c
-                .result
-                .as_ref()
-                .unwrap_or_else(|e| panic!("({workload}, {}) failed: {e}", mechanism.label())),
-        }
-    }
-
     /// Cells that failed.
     pub fn failures(&self) -> impl Iterator<Item = &SweepCell> {
         self.cells.iter().filter(|c| c.result.is_err())

@@ -415,6 +415,7 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
             "unknown flag `--abort-after`",
         ),
         ("compare astar_like --fsat", "unknown flag `--fsat`"),
+        ("figure fig01 --out x", "unknown flag `--out`"),
         // A value-taking flag with no value, or a `--` argument, after it.
         (
             "sweep --fast --workloads libq_like --mechs base --out",
@@ -477,6 +478,12 @@ fn every_subcommand_rejects_bad_input_with_a_usage_error() {
         (
             "run astar_like --fast --telemetry 0",
             "invalid value `0` for --telemetry",
+        ),
+        // A figure that is not in the table, answered with the ones that are.
+        (
+            "figure fig99 --fast",
+            "unknown figure `fig99` (known: fig01, fig13-16, fig17, \
+             ablation-branches, ablation-design, sensitivity, all)",
         ),
         // A missing positional or required flag.
         ("run", "missing <workload>"),
@@ -600,13 +607,14 @@ fn a_workload_after_its_flags_runs_the_same_cell() {
 
 /// A run that fails inside the simulator exits 1 with a typed message, not
 /// a panic: `compare <workload>`'s three runs hit the watchdog on CDF (base
-/// retires its window inside this budget, CDF does not), and a window too
-/// small to hold an instruction (ROB 0) or CDF's work (ROB 2) stalls the
-/// pipeline.
+/// retires its window inside this budget, CDF does not), a figure's cells
+/// hit it in warmup, and a window too small to hold an instruction (ROB 0)
+/// or CDF's work (ROB 2) stalls the pipeline.
 #[test]
 fn a_failed_run_exits_1_with_a_typed_error() {
     for (cmd, message) in [
         ("compare roms_like --fast --max-cycles 164000", "watchdog"),
+        ("figure fig01 --fast --max-cycles 1000", "watchdog:"),
         ("run libq_like --fast --rob 0 --mech base", "no retirement"),
         ("run astar_like --fast --rob 2 --mech cdf", "no retirement"),
     ] {

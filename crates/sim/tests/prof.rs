@@ -7,18 +7,15 @@
 //!   finalized profile satisfies `tracked + untracked == total_wall` with
 //!   the measured wall kept as the total, every stage fraction is sane, and
 //!   the stage call and select operation counts cover the run;
-//! * **schema round-trip** — a profile from a real run survives
-//!   `profile_json → render → Json::parse → profile_from_json` exactly;
 //! * **regression classification** — a results store holding `"profile"`
 //!   rows lets `compare_runs` flag an injected host-time regression
 //!   (slower wall for identical simulated cycles) while leaving exact
 //!   metrics untouched.
 
 use cdf_core::{Core, CoreConfig, TelemetryConfig};
-use cdf_sim::json::Json;
 use cdf_sim::{
-    compare_runs, profile_from_json, profile_json, records_from_cells, run, run_cell,
-    CompareConfig, EvalConfig, Mechanism, MetricClass, RecordPayload,
+    compare_runs, records_from_cells, run, run_cell, CompareConfig, EvalConfig, Mechanism,
+    MetricClass, RecordPayload,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::registry;
@@ -119,23 +116,6 @@ proptest! {
             .expect("sched_select subsystem");
         prop_assert_eq!(select.ops, stats.cycles);
     }
-}
-
-/// Satellite 4c: the emitted document round-trips through the repo's own
-/// JSON parser with nothing lost.
-#[test]
-fn profile_document_round_trips_from_a_real_run() {
-    let eval = quick_eval();
-    let w = registry::lookup("astar_like", &eval.gen).expect("known workload");
-    let cdf = Mechanism::Cdf;
-    let p = run(&w, cdf.mode(), cdf.label(), &eval, true)
-        .expect("run succeeds")
-        .profile
-        .expect("profiler returned");
-    let doc = profile_json(&p, "astar_like", "CDF");
-    let parsed = Json::parse(&doc.render()).expect("rendered profile parses");
-    let back = profile_from_json(&parsed).expect("parsed profile validates");
-    assert_eq!(back, p, "round-trip must be lossless");
 }
 
 /// Satellite 4d: `"profile"` rows in the results store make host-time

@@ -12,15 +12,16 @@
 //! * the CLI acceptance loop holds: `record` twice at one commit compares
 //!   all-unchanged (exit 0); a perturbed config records classified
 //!   regressions, exits 4, and still writes a parseable report;
+//! * the checked-in CI baseline is what recording its cells writes now;
 //! * both emitted schema tags live in the central registry.
 
 use cdf_core::{Coverage, Provenance};
 use cdf_sim::json::Json;
 use cdf_sim::store::{error_parts, DiagSummary, TelemetrySummary};
 use cdf_sim::{
-    compare_runs, record_from_json, record_json, records_for_run, resolve_ref, CompareConfig,
-    Measurement, RecordPayload, ResultKey, ResultRecord, ResultStore, COMPARE_SCHEMA,
-    RESULT_SCHEMA,
+    compare_runs, record_from_json, record_json, records_for_run, records_from_cells, resolve_ref,
+    run_sweep, CompareConfig, EvalConfig, Measurement, Mechanism, RecordPayload, ResultKey,
+    ResultRecord, ResultStore, SweepConfig, COMPARE_SCHEMA, RESULT_SCHEMA,
 };
 use cdf_workloads::GenConfig;
 use std::path::PathBuf;
@@ -203,6 +204,31 @@ fn two_commit_fixture_catches_injected_cycles_regression() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// CI's regression-tracking job compares a fresh `record --fast` of six
+/// cells against `crates/sim/baseline/ci-store.jsonl`. Recording the same
+/// cells here must reproduce each fixture row's config hash, generation
+/// parameters, key and measurement, so a change to the quick sizing or to
+/// a cell's numbers fails this test instead of leaving the fixture stale.
+#[test]
+fn ci_baseline_fixture_matches_a_fresh_record_of_its_cells() {
+    let fixture = include_str!("../baseline/ci-store.jsonl");
+    let eval = EvalConfig::quick();
+    let sweep = run_sweep(&SweepConfig::new(
+        ["astar_like", "mcf_like", "libq_like"],
+        vec![Mechanism::Baseline, Mechanism::Cdf],
+        eval.clone(),
+    ));
+    let records = records_from_cells("r0001-ci-basel", &provenance("c"), &eval, &sweep.cells);
+    assert_eq!(fixture.lines().count(), records.len());
+    for (line, record) in fixture.lines().zip(&records) {
+        let want = Json::parse(line).expect("fixture row parses");
+        let got = Json::parse(&record_json(record).render()).expect("row parses");
+        for field in ["config_hash", "gen", "key", "measurement"] {
+            assert_eq!(got.get(field), want.get(field), "{field} of {line}");
+        }
+    }
 }
 
 #[test]

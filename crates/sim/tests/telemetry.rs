@@ -199,7 +199,7 @@ fn perfetto_trace_is_valid_and_contains_cdf_episode() {
         vec![Mechanism::Cdf],
         eval,
     ));
-    let m = sweep.expect("astar_like", Mechanism::Cdf);
+    let m = sweep.get("astar_like", Mechanism::Cdf).expect("cell ran");
     assert!(m.cdf_mode_cycles > 0, "workload must engage CDF: {m:?}");
 
     let text = sweep.trace_json().render();

@@ -36,7 +36,7 @@
 //! assert!(with_cdf.ipc > base.ipc, "CDF speeds up the astar kernel");
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/benches/` for
+//! See `examples/` for runnable scenarios and `cdf-sim figure <name>` for
 //! the per-figure reproduction harness.
 
 #![deny(missing_docs)]
